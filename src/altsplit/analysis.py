@@ -15,14 +15,13 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
+    _group_inverse_or_none,
+    _same_range_and_null,
+    _spectrum,
     as_square,
-    gamma,
-    group_inverse,
     index_at_most_one,
     is_nonnegative,
     rank,
-    same_null,
-    same_range,
     spectral_radius,
 )
 from .errors import (
@@ -34,10 +33,11 @@ from .errors import (
 from .splittings import (
     Splitting,
     _check_shared_a,
+    _induced_from_product,
+    _middle_factor,
     alternating_iteration_matrix,
     classify,
     induced_splitting,
-    make_splitting,
 )
 
 __all__ = [
@@ -97,12 +97,7 @@ def is_semiconvergent(
     """
     t = as_square(t)
     n = t.shape[0]
-    ev = np.linalg.eigvals(t) if n else np.array([])
-    rho = float(np.max(np.abs(ev))) if n else 0.0
-    near_one = np.abs(ev - 1.0) <= tol.one_tol if n else np.array([], dtype=bool)
-    has_one = bool(np.any(near_one))
-    g = float(np.max(np.abs(ev[~near_one]))) if np.any(~near_one) else 0.0
-
+    rho, g, has_one = _spectrum(t, tol.one_tol)
     imt = np.eye(n) - t
     # When T is numerically the identity, I - T is pure round-off and its
     # relative rank is meaningless; anchor at T's unit scale instead.
@@ -115,20 +110,16 @@ def is_semiconvergent(
             verdict=True,
             limit_matrix=np.eye(n),
         )
-    idx_ok = rank(imt, tol) == rank(imt @ imt, tol)
-    index_of = 1 if idx_ok else 2
-
+    imt_sharp = _group_inverse_or_none(imt, tol.rank_tol)
+    idx_ok = imt_sharp is not None
     verdict = (rho <= 1.0 + tol.one_tol) and (g < 1.0 - tol.one_tol) and idx_ok
-    limit = None
-    if verdict:
-        limit = np.eye(n) - imt @ group_inverse(imt, tol)
     return SemiconvergenceCertificate(
         rho=rho,
         gamma=g,
         has_eigenvalue_one=has_one,
-        index_of_I_minus_T=index_of,
+        index_of_I_minus_T=1 if idx_ok else 2,
         verdict=verdict,
-        limit_matrix=limit,
+        limit_matrix=np.eye(n) - imt @ imt_sharp if verdict else None,
     )
 
 
@@ -170,10 +161,8 @@ def is_m_matrix_with_property_c(a, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
         return False
     s0 = max(0.0, float(np.max(np.diag(a))) if n else 0.0)
     s = s0 + max(1.0, s0)
-    b = s * np.eye(n) - a
-    if spectral_radius(b) > s * (1.0 + tol.one_tol):
-        return False
-    return is_semiconvergent(b / s, tol).verdict
+    # s^-1 B semiconvergent already requires rho(s^-1 B) <= 1, i.e. s >= rho(B).
+    return is_semiconvergent((s * np.eye(n) - a) / s, tol).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +193,17 @@ def _ge_identity(m: np.ndarray, slack: float) -> bool:
 
 def _group_monotone(a, tol):
     """(holds, reason) for A# exists with A# >= 0."""
-    if not index_at_most_one(a, tol):
+    a_sharp = _group_inverse_or_none(a, tol.rank_tol)
+    if a_sharp is None:
         return False, "A has index greater than 1"
-    if not is_nonnegative(group_inverse(a, tol), tol):
+    if not is_nonnegative(a_sharp, tol):
         return False, "A# has negative entries"
     return True, ""
 
 
-def _middle_factor(splits):
-    """K + X - A + Y U# L for three splittings (U# L via the cached solver)."""
-    sk, su, sx = splits
-    return sk.u + sx.u - sk.a + sx.v @ su.solver.left_apply(sk.v)
-
-
-def _pairwise_products(splits):
-    """H12 = U#V K#L, H13 = X#Y K#L, H23 = X#Y U#V."""
-    tk, tu, tx = (s.iteration_matrix() for s in splits)
+def _pairwise_products(singles):
+    """H12 = U#V K#L, H13 = X#Y K#L, H23 = X#Y U#V from the single-step matrices."""
+    tk, tu, tx = singles
     return tu @ tk, tx @ tk, tx @ tu
 
 
@@ -253,11 +237,12 @@ def verify_convergence_theorem(
             failures.append(f"{name} is not a proper G-weak regular splitting of type II")
 
     h = alternating_iteration_matrix(splits, tol)
+    singles = [s.iteration_matrix() for s in splits]
     rho_h = spectral_radius(h)
     measured["rho_H"] = rho_h
     single_radii = {}
-    for name, s in zip(names, splits):
-        r = spectral_radius(s.iteration_matrix())
+    for name, t in zip(names, singles):
+        r = spectral_radius(t)
         single_radii[name] = r
         measured[f"rho_{name}"] = r
 
@@ -267,9 +252,7 @@ def verify_convergence_theorem(
             theorem_id, not failures, failures, conclusion, measured
         )
 
-    middle = _middle_factor(splits)
-    range_null_ok = same_range(middle, a, tol) and same_null(middle, a, tol)
-    if not range_null_ok:
+    if not _same_range_and_null(_middle_factor(splits), a, tol):
         failures.append("K + X - A + Y U# L does not share range/null with A")
 
     if theorem_id == "both-types-comparison":
@@ -304,9 +287,8 @@ def verify_convergence_theorem(
 
     # two-vs-three
     pair_names = ("B12", "B13", "B23")
-    pair_products = _pairwise_products(splits)
     pair_radii = []
-    for name, hp in zip(pair_names, pair_products):
+    for name, hp in zip(pair_names, _pairwise_products(singles)):
         rp = spectral_radius(hp)
         pair_radii.append(rp)
         measured[f"rho_{name}"] = rp
@@ -332,30 +314,13 @@ def _quasi_flags(report):
     }
 
 
-def _induced_from_pair(first: Splitting, second: Splitting, tol):
-    """Induced splitting of the two-step product via B = U1 (U1+U2-A)^-1 U2.
-
-    Valid for nonsingular parts even when A itself is singular, where
-    A (I-H)^-1 is unavailable because 1 is an eigenvalue of H.
-    """
-    a = first.a
-    middle = first.u + second.u - a
-    s = np.linalg.svd(middle, compute_uv=False)
-    if s.size == 0 or s[-1] <= tol.rank_tol * s[0]:
-        raise NonsingularHypothesisError("U1 + U2 - A is singular")
-    b = first.u @ np.linalg.solve(middle, second.u)
-    return make_splitting(a, b, tol)
-
-
-def _induced_from_triple(splits, tol):
-    """Induced splitting of the three-step product via B = K M^-1 X."""
-    a = splits[0].a
-    middle = _middle_factor(splits)
-    s = np.linalg.svd(middle, compute_uv=False)
-    if s.size == 0 or s[-1] <= tol.rank_tol * s[0]:
-        raise NonsingularHypothesisError("K + X - A + Y U^-1 L is singular")
-    b = splits[0].u @ np.linalg.solve(middle, splits[2].u)
-    return make_splitting(a, b, tol)
+def _index_failures(names, certs, cert_h):
+    """Failures of index(I - T) <= 1 for each single-step matrix and for H."""
+    out = [f"index(I - {name} iteration matrix) > 1"
+           for name, c in zip(names, certs) if c.index_of_I_minus_T > 1]
+    if cert_h.index_of_I_minus_T > 1:
+        out.append("index(I - H) > 1")
+    return out
 
 
 def verify_semiconvergence_theorem(
@@ -394,13 +359,15 @@ def verify_semiconvergence_theorem(
     reports = [classify(s, tol) for s in splits]
     singles = [s.iteration_matrix() for s in splits]
     h = alternating_iteration_matrix(splits, tol)
-    measured["gamma_H"] = gamma(h, tol)
-    measured["rho_H"] = spectral_radius(h)
-    for name, t in zip(names, singles):
-        measured[f"gamma_{name}"] = gamma(t, tol)
+    cert_h = is_semiconvergent(h, tol)
+    certs = [is_semiconvergent(t, tol) for t in singles]
+    measured["gamma_H"] = cert_h.gamma
+    measured["rho_H"] = cert_h.rho
+    for name, t, c in zip(names, singles, certs):
+        measured[f"gamma_{name}"] = c.gamma
         # Both index variants appear across the statements; surface both.
         measured[f"index_le1_{name}"] = float(index_at_most_one(t, tol))
-        measured[f"index_le1_I_minus_{name}"] = float(index_at_most_one(eye - t, tol))
+        measured[f"index_le1_I_minus_{name}"] = float(c.index_of_I_minus_T == 1)
 
     if theorem_id in ("regular-three-step", "delta-shift", "induced-regular"):
         if not is_m_matrix_with_property_c(a, tol):
@@ -408,8 +375,7 @@ def verify_semiconvergence_theorem(
         for name, rep in zip(names, reports):
             if not rep.is_regular:
                 failures.append(f"{name} is not a regular splitting")
-        middle = _middle_factor(splits)
-        middle_rank = rank(middle, tol)
+        middle_rank = rank(_middle_factor(splits), tol)
         measured["middle_nonsingular"] = float(middle_rank == n)
         if middle_rank != n:
             failures.append("K + X - A + Y U^-1 L is singular")
@@ -419,31 +385,30 @@ def verify_semiconvergence_theorem(
             measured["min_diag_H"] = diag_min
             if diag_min <= 0.0:
                 failures.append("diag(H) is not strictly positive")
-            conclusion = is_semiconvergent(h, tol).verdict
-            return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+            return TheoremVerdict(
+                theorem_id, not failures, failures, cert_h.verdict, measured
+            )
 
         if theorem_id == "delta-shift":
             if delta is None:
                 raise MissingDeltaError("delta-shift theorem needs delta")
             if not 0.0 < delta < 1.0:
                 raise ValueError("delta must lie in (0, 1)")
-            h_delta = delta * h + (1.0 - delta) * eye
-            measured["gamma_H_delta"] = gamma(h_delta, tol)
-            conclusion = is_semiconvergent(h_delta, tol).verdict
-            return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+            cert_delta = is_semiconvergent(delta * h + (1.0 - delta) * eye, tol)
+            measured["gamma_H_delta"] = cert_delta.gamma
+            return TheoremVerdict(
+                theorem_id, not failures, failures, cert_delta.verdict, measured
+            )
 
         # induced-regular: the candidate B = K M^-1 X reproduces H as a
         # weak regular splitting of type I.  Strict regularity (C >= 0) can
         # fail for this candidate even under the stated hypotheses (the
         # walk benchmark is a witness), so the checkable conclusion is the
-        # weak form; min(C) is surfaced for inspection.
+        # weak form; min(C) is surfaced for inspection.  The middle factor
+        # M passed the rank test above, so the induced splitting exists.
         if failures:
             return TheoremVerdict(theorem_id, False, failures, False, measured)
-        try:
-            ind = _induced_from_triple(splits, tol)
-        except NonsingularHypothesisError:
-            failures.append("K + X - A + Y U^-1 L is singular")
-            return TheoremVerdict(theorem_id, False, failures, False, measured)
+        ind = _induced_from_product(splits, tol)
         match = float(np.max(np.abs(ind.iteration_matrix() - h)))
         measured["induced_matrix_mismatch"] = match
         measured["min_B_inverse_entry"] = float(np.min(ind.solver.inverse_like()))
@@ -457,7 +422,6 @@ def verify_semiconvergence_theorem(
 
     # quasi family -----------------------------------------------------
     quasi = [_quasi_flags(rep) for rep in reports]
-    certs = [is_semiconvergent(t, tol) for t in singles]
     for name, c in zip(names, certs):
         measured[f"semiconvergent_{name}"] = float(c.verdict)
 
@@ -470,30 +434,25 @@ def verify_semiconvergence_theorem(
             if not c.verdict:
                 failures.append(f"{name} iteration matrix is not semiconvergent")
         # index conditions exactly as stated
-        for name, t in zip(names, singles):
-            if not index_at_most_one(t, tol):
+        for name in names:
+            if not measured[f"index_le1_{name}"]:
                 failures.append(f"index({name} iteration matrix) > 1")
-        h12 = singles[1] @ singles[0]
-        if not index_at_most_one(eye - h12, tol):
+        if not index_at_most_one(eye - singles[1] @ singles[0], tol):
             failures.append("index(I - U^-1 V K^-1 L) > 1")
         if not index_at_most_one(h, tol):
             failures.append("index(H) > 1")
-        cert = is_semiconvergent(h, tol)
-        conclusion = cert.verdict
+        conclusion = cert_h.verdict
         if conclusion and common:
-            try:
-                ind = _induced_from_triple(splits, tol)
-                ind_rep = classify(ind, tol)
-                ind_flags = _quasi_flags(ind_rep)
-                measured["induced_same_quasi_class"] = float(
-                    any(ind_flags[kind] for kind in common)
-                )
-                conclusion = conclusion and any(ind_flags[kind] for kind in common)
-            except NonsingularHypothesisError:
+            ind = _induced_from_product(splits, tol)
+            if ind is None:
                 # Induced-splitting clause is unverifiable without the
                 # nonsingular middle factor; the semiconvergence conclusion
                 # stands on its own.
                 measured["induced_same_quasi_class"] = float("nan")
+            else:
+                ind_flags = _quasi_flags(classify(ind, tol))
+                conclusion = any(ind_flags[kind] for kind in common)
+                measured["induced_same_quasi_class"] = float(conclusion)
         return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
 
     if theorem_id == "quasi-comparison":
@@ -502,58 +461,39 @@ def verify_semiconvergence_theorem(
         for name, q in zip(names[1:], quasi[1:]):
             if not q["type1"]:
                 failures.append(f"{name} is not quasi weak regular of type I")
-        for name, t in zip(names, singles):
-            if not index_at_most_one(eye - t, tol):
-                failures.append(f"index(I - {name} iteration matrix) > 1")
-        if not index_at_most_one(eye - h, tol):
-            failures.append("index(I - H) > 1")
+        failures += _index_failures(names, certs, cert_h)
         bound = measured["gamma_X-Y"]
         conclusion = measured["gamma_H"] <= bound + COMPARISON_SLACK and bound < 1.0
         return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
 
+    for name, q, c in zip(names, quasi, certs):
+        if not q["regular"]:
+            failures.append(f"{name} is not a quasi-regular splitting")
+        if not c.verdict:
+            failures.append(f"{name} iteration matrix is not semiconvergent")
+
     if theorem_id == "quasi-three-comparison":
-        for name, q, c in zip(names, quasi, certs):
-            if not q["regular"]:
-                failures.append(f"{name} is not a quasi-regular splitting")
-            if not c.verdict:
-                failures.append(f"{name} iteration matrix is not semiconvergent")
-        for name, t in zip(names, singles):
-            if not index_at_most_one(eye - t, tol):
-                failures.append(f"index(I - {name} iteration matrix) > 1")
-        if not index_at_most_one(eye - h, tol):
-            failures.append("index(I - H) > 1")
+        failures += _index_failures(names, certs, cert_h)
         bound = min(measured[f"gamma_{name}"] for name in names)
         measured["min_single_gamma"] = bound
         conclusion = measured["gamma_H"] <= bound + COMPARISON_SLACK and bound < 1.0
         return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
 
     # quasi-two-vs-three
-    for name, q, c in zip(names, quasi, certs):
-        if not q["regular"]:
-            failures.append(f"{name} is not a quasi-regular splitting")
-        if not c.verdict:
-            failures.append(f"{name} iteration matrix is not semiconvergent")
-    pairs = ((splits[0], splits[1], "B12"), (splits[0], splits[2], "B13"),
-             (splits[1], splits[2], "B23"))
+    pairs = ((0, 1, "B12"), (0, 2, "B13"), (1, 2, "B23"))
     pair_gammas = []
-    for first, second, name in pairs:
-        hp = second.iteration_matrix() @ first.iteration_matrix()
-        gp = gamma(hp, tol)
-        pair_gammas.append(gp)
-        measured[f"gamma_{name}"] = gp
-        if not index_at_most_one(np.eye(n) - hp, tol):
+    for (first, second, name), hp in zip(pairs, _pairwise_products(singles)):
+        cert_p = is_semiconvergent(hp, tol)
+        pair_gammas.append(cert_p.gamma)
+        measured[f"gamma_{name}"] = cert_p.gamma
+        if cert_p.index_of_I_minus_T > 1:
             failures.append(f"index(I - {name} product) > 1")
-        try:
-            ind = _induced_from_pair(first, second, tol)
-            if not classify(ind, tol).is_quasi_regular:
-                failures.append(f"induced splitting {name} is not quasi-regular")
-        except NonsingularHypothesisError:
+        ind = _induced_from_product((splits[first], splits[second]), tol)
+        if ind is None:
             failures.append(f"{name} middle factor is singular")
-    for name, t in zip(names, singles):
-        if not index_at_most_one(eye - t, tol):
-            failures.append(f"index(I - {name} iteration matrix) > 1")
-    if not index_at_most_one(eye - h, tol):
-        failures.append("index(I - H) > 1")
+        elif not classify(ind, tol).is_quasi_regular:
+            failures.append(f"induced splitting {name} is not quasi-regular")
+    failures += _index_failures(names, certs, cert_h)
     bound = min(pair_gammas)
     measured["min_pairwise_gamma"] = bound
     conclusion = measured["gamma_H"] <= bound + COMPARISON_SLACK and bound < 1.0
@@ -583,7 +523,9 @@ def induced_regular_splitting(
     for label, s in zip(("K-L", "U-V", "X-Y"), splits):
         if not classify(s, tol).is_regular:
             raise ClassificationError(f"{label} is not a regular splitting")
-    ind = _induced_from_triple(splits, tol)
+    ind = _induced_from_product(splits, tol)
+    if ind is None:
+        raise NonsingularHypothesisError("K + X - A + Y U^-1 L is singular")
     h = alternating_iteration_matrix(splits, tol)
     scale = max(1.0, float(np.max(np.abs(h))))
     b_inv = ind.solver.inverse_like()

@@ -201,25 +201,11 @@ def _parse_alphas(text):
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    try:
-        a = read_matrix_market(args.matrix)
-        if args.u is not None:
-            u = read_matrix_market(args.u)
-            split = make_splitting(a, u)
-        else:
-            split = diag_scaling_splitting(a, args.diag_alpha)
-    except MatrixMarketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionMismatchError, NotSquareError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AltSplitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    a = read_matrix_market(args.matrix)
+    if args.u is not None:
+        split = make_splitting(a, read_matrix_market(args.u))
+    else:
+        split = diag_scaling_splitting(a, args.diag_alpha)
     report = classify(split)
     for name, value in report.flags().items():
         line = f"{name:<28s} {'yes' if value else 'no'}"
@@ -231,49 +217,23 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        a = read_matrix_market(args.matrix)
-        b = read_vector(args.rhs)
-        splits = [make_splitting(a, read_matrix_market(p))
-                  for p in args.split.split(",")]
-    except MatrixMarketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionMismatchError, NotSquareError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IndexGreaterThanOneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-
+    a = read_matrix_market(args.matrix)
+    b = read_vector(args.rhs)
+    splits = [make_splitting(a, read_matrix_market(p)) for p in args.split.split(",")]
     if args.x0 == "zero":
         x0 = None
     elif args.x0 == "uniform":
         x0 = np.full(a.shape[0], 1.0 / a.shape[0])
     else:
-        try:
-            x0 = read_vector(args.x0)
-        except (MatrixMarketError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        config = SchemeConfig(
-            splittings=splits,
-            stop_rule=args.stop,
-            tolerance=args.tol,
-            max_iterations=args.max_iters,
-            delta=args.delta,
-        )
-        report = run(config, b, x0=x0)
-    except (DimensionMismatchError, MismatchedSplittingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IndexGreaterThanOneError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        x0 = read_vector(args.x0)
+    config = SchemeConfig(
+        splittings=splits,
+        stop_rule=args.stop,
+        tolerance=args.tol,
+        max_iterations=args.max_iters,
+        delta=args.delta,
+    )
+    report = run(config, b, x0=x0)
 
     print(f"iterations   {report.iterations}")
     print(f"converged    {report.converged}")
@@ -476,9 +436,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error a command can meet, first match wins.  A bad
+# flag value raises ValueError, and so does undecodable file text
+# (UnicodeDecodeError).
+_EXIT_CODES = (
+    ((MatrixMarketError, OSError, ValueError), 2),
+    ((DimensionMismatchError, NotSquareError, MismatchedSplittingError), 3),
+    (IndexGreaterThanOneError, 4),
+    (AltSplitError, 2),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, AltSplitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

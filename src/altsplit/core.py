@@ -3,6 +3,17 @@
 Everything downstream treats matrices as immutable ``numpy.ndarray`` values
 in float64.  All operations are pure; factorizations are cached only inside
 :class:`CachedSolver` instances, which are created once and then read-only.
+
+Each fact about a matrix comes from one private routine, so callers that
+need several facts of one matrix compute each once:
+
+* ``_spectrum``: rho, gamma and the unit-eigenvalue flag from one ``eigvals``;
+* ``_group_inverse_or_none``: the one index-1 decision.  From the SVD rank
+  factorization A = F G, A# = F (G F)^-2 G exists iff
+  ``s_min(G F) > rank_tol * s_max(A)``, judged on A's scale (G F alone may
+  be a round-off scalar);
+* ``_projectors``: range and null projectors from one SVD;
+* ``_nonsingular``: the test ``s_min > rank_tol * s_max``.
 """
 from __future__ import annotations
 
@@ -34,7 +45,6 @@ __all__ = [
     "same_null",
     "is_nonnegative",
     "CachedSolver",
-    "gen_solve",
 ]
 
 
@@ -112,16 +122,35 @@ def rank(m, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     return _numerical_rank(s, tol.rank_tol)
 
 
+def _nonsingular(m: np.ndarray, rank_tol: float, scale: float | None = None) -> bool:
+    """True iff ``s_min(m) > rank_tol * scale``; ``scale`` defaults to s_max(m)."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return s.size > 0 and bool(s[-1] > rank_tol * (s[0] if scale is None else scale))
+
+
+def _spectrum(m: np.ndarray, one_tol: float):
+    """(rho, gamma, has_eigenvalue_one) of a square matrix from one ``eigvals``.
+
+    gamma discards the eigenvalues with ``|lambda - 1| <= one_tol`` and is 0
+    when every eigenvalue sits in that cluster.  Eigensolver failures
+    propagate as ``numpy.linalg.LinAlgError`` rather than being masked.
+    """
+    if m.shape[0] == 0:
+        return 0.0, 0.0, False
+    ev = np.linalg.eigvals(m)
+    near_one = np.abs(ev - 1.0) <= one_tol
+    outside = np.abs(ev[~near_one])
+    gam = float(np.max(outside)) if outside.size else 0.0
+    return float(np.max(np.abs(ev))), gam, bool(np.any(near_one))
+
+
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus, from a full dense eigendecomposition.
 
     Eigensolver failures propagate as ``numpy.linalg.LinAlgError`` rather
     than being masked as zero.
     """
-    m = as_square(m)
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(m))))
+    return _spectrum(as_square(m), DEFAULT_TOL.one_tol)[0]
 
 
 def gamma(m, tol: ToleranceProfile = DEFAULT_TOL) -> float:
@@ -130,24 +159,25 @@ def gamma(m, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     Eigenvalues with ``|lambda - 1| <= one_tol`` are excluded; returns 0
     when every eigenvalue sits in that cluster.
     """
-    m = as_square(m)
-    if m.shape[0] == 0:
-        return 0.0
-    ev = np.linalg.eigvals(m)
-    outside = np.abs(ev - 1.0) > tol.one_tol
-    if not np.any(outside):
-        return 0.0
-    return float(np.max(np.abs(ev[outside])))
+    return _spectrum(as_square(m), tol.one_tol)[1]
 
 
-def _rank_factorization(m: np.ndarray, rank_tol: float):
-    """Full-rank factorization m = F @ G from the SVD.
+def _group_inverse_or_none(m: np.ndarray, rank_tol: float) -> np.ndarray | None:
+    """A# of a square matrix, or None when its index exceeds 1.
 
-    F is n x r with full column rank, G is r x n with full row rank.
+    From the SVD rank factorization A = F G (F = U_r S_r, G = V_r^T),
+    ``A# = F (G F)^-2 G``; G F is invertible exactly when A has index 1,
+    decided as ``s_min(G F) > rank_tol * s_max(A)``.
     """
     u, s, vt = np.linalg.svd(m)
     r = _numerical_rank(s, rank_tol)
-    return u[:, :r] * s[:r], vt[:r, :]
+    if r == 0:
+        return np.zeros_like(m)
+    f, g = u[:, :r] * s[:r], vt[:r, :]
+    gf = g @ f
+    if not _nonsingular(gf, rank_tol, scale=s[0]):
+        return None
+    return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
 
 
 def group_inverse(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -160,44 +190,41 @@ def group_inverse(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     Raises
     ------
     IndexGreaterThanOneError
-        If ``rank(A) != rank(A^2)``, i.e. G F is singular at ``rank_tol``.
+        If ``s_min(G F) <= rank_tol * s_max(A)``, i.e. A has index above 1.
     """
-    m = as_square(m)
-    f, g = _rank_factorization(m, tol.rank_tol)
-    r = f.shape[1]
-    if r == 0:
-        return np.zeros_like(m)
-    gf = g @ f
-    s = np.linalg.svd(gf, compute_uv=False)
-    if s[-1] <= tol.rank_tol * s[0]:
+    x = _group_inverse_or_none(as_square(m), tol.rank_tol)
+    if x is None:
         raise IndexGreaterThanOneError(
             "group inverse does not exist: rank(A) != rank(A^2)"
         )
-    return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
+    return x
 
 
 def index_at_most_one(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """True iff rank(M) == rank(M @ M) at ``rank_tol``."""
-    m = as_square(m)
-    return rank(m, tol) == rank(m @ m, tol)
+    """True iff the group inverse of M exists (the index-1 rule above)."""
+    return _group_inverse_or_none(as_square(m), tol.rank_tol) is not None
+
+
+def _projectors(m: np.ndarray, rank_tol: float):
+    """(range projector, null projector) of M from one SVD."""
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    r = _numerical_rank(s, rank_tol)
+    ur, vr = u[:, :r], vt[:r, :]
+    return ur @ ur.T, np.eye(m.shape[1]) - vr.T @ vr
 
 
 def range_projector(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the column space of M."""
-    m = as_matrix(m)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    r = _numerical_rank(s, tol.rank_tol)
-    ur = u[:, :r]
-    return ur @ ur.T
+    return _projectors(as_matrix(m), tol.rank_tol)[0]
 
 
 def null_projector(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Orthogonal projector onto the null space of M."""
-    m = as_matrix(m)
-    _, s, vt = np.linalg.svd(m, full_matrices=False)
-    r = _numerical_rank(s, tol.rank_tol)
-    vr = vt[:r, :]
-    return np.eye(m.shape[1]) - vr.T @ vr
+    return _projectors(as_matrix(m), tol.rank_tol)[1]
+
+
+def _projectors_agree(p, q, tol: ToleranceProfile) -> bool:
+    return float(np.max(np.abs(p - q))) < tol.eq_tol
 
 
 def same_range(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -205,8 +232,7 @@ def same_range(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     m, n = as_matrix(m), as_matrix(n)
     if m.shape[0] != n.shape[0]:
         raise DimensionMismatchError("matrices must have the same number of rows")
-    diff = range_projector(m, tol) - range_projector(n, tol)
-    return float(np.max(np.abs(diff))) < tol.eq_tol
+    return _projectors_agree(range_projector(m, tol), range_projector(n, tol), tol)
 
 
 def same_null(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -214,8 +240,13 @@ def same_null(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     m, n = as_matrix(m), as_matrix(n)
     if m.shape[1] != n.shape[1]:
         raise DimensionMismatchError("matrices must have the same number of columns")
-    diff = null_projector(m, tol) - null_projector(n, tol)
-    return float(np.max(np.abs(diff))) < tol.eq_tol
+    return _projectors_agree(null_projector(m, tol), null_projector(n, tol), tol)
+
+
+def _same_range_and_null(m: np.ndarray, n: np.ndarray, tol: ToleranceProfile) -> bool:
+    """same_range and same_null of two same-shape matrices, one SVD each."""
+    pairs = zip(_projectors(m, tol.rank_tol), _projectors(n, tol.rank_tol))
+    return all(_projectors_agree(p, q, tol) for p, q in pairs)
 
 
 def is_nonnegative(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -254,8 +285,7 @@ class CachedSolver:
             self._diag = recip
             self.is_nonsingular = bool(np.all(nz))
             return
-        s = np.linalg.svd(u, compute_uv=False)
-        self.is_nonsingular = s.size > 0 and s[-1] > tol.rank_tol * s[0]
+        self.is_nonsingular = _nonsingular(u, tol.rank_tol)
         if self.is_nonsingular:
             self._mode = "lu"
             self._lu = lu_factor(u)
@@ -277,10 +307,6 @@ class CachedSolver:
             return lu_solve(self._lu, rhs)
         return self._inverse_like @ rhs
 
-    def left_apply(self, b: np.ndarray) -> np.ndarray:
-        """U^-1 B (or U# B)."""
-        return self.solve(b)
-
     def right_apply(self, b: np.ndarray) -> np.ndarray:
         """B U^-1 (or B U#)."""
         if self._mode == "diag":
@@ -298,13 +324,3 @@ class CachedSolver:
                 self._inverse_like = lu_solve(self._lu, np.eye(self._n))
         return self._inverse_like
 
-
-def gen_solve(m, b, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Solve M x = b via M^-1 when M is nonsingular, else return M# b.
-
-    One-shot convenience; iteration drivers reuse the solver cached on each
-    :class:`~altsplit.splittings.Splitting` instead.
-    """
-    m = as_square(m)
-    b = as_vector(b, m.shape[0])
-    return CachedSolver(m, tol).solve(b)

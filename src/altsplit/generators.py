@@ -163,13 +163,7 @@ def random_semiconvergence_case(rng: np.random.Generator, n: int):
         else:
             blocks.append(np.array([[lam * rng.choice([-1.0, 1.0])]]))
             slots -= 1
-    z = np.zeros((n, n))
-    at = 0
-    for blk in blocks:
-        k = blk.shape[0]
-        z[at : at + k, at : at + k] = blk
-        at += k
-    return p @ z @ p_inv, str(kind)
+    return _embed(p, p_inv, blocks), str(kind)
 
 
 def random_singular_m_matrix_triple(

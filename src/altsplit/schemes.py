@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceProfile, as_square, as_vector, gen_solve
+from .core import DEFAULT_TOL, CachedSolver, ToleranceProfile, as_square, as_vector
 from .errors import MissingDeltaError
 from .splittings import Splitting, _check_shared_a
 
@@ -161,4 +161,4 @@ def run_shifted(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport
 def exact_solution(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """A^-1 b for nonsingular A, else the group-inverse solution A# b."""
     a = as_square(a)
-    return gen_solve(a, b, tol)
+    return CachedSolver(a, tol).solve(as_vector(b, a.shape[0]))

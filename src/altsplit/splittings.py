@@ -15,11 +15,10 @@ from .core import (
     DEFAULT_TOL,
     CachedSolver,
     ToleranceProfile,
+    _group_inverse_or_none,
+    _nonsingular,
+    _same_range_and_null,
     as_square,
-    group_inverse,
-    index_at_most_one,
-    same_null,
-    same_range,
 )
 from .errors import (
     DimensionMismatchError,
@@ -55,15 +54,18 @@ class Splitting:
     u: np.ndarray
     v: np.ndarray
     solver: CachedSolver = field(repr=False)
-    u_is_nonsingular: bool
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
+    @property
+    def u_is_nonsingular(self) -> bool:
+        return self.solver.is_nonsingular
+
     def iteration_matrix(self) -> np.ndarray:
         """Single-step iteration matrix U# V (U^-1 V when U is nonsingular)."""
-        return self.solver.left_apply(self.v)
+        return self.solver.solve(self.v)
 
     def reversed_iteration_matrix(self) -> np.ndarray:
         """Companion-side factor V U#."""
@@ -86,10 +88,7 @@ def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
         raise DimensionMismatchError(
             f"A has shape {a.shape} but U has shape {u.shape}"
         )
-    solver = CachedSolver(u, tol)
-    return Splitting(
-        a=a, u=u, v=u - a, solver=solver, u_is_nonsingular=solver.is_nonsingular
-    )
+    return Splitting(a=a, u=u, v=u - a, solver=CachedSolver(u, tol))
 
 
 def diag_scaling_splitting(
@@ -183,7 +182,7 @@ def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClas
             witnesses[verdict_name] = witness
         return ok
 
-    proper = same_range(s.u, s.a, tol) and same_null(s.u, s.a, tol)
+    proper = _same_range_and_null(s.u, s.a, tol)
     if not proper:
         witnesses["is_proper"] = Witness(
             check="range(U) == range(A) and null(U) == null(A)", matrix="U"
@@ -195,9 +194,11 @@ def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClas
     g_base = proper and usharp_ok
     base_witness = witnesses.get("is_proper") or w_usharp
 
+    uv = s.iteration_matrix()
+    vu = s.reversed_iteration_matrix()
     v_ok, w_v = _sign_check(s.v, "V", "V >= 0", tol)
-    uv_ok, w_uv = _sign_check(s.solver.left_apply(s.v), "U#V", "U#V >= 0", tol)
-    vu_ok, w_vu = _sign_check(s.solver.right_apply(s.v), "VU#", "VU# >= 0", tol)
+    uv_ok, w_uv = _sign_check(uv, "U#V", "U#V >= 0", tol)
+    vu_ok, w_vu = _sign_check(vu, "VU#", "VU# >= 0", tol)
 
     g_regular = record("is_g_regular", g_base and v_ok, base_witness or w_v)
     g_weak1 = record("is_g_weak_regular_type1", g_base and uv_ok, base_witness or w_uv)
@@ -233,9 +234,10 @@ def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClas
         q_w2 = record(quasi_names[2], False, w)
     else:
         eye = np.eye(s.n)
-        t1 = eye - s.solver.left_apply(s.v)   # I - U^-1 V
-        t2 = eye - s.solver.right_apply(s.v)  # I - V U^-1
-        if not (index_at_most_one(t1, tol) and index_at_most_one(t2, tol)):
+        t1, t2 = eye - uv, eye - vu  # I - U^-1 V, I - V U^-1
+        t1_sharp = _group_inverse_or_none(t1, tol.rank_tol)
+        t2_sharp = _group_inverse_or_none(t2, tol.rank_tol)
+        if t1_sharp is None or t2_sharp is None:
             w = Witness(
                 check="index(I - U^-1 V) or index(I - V U^-1) exceeds 1",
                 matrix="I - U^-1 V",
@@ -244,15 +246,11 @@ def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClas
             q_w1 = record(quasi_names[1], False, w)
             q_w2 = record(quasi_names[2], False, w)
         else:
-            k1 = t1 @ group_inverse(t1, tol)
-            k2 = group_inverse(t2, tol) @ t2
+            k1 = t1 @ t1_sharp
+            k2 = t2_sharp @ t2
             qv_ok, w_qv = _sign_check(s.v @ k1, "V K1", "V K1 >= 0", tol)
-            quv_ok, w_quv = _sign_check(
-                s.solver.left_apply(s.v) @ k1, "U^-1 V K1", "U^-1 V K1 >= 0", tol
-            )
-            qvu_ok, w_qvu = _sign_check(
-                k2 @ s.solver.right_apply(s.v), "K2 V U^-1", "K2 V U^-1 >= 0", tol
-            )
+            quv_ok, w_quv = _sign_check(uv @ k1, "U^-1 V K1", "U^-1 V K1 >= 0", tol)
+            qvu_ok, w_qvu = _sign_check(k2 @ vu, "K2 V U^-1", "K2 V U^-1 >= 0", tol)
             nonsing_witness = None if usharp_ok else w_usharp
             q_reg = record(quasi_names[0], usharp_ok and qv_ok, nonsing_witness or w_qv)
             q_w1 = record(quasi_names[1], usharp_ok and quv_ok, nonsing_witness or w_quv)
@@ -328,8 +326,7 @@ def induced_splitting(a, h, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
     if a.shape != h.shape:
         raise DimensionMismatchError("A and H must have the same shape")
     imh = np.eye(h.shape[0]) - h
-    s = np.linalg.svd(imh, compute_uv=False)
-    if s.size == 0 or s[-1] <= tol.rank_tol * s[0]:
+    if not _nonsingular(imh, tol.rank_tol):
         raise SingularIminusHError("I - H is singular; no induced splitting")
     b = np.linalg.solve(imh.T, a.T).T
     return make_splitting(a, b, tol)
@@ -349,10 +346,33 @@ def b_sharp_closed_form(splits, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarr
     if len(splits) != 3:
         raise ValueError("closed form needs exactly three splittings")
     a = _check_shared_a(splits, tol)
-    sk, su, sx = splits
-    middle = sk.u + sx.u - a + sx.v @ su.solver.left_apply(sk.v)
-    if not (same_range(middle, a, tol) and same_null(middle, a, tol)):
+    sk, _, sx = splits
+    middle = _middle_factor(splits)
+    if not _same_range_and_null(middle, a, tol):
         raise RangeNullConditionError(
             "K + X - A + Y U# L does not share range/null with A"
         )
-    return sx.solver.left_apply(sk.solver.right_apply(middle))
+    return sx.solver.solve(sk.solver.right_apply(middle))
+
+
+def _middle_factor(splits) -> np.ndarray:
+    """U1 + U2 - A for two splittings; K + X - A + Y U# L for three."""
+    first, last = splits[0], splits[-1]
+    middle = first.u + last.u - first.a
+    if len(splits) == 3:
+        middle = middle + last.v @ splits[1].solver.solve(first.v)
+    return middle
+
+
+def _induced_from_product(splits, tol: ToleranceProfile) -> Splitting | None:
+    """Splitting A = B - C induced by a two- or three-step product.
+
+    B = U_first M^-1 U_last with M the middle factor; this equals
+    A (I - H)^-1 whenever that exists and stays defined for singular A,
+    where 1 is an eigenvalue of H.  None when M is singular.
+    """
+    middle = _middle_factor(splits)
+    if not _nonsingular(middle, tol.rank_tol):
+        return None
+    b = splits[0].u @ np.linalg.solve(middle, splits[-1].u)
+    return make_splitting(splits[0].a, b, tol)

@@ -184,7 +184,7 @@ class TestCriterion6InducedSuite:
             n = int(rng.integers(3, 9))
             a, splits = random_proper_triple(rng, n)
             sk, su, sx = splits
-            middle = sk.u + sx.u - a + sx.v @ su.solver.left_apply(sk.v)
+            middle = sk.u + sx.u - a + sx.v @ su.solver.solve(sk.v)
             if not (same_range(middle, a) and same_null(middle, a)):
                 continue
             h = alternating_iteration_matrix(splits)

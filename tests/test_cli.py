@@ -182,3 +182,31 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case, expected", [
+        ("classify_index_two_u", 4),
+        ("solve_negative_tol", 2),
+        ("classify_negative_alpha", 2),
+        ("non_ascii_comment", 2),
+    ])
+    def test_error_exits_with_documented_code(self, tmp_path, capsys, case, expected):
+        a, u, b = (str(tmp_path / f"{name}.mtx") for name in "aub")
+        write_matrix_market(a, np.eye(2))
+        write_matrix_market(u, np.array([[0.0, 1.0], [0.0, 0.0]]))  # index 2
+        write_vector(b, np.ones(2))
+        bad = tmp_path / "bad.mtx"
+        bad.write_bytes(
+            b"%%MatrixMarket matrix array real general\n% caf\xc3\xa9\n2 2\n1\n0\n0\n1\n"
+        )
+        argv = {
+            "classify_index_two_u": ["classify", "--matrix", a, "--u", u],
+            "solve_negative_tol": [
+                "solve", "--matrix", a, "--rhs", b, "--split", a, "--tol", "-1",
+            ],
+            "classify_negative_alpha": ["classify", "--matrix", a, "--diag-alpha", "-1"],
+            "non_ascii_comment": ["classify", "--matrix", str(bad), "--diag-alpha", "1.0"],
+        }[case]
+        assert main(argv) == expected
+        assert capsys.readouterr().err.startswith("error: ")

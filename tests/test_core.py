@@ -1,4 +1,4 @@
-"""Dense kernel tests: rank, spectra, group inverse, subspaces, gen_solve.
+"""Dense kernel tests: rank, spectra, group inverse, subspaces, exact_solution.
 
 Expected values are either trivial identities or were computed by an
 independent route (hand elimination, diagonal arithmetic, direct solves).
@@ -12,11 +12,12 @@ from altsplit import (
     IndexGreaterThanOneError,
     NotSquareError,
     ToleranceProfile,
+    exact_solution,
     gamma,
-    gen_solve,
     group_inverse,
     index_at_most_one,
     is_nonnegative,
+    make_splitting,
     rank,
     same_null,
     same_range,
@@ -95,8 +96,15 @@ class TestGroupInverse:
         )
 
     def test_nilpotent_raises(self):
-        with pytest.raises(IndexGreaterThanOneError):
-            group_inverse(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # index 2 in the standard basis and in a similarity frame, where G F
+        # is a 1x1 round-off scalar
+        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+        p = np.array([[3.0, 1.0], [-0.5, 2.0]])
+        for a in (nilpotent, p @ nilpotent @ np.linalg.inv(p)):
+            with pytest.raises(IndexGreaterThanOneError):
+                group_inverse(a)
+            with pytest.raises(IndexGreaterThanOneError):
+                make_splitting(np.eye(2), a)
 
     def test_zero_matrix(self):
         np.testing.assert_allclose(group_inverse(np.zeros((3, 3))), np.zeros((3, 3)))
@@ -179,24 +187,24 @@ class TestIsNonnegative:
 class TestGenSolve:
     def test_scaled_identity(self):
         np.testing.assert_allclose(
-            gen_solve(2.0 * np.eye(2), [4.0, 6.0]), [2.0, 3.0]
+            exact_solution(2.0 * np.eye(2), [4.0, 6.0]), [2.0, 3.0]
         )
 
     def test_identity_returns_rhs(self):
         b = RNG.uniform(-1, 1, 4)
-        np.testing.assert_allclose(gen_solve(np.eye(4), b), b)
+        np.testing.assert_allclose(exact_solution(np.eye(4), b), b)
 
     def test_singular_uses_group_inverse(self):
         # A# b computed by multiplying the known group inverse
         b = np.array([2.0, 0.5, 0.0])
         np.testing.assert_allclose(
-            gen_solve(A_EXAMPLE, b), A_SHARP_EXPECTED @ b, atol=1e-12
+            exact_solution(A_EXAMPLE, b), A_SHARP_EXPECTED @ b, atol=1e-12
         )
-        np.testing.assert_allclose(gen_solve(A_EXAMPLE, b), [2.0, 1.125, 0.0])
+        np.testing.assert_allclose(exact_solution(A_EXAMPLE, b), [2.0, 1.125, 0.0])
 
     def test_index_two_raises(self):
         with pytest.raises(IndexGreaterThanOneError):
-            gen_solve(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 1.0])
+            exact_solution(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 1.0])
 
 
 class TestCachedSolver:
@@ -213,7 +221,7 @@ class TestCachedSolver:
             solver.right_apply(m), m @ np.linalg.inv(u), atol=1e-10
         )
         np.testing.assert_allclose(
-            solver.left_apply(m), np.linalg.solve(u, m), atol=1e-10
+            solver.solve(m), np.linalg.solve(u, m), atol=1e-10
         )
 
     def test_singular_mode_uses_group_inverse(self):
