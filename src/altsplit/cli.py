@@ -46,6 +46,7 @@ from .problems import (
 )
 from .schemes import SchemeConfig, run
 from .splittings import (
+    _iteration_operator,
     alternating_iteration_matrix,
     classify,
     companion_matrix,
@@ -104,7 +105,11 @@ def bench_laplace(
             max_iterations=max_iterations,
         )
         report = run(config, problem.b, exact=problem.exact)
-        rho = spectral_radius(alternating_iteration_matrix(chosen))
+        if all(s.v_is_sparse for s in chosen):
+            h = _iteration_operator(chosen)
+        else:
+            h = alternating_iteration_matrix(chosen)
+        rho = spectral_radius(h)
         rows.append(
             BenchRow(
                 order=problem.order,

@@ -14,9 +14,14 @@ need several facts of one matrix compute each once:
   be a round-off scalar);
 * ``_projectors``: range and null projectors from one SVD;
 * ``_nonsingular``: the test ``s_min > rank_tol * s_max``.
+
+The one exception to dense input is :func:`spectral_radius`, which also
+takes a matrix-free ``scipy.sparse.linalg.LinearOperator`` and then finds
+the dominant eigenvalue with seeded ARPACK instead of a full ``eigvals``.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,12 +149,39 @@ def _spectrum(m: np.ndarray, one_tol: float):
     return float(np.max(np.abs(ev))), gam, bool(np.any(near_one))
 
 
-def spectral_radius(m) -> float:
-    """Largest eigenvalue modulus, from a full dense eigendecomposition.
+def _arpack_radius(op) -> float:
+    """Largest eigenvalue modulus of a square LinearOperator.
 
-    Eigensolver failures propagate as ``numpy.linalg.LinAlgError`` rather
-    than being masked as zero.
+    Implicitly restarted Arnoldi (ARPACK) for the one eigenvalue of largest
+    modulus, started from a fixed seeded vector so that repeated calls give
+    bit-identical results.  Orders below 3, where ARPACK cannot run, are
+    applied to the identity and decided densely.
     """
+    from scipy.sparse.linalg import eigs
+
+    n, ncols = op.shape
+    if n != ncols:
+        raise NotSquareError(f"expected a square operator, got shape {op.shape}")
+    if n < 3:
+        return _spectrum(op.matmat(np.eye(n)), DEFAULT_TOL.one_tol)[0]
+    v0 = np.random.default_rng(0).standard_normal(n)
+    ev = eigs(op, k=1, which="LM", v0=v0, return_eigenvectors=False)
+    return float(np.abs(ev[0]))
+
+
+def spectral_radius(m) -> float:
+    """Largest eigenvalue modulus.
+
+    A dense matrix gets a full eigendecomposition; a
+    ``scipy.sparse.linalg.LinearOperator`` gets seeded ARPACK on its
+    matvec.  Eigensolver failures (``numpy.linalg.LinAlgError``, ARPACK's
+    ``ArpackNoConvergence``) propagate rather than being masked as zero.
+    """
+    # Only an imported scipy.sparse.linalg can have made a LinearOperator,
+    # so the dense path never imports it.
+    spla = sys.modules.get("scipy.sparse.linalg")
+    if spla is not None and isinstance(m, spla.LinearOperator):
+        return _arpack_radius(m)
     return _spectrum(as_square(m), DEFAULT_TOL.one_tol)[0]
 
 

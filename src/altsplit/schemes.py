@@ -1,12 +1,19 @@
 """Iteration drivers for single-, two- and three-step alternating sweeps.
 
 One iteration means one full multi-splitting pass.  Sweeps never form the
-product iteration matrix; each pass costs one dense matvec per splitting
-plus a cached solve.  The iteration matrix itself is only assembled by the
-diagnostics in :mod:`altsplit.splittings` and :mod:`altsplit.analysis`.
+product iteration matrix; each pass costs one matvec with V per splitting
+plus a cached solve with U.  The matvec goes through the splitting's sweep
+operator, which is CSR for large sparse V and dense otherwise; ``run``
+applies the same storage rule to A for its residuals.  The iteration
+matrix itself is only assembled by the diagnostics in
+:mod:`altsplit.splittings` and :mod:`altsplit.analysis`.
+
+A run stops at the first non-finite stop metric and reports it as not
+converged, rather than iterating on overflowed or NaN iterates.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -14,7 +21,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, CachedSolver, ToleranceProfile, as_square, as_vector
 from .errors import MissingDeltaError
-from .splittings import Splitting, _check_shared_a
+from .splittings import Splitting, _check_shared_a, _sweep_operator
 
 __all__ = [
     "SchemeConfig",
@@ -75,7 +82,7 @@ class IterationReport:
 def sweep(splits, x, b):
     """One alternating pass: x <- U_i#(V_i x + b) for each splitting in order."""
     for s in splits:
-        x = s.solver.solve(s.v @ x + b)
+        x = s.solver.solve(s.v_op @ x + b)
     return x
 
 
@@ -97,12 +104,13 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     Returns
     -------
     IterationReport
-        ``converged`` is False when max_iterations is exhausted; that is an
-        outcome, not an exception.
+        ``converged`` is False when max_iterations is exhausted or the stop
+        metric turns non-finite (the run stops at that pass); both are
+        outcomes, not exceptions.
     """
     splits = config.splittings
-    a = splits[0].a
-    n = a.shape[0]
+    n = splits[0].n
+    a = _sweep_operator(splits[0].a)
     b = as_vector(b, n)
     x = np.zeros(n) if x0 is None else as_vector(x0, n).copy()
     if exact is not None:
@@ -135,6 +143,8 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
         x = x_new
         if metric < config.tolerance:
             converged = True
+            break
+        if not math.isfinite(metric):
             break
     elapsed = time.perf_counter() - start
 

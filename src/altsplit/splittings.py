@@ -4,6 +4,10 @@ A splitting is stored with V derived as U - A, so the defining identity can
 never drift.  Classification produces verdicts, never exceptions; the
 constructive operations (induced splittings, closed forms) raise when their
 hypotheses fail because their outputs are undefined otherwise.
+
+Sweeps multiply by V through one operator chosen at construction: a CSR
+copy when V is large and sparse enough for CSR to pay, else V itself (see
+``CSR_MIN_ORDER``).  ``scipy.sparse`` is imported only on the CSR path.
 """
 from __future__ import annotations
 
@@ -42,22 +46,51 @@ __all__ = [
 ]
 
 
+# Storage rule for the sweep operators of V and A: CSR from order
+# CSR_MIN_ORDER on, with at most CSR_MAX_FILL of the entries nonzero.
+# Measured matvec times (2-vCPU Xeon, numpy 2.4, scipy 1.17): dense 3.3 us
+# vs CSR 6.2 us at order 100 (tridiagonal), 8.9 vs 6.9 us at order 200,
+# 30 vs 7.8 us at order 400 (5-point stencil).  At order 400, CSR still
+# wins at 40 nonzeros a row (19.5 vs 23.6 us) and loses at 80 (33.5 vs
+# 27.8 us).
+CSR_MIN_ORDER = 200
+CSR_MAX_FILL = 0.1
+
+
+def _sweep_operator(m: np.ndarray):
+    """``m`` as a ``scipy.sparse.csr_array`` when the rule above says CSR
+    pays, else ``m`` itself."""
+    n = m.shape[0]
+    if n < CSR_MIN_ORDER or np.count_nonzero(m) > CSR_MAX_FILL * n * n:
+        return m
+    from scipy.sparse import csr_array
+
+    return csr_array(m)
+
+
 @dataclass(frozen=True)
 class Splitting:
     """One splitting A = U - V with its cached solver for U.
 
     ``v`` is always derived as ``u - a``; construct via
-    :func:`make_splitting`.
+    :func:`make_splitting`.  ``v_op`` is what sweeps multiply by: ``v``
+    itself, or a CSR copy of it when the storage rule above says CSR pays.
     """
 
     a: np.ndarray
     u: np.ndarray
     v: np.ndarray
     solver: CachedSolver = field(repr=False)
+    v_op: object = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def v_is_sparse(self) -> bool:
+        """True iff sweeps multiply by a CSR copy of V."""
+        return self.v_op is not self.v
 
     @property
     def u_is_nonsingular(self) -> bool:
@@ -75,6 +108,8 @@ class Splitting:
 def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
     """Build a splitting of ``a`` from the chosen ``u``; V := U - A.
 
+    V's sweep operator (dense or CSR) is chosen here, once.
+
     Raises
     ------
     DimensionMismatchError
@@ -88,7 +123,8 @@ def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
         raise DimensionMismatchError(
             f"A has shape {a.shape} but U has shape {u.shape}"
         )
-    return Splitting(a=a, u=u, v=u - a, solver=CachedSolver(u, tol))
+    v = u - a
+    return Splitting(a=a, u=u, v=v, solver=CachedSolver(u, tol), v_op=_sweep_operator(v))
 
 
 def diag_scaling_splitting(
@@ -297,6 +333,25 @@ def alternating_iteration_matrix(
         t = s.iteration_matrix()
         h = t if h is None else t @ h
     return h
+
+
+def _iteration_operator(splits):
+    """Matrix-free alternating iteration matrix x -> U_k#(V_k(...U_1#(V_1 x))).
+
+    A ``scipy.sparse.linalg.LinearOperator`` over the sweep operators; it
+    applies the factors itself rather than through ``schemes.sweep``, so
+    it adds no sweep passes.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    def matvec(x):
+        x = np.ravel(x)
+        for s in splits:
+            x = s.solver.solve(s.v_op @ x)
+        return x
+
+    n = splits[0].n
+    return LinearOperator((n, n), matvec=matvec, dtype=float)
 
 
 def companion_matrix(splits, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

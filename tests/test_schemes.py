@@ -8,6 +8,7 @@ from altsplit import (
     alternating_iteration_matrix,
     diag_scaling_splitting,
     exact_solution,
+    make_laplace,
     make_random_walk,
     make_splitting,
     run,
@@ -131,6 +132,21 @@ class TestRun:
         )
         report = run(config, np.ones(2), x0=np.zeros(2))
         assert not report.converged and report.iterations == 5
+
+    def test_non_finite_metric_stops_the_run(self):
+        # alpha = 0.3 gives rho(H) = 5.03: the error norm overflows to inf
+        # near pass 220, and the run must stop there, not run on NaN
+        problem = make_laplace(5)
+        config = SchemeConfig(
+            splittings=[diag_scaling_splitting(problem.A, 0.3)],
+            stop_rule="error_vs_exact",
+            max_iterations=10_000,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run(config, problem.b, exact=problem.exact)
+        assert not report.converged
+        assert report.iterations < 300
+        assert not np.isfinite(report.final_error)
 
     def test_history_records_residual_and_error(self):
         a = RNG.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
