@@ -16,12 +16,12 @@ from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
     _group_inverse_or_none,
+    _nonsingular,
     _same_range_and_null,
     _spectrum,
     as_square,
     index_at_most_one,
     is_nonnegative,
-    rank,
     spectral_radius,
 )
 from .errors import (
@@ -187,6 +187,16 @@ SEMICONVERGENCE_THEOREMS = (
 )
 
 
+def _verdict(theorem_id, failures, conclusion, measured) -> TheoremVerdict:
+    """The verdict of one instance: the hypotheses hold iff nothing failed."""
+    return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+
+
+def _no_worse(value: float, bound: float) -> bool:
+    """Comparison conclusion: ``value <= bound`` up to the slack, with bound < 1."""
+    return value <= bound + COMPARISON_SLACK and bound < 1.0
+
+
 def _ge_identity(m: np.ndarray, slack: float) -> bool:
     return float(np.min(m - np.eye(m.shape[0]))) >= -slack
 
@@ -247,10 +257,7 @@ def verify_convergence_theorem(
         measured[f"rho_{name}"] = r
 
     if theorem_id == "typeII-convergence":
-        conclusion = rho_h < 1.0
-        return TheoremVerdict(
-            theorem_id, not failures, failures, conclusion, measured
-        )
+        return _verdict(theorem_id, failures, rho_h < 1.0, measured)
 
     if not _same_range_and_null(_middle_factor(splits), a, tol):
         failures.append("K + X - A + Y U# L does not share range/null with A")
@@ -263,13 +270,12 @@ def verify_convergence_theorem(
                 )
         floor = min(single_radii.values())
         measured["min_single_rho"] = floor
-        conclusion = rho_h <= floor + COMPARISON_SLACK and floor < 1.0
-        return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+        return _verdict(theorem_id, failures, _no_worse(rho_h, floor), measured)
 
     # The remaining two theorems need the splitting induced by H.
     if rho_h >= 1.0:
         failures.append("rho(H) >= 1, no induced splitting")
-        return TheoremVerdict(theorem_id, False, failures, False, measured)
+        return _verdict(theorem_id, failures, False, measured)
     induced = induced_splitting(a, h, tol)
     induced_rep = classify(induced, tol)
     if not induced_rep.is_g_weak_regular_type2:
@@ -282,8 +288,7 @@ def verify_convergence_theorem(
                 failures.append(f"{name.split('-')[0]} B# >= I fails")
         floor = min(single_radii.values())
         measured["min_single_rho"] = floor
-        conclusion = rho_h <= floor + COMPARISON_SLACK and floor < 1.0
-        return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+        return _verdict(theorem_id, failures, _no_worse(rho_h, floor), measured)
 
     # two-vs-three
     pair_names = ("B12", "B13", "B23")
@@ -302,8 +307,7 @@ def verify_convergence_theorem(
             failures.append(f"{name} B# >= I fails")
     floor = min(pair_radii)
     measured["min_pairwise_rho"] = floor
-    conclusion = rho_h <= floor + COMPARISON_SLACK and floor < 1.0
-    return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+    return _verdict(theorem_id, failures, _no_worse(rho_h, floor), measured)
 
 
 def _quasi_flags(report):
@@ -343,8 +347,7 @@ def verify_semiconvergence_theorem(
     if len(splits) != 3:
         raise ValueError(f"{theorem_id} expects exactly three splittings")
     a = _check_shared_a(splits, tol)
-    n = a.shape[0]
-    eye = np.eye(n)
+    eye = np.eye(a.shape[0])
 
     failures: list[str] = []
     measured: dict[str, float] = {}
@@ -354,7 +357,7 @@ def verify_semiconvergence_theorem(
         if not s.u_is_nonsingular:
             failures.append(f"{name} has a singular split part")
     if failures:
-        return TheoremVerdict(theorem_id, False, failures, False, measured)
+        return _verdict(theorem_id, failures, False, measured)
 
     reports = [classify(s, tol) for s in splits]
     singles = [s.iteration_matrix() for s in splits]
@@ -375,9 +378,9 @@ def verify_semiconvergence_theorem(
         for name, rep in zip(names, reports):
             if not rep.is_regular:
                 failures.append(f"{name} is not a regular splitting")
-        middle_rank = rank(_middle_factor(splits), tol)
-        measured["middle_nonsingular"] = float(middle_rank == n)
-        if middle_rank != n:
+        middle_nonsingular = _nonsingular(_middle_factor(splits), tol.rank_tol)
+        measured["middle_nonsingular"] = float(middle_nonsingular)
+        if not middle_nonsingular:
             failures.append("K + X - A + Y U^-1 L is singular")
 
         if theorem_id == "regular-three-step":
@@ -385,9 +388,7 @@ def verify_semiconvergence_theorem(
             measured["min_diag_H"] = diag_min
             if diag_min <= 0.0:
                 failures.append("diag(H) is not strictly positive")
-            return TheoremVerdict(
-                theorem_id, not failures, failures, cert_h.verdict, measured
-            )
+            return _verdict(theorem_id, failures, cert_h.verdict, measured)
 
         if theorem_id == "delta-shift":
             if delta is None:
@@ -396,18 +397,16 @@ def verify_semiconvergence_theorem(
                 raise ValueError("delta must lie in (0, 1)")
             cert_delta = is_semiconvergent(delta * h + (1.0 - delta) * eye, tol)
             measured["gamma_H_delta"] = cert_delta.gamma
-            return TheoremVerdict(
-                theorem_id, not failures, failures, cert_delta.verdict, measured
-            )
+            return _verdict(theorem_id, failures, cert_delta.verdict, measured)
 
         # induced-regular: the candidate B = K M^-1 X reproduces H as a
         # weak regular splitting of type I.  Strict regularity (C >= 0) can
         # fail for this candidate even under the stated hypotheses (the
         # walk benchmark is a witness), so the checkable conclusion is the
         # weak form; min(C) is surfaced for inspection.  The middle factor
-        # M passed the rank test above, so the induced splitting exists.
+        # M is nonsingular (tested above), so the induced splitting exists.
         if failures:
-            return TheoremVerdict(theorem_id, False, failures, False, measured)
+            return _verdict(theorem_id, failures, False, measured)
         ind = _induced_from_product(splits, tol)
         match = float(np.max(np.abs(ind.iteration_matrix() - h)))
         measured["induced_matrix_mismatch"] = match
@@ -418,7 +417,7 @@ def verify_semiconvergence_theorem(
             and is_nonnegative(h, tol)
             and match < tol.eq_tol * max(1.0, float(np.max(np.abs(h))))
         )
-        return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+        return _verdict(theorem_id, failures, conclusion, measured)
 
     # quasi family -----------------------------------------------------
     quasi = [_quasi_flags(rep) for rep in reports]
@@ -453,7 +452,7 @@ def verify_semiconvergence_theorem(
                 ind_flags = _quasi_flags(classify(ind, tol))
                 conclusion = any(ind_flags[kind] for kind in common)
                 measured["induced_same_quasi_class"] = float(conclusion)
-        return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+        return _verdict(theorem_id, failures, conclusion, measured)
 
     if theorem_id == "quasi-comparison":
         if not (quasi[0]["regular"] and certs[0].verdict):
@@ -463,8 +462,7 @@ def verify_semiconvergence_theorem(
                 failures.append(f"{name} is not quasi weak regular of type I")
         failures += _index_failures(names, certs, cert_h)
         bound = measured["gamma_X-Y"]
-        conclusion = measured["gamma_H"] <= bound + COMPARISON_SLACK and bound < 1.0
-        return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+        return _verdict(theorem_id, failures, _no_worse(cert_h.gamma, bound), measured)
 
     for name, q, c in zip(names, quasi, certs):
         if not q["regular"]:
@@ -476,8 +474,7 @@ def verify_semiconvergence_theorem(
         failures += _index_failures(names, certs, cert_h)
         bound = min(measured[f"gamma_{name}"] for name in names)
         measured["min_single_gamma"] = bound
-        conclusion = measured["gamma_H"] <= bound + COMPARISON_SLACK and bound < 1.0
-        return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+        return _verdict(theorem_id, failures, _no_worse(cert_h.gamma, bound), measured)
 
     # quasi-two-vs-three
     pairs = ((0, 1, "B12"), (0, 2, "B13"), (1, 2, "B23"))
@@ -496,8 +493,7 @@ def verify_semiconvergence_theorem(
     failures += _index_failures(names, certs, cert_h)
     bound = min(pair_gammas)
     measured["min_pairwise_gamma"] = bound
-    conclusion = measured["gamma_H"] <= bound + COMPARISON_SLACK and bound < 1.0
-    return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+    return _verdict(theorem_id, failures, _no_worse(cert_h.gamma, bound), measured)
 
 
 def induced_regular_splitting(

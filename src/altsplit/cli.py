@@ -59,7 +59,11 @@ CSV_HEADER = ["order", "scheme", "iterations", "residual", "error", "time_s", "r
 
 @dataclass(frozen=True)
 class BenchRow:
-    """One benchmark table row; ``error`` is None for the singular benchmark."""
+    """One benchmark table row; ``error`` is None for the singular benchmark.
+
+    ``converged`` is the run's own verdict; ``bench`` exits 1 when a row
+    did not converge.
+    """
 
     order: int
     scheme: str
@@ -68,16 +72,50 @@ class BenchRow:
     error: float | None
     time_seconds: float
     rho_or_gamma: float
+    converged: bool
 
 
-def _scheme_slices(count: int):
-    """single = first splitting, two = first two, three = all three."""
-    out = [("single", slice(0, 1))]
-    if count >= 2:
-        out.insert(0, ("two", slice(0, 2)))
-    if count >= 3:
-        out.insert(0, ("three", slice(0, 3)))
-    return out
+def _bench_rows(order, splits, column, rule, tol, max_iterations, b, single=None, **run_args):
+    """Rows three/two/single: each scheme runs on the first 3, 2 or 1 splittings.
+
+    ``column(chosen)`` gives the row's rho or gamma; ``single``, if given,
+    replaces the single-step row's splitting.  ``run`` is read as this
+    module's global at each call, so a caller may swap it to observe the
+    runs.
+    """
+    rows = []
+    # The schemes there are splittings for; single always runs, so that
+    # an empty list fails in SchemeConfig rather than giving no rows.
+    for scheme, k in (("three", 3), ("two", 2), ("single", 1))[-max(len(splits), 1):]:
+        chosen = [single] if k == 1 and single is not None else splits[:k]
+        config = SchemeConfig(
+            splittings=chosen, stop_rule=rule, tolerance=tol, max_iterations=max_iterations
+        )
+        report = run(config, b, **run_args)
+        rows.append(
+            BenchRow(
+                order=order,
+                scheme=scheme,
+                iterations=report.iterations,
+                residual=report.final_residual,
+                error=report.final_error,
+                time_seconds=report.elapsed_seconds,
+                rho_or_gamma=column(chosen),
+                converged=report.converged,
+            )
+        )
+    return rows
+
+
+def _rho(chosen) -> float:
+    """rho(H): seeded ARPACK on the matrix-free H when every V is CSR."""
+    if all(s.v_is_sparse for s in chosen):
+        return spectral_radius(_iteration_operator(chosen))
+    return spectral_radius(alternating_iteration_matrix(chosen))
+
+
+def _gamma(chosen) -> float:
+    return gamma(alternating_iteration_matrix(chosen))
 
 
 def bench_laplace(
@@ -90,38 +128,13 @@ def bench_laplace(
 ):
     """Run the Dirichlet benchmark; returns rows three/two/single."""
     problem = make_laplace(grid_n)
-    alphas = sorted(alphas)
-    splits = [diag_scaling_splitting(problem.A, a) for a in alphas]
+    splits = [diag_scaling_splitting(problem.A, a) for a in sorted(alphas)]
+    single = None
+    if single_alpha is not None:
+        single = diag_scaling_splitting(problem.A, single_alpha)
     rule = "error_vs_exact" if stop == "error" else "residual"
-    rows = []
-    for scheme, sl in _scheme_slices(len(splits)):
-        chosen = splits[sl]
-        if scheme == "single" and single_alpha is not None:
-            chosen = [diag_scaling_splitting(problem.A, single_alpha)]
-        config = SchemeConfig(
-            splittings=chosen,
-            stop_rule=rule,
-            tolerance=tol,
-            max_iterations=max_iterations,
-        )
-        report = run(config, problem.b, exact=problem.exact)
-        if all(s.v_is_sparse for s in chosen):
-            h = _iteration_operator(chosen)
-        else:
-            h = alternating_iteration_matrix(chosen)
-        rho = spectral_radius(h)
-        rows.append(
-            BenchRow(
-                order=problem.order,
-                scheme=scheme,
-                iterations=report.iterations,
-                residual=report.final_residual,
-                error=report.final_error,
-                time_seconds=report.elapsed_seconds,
-                rho_or_gamma=rho,
-            )
-        )
-    return rows
+    return _bench_rows(problem.order, splits, _rho, rule, tol, max_iterations, problem.b,
+                       single=single, exact=problem.exact)
 
 
 def bench_markov(
@@ -134,38 +147,15 @@ def bench_markov(
 ):
     """Run the stationary-distribution benchmark; gamma column, blank error."""
     problem = make_random_walk(states)
-    alphas = sorted(alphas)
-    splits = [diag_scaling_splitting(problem.A, a) for a in alphas]
-    rule = "successive_diff" if stop == "diff" else "residual"
+    splits = [diag_scaling_splitting(problem.A, a) for a in sorted(alphas)]
     if x0_kind == "uniform":
         x0 = np.full(states, 1.0 / states)
     else:
         x0 = np.zeros(states)
         x0[0] = 1.0
-    b = np.zeros(states)
-    rows = []
-    for scheme, sl in _scheme_slices(len(splits)):
-        chosen = splits[sl]
-        config = SchemeConfig(
-            splittings=chosen,
-            stop_rule=rule,
-            tolerance=tol,
-            max_iterations=max_iterations,
-        )
-        report = run(config, b, x0=x0)
-        g = gamma(alternating_iteration_matrix(chosen))
-        rows.append(
-            BenchRow(
-                order=states,
-                scheme=scheme,
-                iterations=report.iterations,
-                residual=report.final_residual,
-                error=None,
-                time_seconds=report.elapsed_seconds,
-                rho_or_gamma=g,
-            )
-        )
-    return rows
+    rule = "successive_diff" if stop == "diff" else "residual"
+    return _bench_rows(states, splits, _gamma, rule, tol, max_iterations, np.zeros(states),
+                       x0=x0)
 
 
 def _print_rows(rows, value_name):
@@ -250,29 +240,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # Only the flags the user set; the defaults live in the bench signatures.
+    given = {name: getattr(args, name) for name in ("alphas", "tol", "stop")}
+    given = {name: value for name, value in given.items() if value is not None}
     if args.problem == "laplace":
-        alphas = args.alphas if args.alphas is not None else [1.0, 1.5, 1.75]
-        rows = bench_laplace(
-            args.grid,
-            alphas=alphas,
-            tol=args.tol if args.tol is not None else 1e-6,
-            stop=args.stop if args.stop is not None else "error",
-            single_alpha=args.single_alpha,
-        )
+        rows = bench_laplace(args.grid, single_alpha=args.single_alpha, **given)
         _print_rows(rows, "rho")
     else:
-        alphas = args.alphas if args.alphas is not None else [2.0, 2.5, 3.0]
-        rows = bench_markov(
-            args.states,
-            alphas=alphas,
-            tol=args.tol if args.tol is not None else 1e-7,
-            stop=args.stop if args.stop is not None else "residual",
-            x0_kind=args.x0,
-        )
+        rows = bench_markov(args.states, x0_kind=args.x0, **given)
         _print_rows(rows, "gamma")
     if args.csv:
         _write_csv(args.csv, rows)
-    return 0
+    return 0 if all(r.converged for r in rows) else 1
 
 
 def _suite_group_inverse(rng, trials, size):

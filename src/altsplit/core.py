@@ -44,8 +44,6 @@ __all__ = [
     "gamma",
     "group_inverse",
     "index_at_most_one",
-    "range_projector",
-    "null_projector",
     "same_range",
     "same_null",
     "is_nonnegative",
@@ -245,16 +243,6 @@ def _projectors(m: np.ndarray, rank_tol: float):
     return ur @ ur.T, np.eye(m.shape[1]) - vr.T @ vr
 
 
-def range_projector(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of M."""
-    return _projectors(as_matrix(m), tol.rank_tol)[0]
-
-
-def null_projector(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the null space of M."""
-    return _projectors(as_matrix(m), tol.rank_tol)[1]
-
-
 def _projectors_agree(p, q, tol: ToleranceProfile) -> bool:
     return float(np.max(np.abs(p - q))) < tol.eq_tol
 
@@ -264,7 +252,8 @@ def same_range(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     m, n = as_matrix(m), as_matrix(n)
     if m.shape[0] != n.shape[0]:
         raise DimensionMismatchError("matrices must have the same number of rows")
-    return _projectors_agree(range_projector(m, tol), range_projector(n, tol), tol)
+    p, q = _projectors(m, tol.rank_tol)[0], _projectors(n, tol.rank_tol)[0]
+    return _projectors_agree(p, q, tol)
 
 
 def same_null(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -272,7 +261,8 @@ def same_null(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     m, n = as_matrix(m), as_matrix(n)
     if m.shape[1] != n.shape[1]:
         raise DimensionMismatchError("matrices must have the same number of columns")
-    return _projectors_agree(null_projector(m, tol), null_projector(n, tol), tol)
+    p, q = _projectors(m, tol.rank_tol)[1], _projectors(n, tol.rank_tol)[1]
+    return _projectors_agree(p, q, tol)
 
 
 def _same_range_and_null(m: np.ndarray, n: np.ndarray, tol: ToleranceProfile) -> bool:

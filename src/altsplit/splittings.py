@@ -5,13 +5,30 @@ never drift.  Classification produces verdicts, never exceptions; the
 constructive operations (induced splittings, closed forms) raise when their
 hypotheses fail because their outputs are undefined otherwise.
 
+``classify`` decides every product class by one rule (Berman and Plemmons,
+ch. 7): the class holds iff its family's base condition holds and its
+product is entrywise >= 0.  A false verdict's witness is the first failed
+base condition, else the product's most negative entry.
+
+======  ==========================================  =====================
+family  base condition                              products (regular,
+                                                    weak type I, type II)
+======  ==========================================  =====================
+G       proper, U# >= 0                             V, U#V, VU#
+plain   U nonsingular, U# >= 0                      V, U#V, VU#
+quasi   U nonsingular, index(I - U^-1 V) <= 1,      V K1, U^-1 V K1,
+        index(I - V U^-1) <= 1, U# >= 0             K2 V U^-1
+======  ==========================================  =====================
+
+with K1 = (I - U^-1 V)(I - U^-1 V)# and K2 = (I - V U^-1)#(I - V U^-1).
+
 Sweeps multiply by V through one operator chosen at construction: a CSR
 copy when V is large and sparse enough for CSR to pay, else V itself (see
 ``CSR_MIN_ORDER``).  ``scipy.sparse`` is imported only on the CSR path.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -181,130 +198,68 @@ class SplittingClassReport:
     witnesses: dict[str, Witness]
 
     def flags(self) -> dict[str, bool]:
-        return {
-            name: getattr(self, name)
-            for name in (
-                "is_proper",
-                "is_g_regular",
-                "is_g_weak_regular_type1",
-                "is_g_weak_regular_type2",
-                "is_regular",
-                "is_weak_regular_type1",
-                "is_weak_regular_type2",
-                "is_quasi_regular",
-                "is_quasi_weak_regular_type1",
-                "is_quasi_weak_regular_type2",
-            )
-        }
+        return {name: getattr(self, name) for name in _VERDICTS}
 
 
-def _sign_check(m: np.ndarray, name: str, check: str, tol: ToleranceProfile):
-    """(verdict, witness-or-None) for an entrywise nonnegativity test."""
+_VERDICTS = tuple(f.name for f in fields(SplittingClassReport) if f.name != "witnesses")
+# The product classes of each family, in the order of the report's fields:
+# is_{family}regular, is_{family}weak_regular_type1, ..._type2.
+_PRODUCT_CLASSES = ("regular", "weak_regular_type1", "weak_regular_type2")
+
+
+def _sign_witness(m: np.ndarray, name: str, tol: ToleranceProfile) -> Witness | None:
+    """None if ``m`` is entrywise >= 0, else the witness of its most negative entry."""
     lo = float(m.min()) if m.size else 0.0
     if lo >= -tol.nonneg_tol:
-        return True, None
-    return False, Witness(check=check, matrix=name, min_entry=lo)
+        return None
+    return Witness(check=f"{name} >= 0", matrix=name, min_entry=lo)
 
 
 def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClassReport:
     """Compute all ten class verdicts for one splitting.
 
+    The nine product classes follow the family table in the module
+    docstring.  A verdict is false exactly when it has a witness.
     Failures are verdicts with witnesses, never exceptions.
     """
-    witnesses: dict[str, Witness] = {}
-
-    def record(verdict_name, ok, witness):
-        if not ok and witness is not None and verdict_name not in witnesses:
-            witnesses[verdict_name] = witness
-        return ok
-
-    proper = _same_range_and_null(s.u, s.a, tol)
-    if not proper:
-        witnesses["is_proper"] = Witness(
-            check="range(U) == range(A) and null(U) == null(A)", matrix="U"
-        )
-
-    # G-classes: proper splitting with U# >= 0 plus one product condition.
-    u_sharp = s.solver.inverse_like()
-    usharp_ok, w_usharp = _sign_check(u_sharp, "U#", "U# >= 0", tol)
-    g_base = proper and usharp_ok
-    base_witness = witnesses.get("is_proper") or w_usharp
-
+    proper_w = None
+    if not _same_range_and_null(s.u, s.a, tol):
+        proper_w = Witness(check="range(U) == range(A) and null(U) == null(A)", matrix="U")
+    usharp_w = _sign_witness(s.solver.inverse_like(), "U#", tol)
     uv = s.iteration_matrix()
     vu = s.reversed_iteration_matrix()
-    v_ok, w_v = _sign_check(s.v, "V", "V >= 0", tol)
-    uv_ok, w_uv = _sign_check(uv, "U#V", "U#V >= 0", tol)
-    vu_ok, w_vu = _sign_check(vu, "VU#", "VU# >= 0", tol)
+    plain = ((s.v, "V"), (uv, "U#V"), (vu, "VU#"))
 
-    g_regular = record("is_g_regular", g_base and v_ok, base_witness or w_v)
-    g_weak1 = record("is_g_weak_regular_type1", g_base and uv_ok, base_witness or w_uv)
-    g_weak2 = record("is_g_weak_regular_type2", g_base and vu_ok, base_witness or w_vu)
-
-    # Plain classes require a nonsingular U.
+    singular_w = Witness(check="U is singular", matrix="U")
+    nonsingular_w = usharp_w if s.u_is_nonsingular else singular_w
+    quasi_w, quasi = nonsingular_w, ()
     if s.u_is_nonsingular:
-        nonsing_witness = None if usharp_ok else w_usharp
-        regular = record("is_regular", usharp_ok and v_ok, nonsing_witness or w_v)
-        weak1 = record(
-            "is_weak_regular_type1", usharp_ok and uv_ok, nonsing_witness or w_uv
-        )
-        weak2 = record(
-            "is_weak_regular_type2", usharp_ok and vu_ok, nonsing_witness or w_vu
-        )
-    else:
-        singular_w = Witness(check="U is singular", matrix="U")
-        regular = record("is_regular", False, singular_w)
-        weak1 = record("is_weak_regular_type1", False, singular_w)
-        weak2 = record("is_weak_regular_type2", False, singular_w)
-
-    # Quasi classes: nonnegativity after the unit-eigenvalue component of
-    # the iteration matrix is projected away.
-    quasi_names = (
-        "is_quasi_regular",
-        "is_quasi_weak_regular_type1",
-        "is_quasi_weak_regular_type2",
-    )
-    if not s.u_is_nonsingular:
-        w = Witness(check="U is singular", matrix="U")
-        q_reg = record(quasi_names[0], False, w)
-        q_w1 = record(quasi_names[1], False, w)
-        q_w2 = record(quasi_names[2], False, w)
-    else:
         eye = np.eye(s.n)
         t1, t2 = eye - uv, eye - vu  # I - U^-1 V, I - V U^-1
         t1_sharp = _group_inverse_or_none(t1, tol.rank_tol)
         t2_sharp = _group_inverse_or_none(t2, tol.rank_tol)
         if t1_sharp is None or t2_sharp is None:
-            w = Witness(
+            quasi_w = Witness(
                 check="index(I - U^-1 V) or index(I - V U^-1) exceeds 1",
                 matrix="I - U^-1 V",
             )
-            q_reg = record(quasi_names[0], False, w)
-            q_w1 = record(quasi_names[1], False, w)
-            q_w2 = record(quasi_names[2], False, w)
         else:
-            k1 = t1 @ t1_sharp
-            k2 = t2_sharp @ t2
-            qv_ok, w_qv = _sign_check(s.v @ k1, "V K1", "V K1 >= 0", tol)
-            quv_ok, w_quv = _sign_check(uv @ k1, "U^-1 V K1", "U^-1 V K1 >= 0", tol)
-            qvu_ok, w_qvu = _sign_check(k2 @ vu, "K2 V U^-1", "K2 V U^-1 >= 0", tol)
-            nonsing_witness = None if usharp_ok else w_usharp
-            q_reg = record(quasi_names[0], usharp_ok and qv_ok, nonsing_witness or w_qv)
-            q_w1 = record(quasi_names[1], usharp_ok and quv_ok, nonsing_witness or w_quv)
-            q_w2 = record(quasi_names[2], usharp_ok and qvu_ok, nonsing_witness or w_qvu)
+            k1, k2 = t1 @ t1_sharp, t2_sharp @ t2
+            quasi = ((s.v @ k1, "V K1"), (uv @ k1, "U^-1 V K1"), (k2 @ vu, "K2 V U^-1"))
 
-    return SplittingClassReport(
-        is_proper=proper,
-        is_g_regular=g_regular,
-        is_g_weak_regular_type1=g_weak1,
-        is_g_weak_regular_type2=g_weak2,
-        is_regular=regular,
-        is_weak_regular_type1=weak1,
-        is_weak_regular_type2=weak2,
-        is_quasi_regular=q_reg,
-        is_quasi_weak_regular_type1=q_w1,
-        is_quasi_weak_regular_type2=q_w2,
-        witnesses=witnesses,
-    )
+    witnesses = {"is_proper": proper_w} if proper_w else {}
+    for family, base_w, products in (
+        ("g_", proper_w or usharp_w, plain),
+        ("", nonsingular_w, plain),
+        ("quasi_", quasi_w, quasi),
+    ):
+        for i, product_class in enumerate(_PRODUCT_CLASSES):
+            # products[i] is read only when the base holds
+            w = base_w or _sign_witness(*products[i], tol)
+            if w is not None:
+                witnesses[f"is_{family}{product_class}"] = w
+    verdicts = {name: name not in witnesses for name in _VERDICTS}
+    return SplittingClassReport(**verdicts, witnesses=witnesses)
 
 
 def _check_shared_a(splits, tol: ToleranceProfile):

@@ -4,8 +4,10 @@ import csv
 import numpy as np
 import pytest
 
+import altsplit.cli as cli
 from altsplit import exact_solution, read_vector, write_matrix_market, write_vector
 from altsplit.cli import CSV_HEADER, main
+from altsplit.schemes import run
 from conftest import A_EXAMPLE, K_EXAMPLE, U_EXAMPLE, X_EXAMPLE
 
 
@@ -159,6 +161,29 @@ class TestBenchCommand:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert all(float(r[4]) >= 0 for r in rows[1:])
+
+    def test_diverging_row_exits_1(self, capsys):
+        # alpha = 0.3 gives rho(H) = 5.03: the run stops on a non-finite
+        # metric without converging, and the exit code must say so
+        code = main(["bench", "laplace", "--grid", "5", "--alphas", "0.3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert len(out.splitlines()) == 2  # the table is still printed
+
+    @pytest.mark.parametrize("bench, size", [("bench_markov", 10), ("bench_laplace", 3)])
+    def test_runs_go_through_the_module_run(self, monkeypatch, bench, size):
+        # The benchmark's walk-chain workload swaps cli.run to keep each
+        # run's final vector; a driver that bound run early would bypass it.
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run", counted)
+        rows = getattr(cli, bench)(size)
+        assert len(calls) == 3
+        assert [r.scheme for r in rows] == ["three", "two", "single"]
 
 
 class TestVerifyCommand:

@@ -7,6 +7,7 @@ from altsplit import (
     MismatchedSplittingError,
     RangeNullConditionError,
     SingularIminusHError,
+    Witness,
     ZeroDiagonalError,
     alternating_iteration_matrix,
     b_sharp_closed_form,
@@ -24,8 +25,10 @@ from altsplit import (
 from altsplit.generators import (
     random_group_monotone_regular_triple,
     random_proper_triple,
+    random_quasi_regular_triple,
+    random_singular_m_matrix_triple,
 )
-from conftest import A_EXAMPLE
+from conftest import A_EXAMPLE, K_EXAMPLE, U_EXAMPLE, X_EXAMPLE
 
 RNG = np.random.default_rng(811)
 
@@ -100,6 +103,71 @@ class TestClassify:
                 rep = classify(s)
                 assert rep.is_g_regular
                 assert rep.is_g_weak_regular_type1 and rep.is_g_weak_regular_type2
+
+
+def _generated(generator, seed, i):
+    return lambda: generator(np.random.default_rng(seed), 5)[1][i]
+
+
+# (id, splitting builder, the base failure the instance is known to have)
+WITNESS_CASES = [
+    ("example-K", lambda: make_splitting(A_EXAMPLE, K_EXAMPLE), "singular U"),
+    ("example-U", lambda: make_splitting(A_EXAMPLE, U_EXAMPLE), "singular U"),
+    ("example-X", lambda: make_splitting(A_EXAMPLE, X_EXAMPLE), "singular U"),
+    ("walk-diag", lambda: diag_scaling_splitting(make_random_walk(10).A, 2.0), "not proper"),
+    ("negative-U#", lambda: make_splitting(-np.diag([1.0, 2.0]), -np.diag([1.0, 2.0])),
+     "negative U#"),
+] + [
+    (f"{generator.__name__}-{seed}-{i}", _generated(generator, seed, i), None)
+    for generator in (
+        random_group_monotone_regular_triple,
+        random_proper_triple,
+        random_quasi_regular_triple,
+        random_singular_m_matrix_triple,
+    )
+    for seed in (3, 17)
+    for i in range(3)
+]
+G_CLASSES = ("is_g_regular", "is_g_weak_regular_type1", "is_g_weak_regular_type2")
+PLAIN_CLASSES = ("is_regular", "is_weak_regular_type1", "is_weak_regular_type2")
+QUASI_CLASSES = (
+    "is_quasi_regular", "is_quasi_weak_regular_type1", "is_quasi_weak_regular_type2"
+)
+
+
+class TestClassifyWitnessPrecedence:
+    @pytest.mark.parametrize(
+        "build, known", [case[1:] for case in WITNESS_CASES], ids=[c[0] for c in WITNESS_CASES]
+    )
+    def test_base_witness_comes_first(self, build, known):
+        s = build()
+        rep = classify(s)
+        flags = rep.flags()
+        assert len(flags) == 10
+        for name, holds in flags.items():
+            assert holds == (name not in rep.witnesses), name
+        assert set(rep.witnesses) <= set(flags)
+
+        u_sharp_negative = not is_nonnegative(s.solver.inverse_like())
+        if known == "singular U":
+            assert not s.u_is_nonsingular
+        elif known == "not proper":
+            assert not rep.is_proper
+        elif known == "negative U#":
+            assert u_sharp_negative
+
+        if not rep.is_proper:
+            for name in G_CLASSES:
+                assert rep.witnesses[name] == rep.witnesses["is_proper"]
+        elif u_sharp_negative:
+            for name in G_CLASSES:
+                assert rep.witnesses[name].check == "U# >= 0"
+        if not s.u_is_nonsingular:
+            for name in PLAIN_CLASSES + QUASI_CLASSES:
+                assert rep.witnesses[name] == Witness(check="U is singular", matrix="U")
+        elif u_sharp_negative:
+            for name in PLAIN_CLASSES:
+                assert rep.witnesses[name].check == "U# >= 0"
 
 
 class TestAlternatingIterationMatrix:
