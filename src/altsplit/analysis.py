@@ -28,6 +28,7 @@ from .errors import (
     ClassificationError,
     MissingDeltaError,
     NonsingularHypothesisError,
+    SingularIminusHError,
     UnknownTheoremError,
 )
 from .splittings import (
@@ -276,7 +277,11 @@ def verify_convergence_theorem(
     if rho_h >= 1.0:
         failures.append("rho(H) >= 1, no induced splitting")
         return _verdict(theorem_id, failures, False, measured)
-    induced = induced_splitting(a, h, tol)
+    try:
+        induced = induced_splitting(a, h, tol)
+    except SingularIminusHError:
+        failures.append("I - H is singular, no induced splitting")
+        return _verdict(theorem_id, failures, False, measured)
     induced_rep = classify(induced, tol)
     if not induced_rep.is_g_weak_regular_type2:
         failures.append("induced splitting A = B - C is not type II")
@@ -300,7 +305,11 @@ def verify_convergence_theorem(
         if rp >= 1.0:
             failures.append(f"rho of the {name} product >= 1, no induced splitting")
             continue
-        ind = induced_splitting(a, hp, tol)
+        try:
+            ind = induced_splitting(a, hp, tol)
+        except SingularIminusHError:
+            failures.append(f"I minus the {name} product is singular, no induced splitting")
+            continue
         if not classify(ind, tol).is_g_weak_regular_type2:
             failures.append(f"induced splitting {name} is not type II")
         if not _ge_identity(ind.u @ b_sharp, tol.eq_tol):

@@ -4,6 +4,10 @@ The Dirichlet benchmark discretizes the 2-D Laplace equation on the unit
 square with the 5-point stencil (lexicographic ordering, x fastest); the
 Markov benchmark is the reflecting n-state random walk whose stationary
 vector solves the homogeneous singular system (I - T^t) x = 0.
+
+Matrix Market files (Boisvert, Pozo and Remington, NIST IR 5935, 1996) of
+either format and symmetry are read through one (row, column, value) triple
+and one fill, and written through one emitter.
 """
 from __future__ import annotations
 
@@ -112,12 +116,31 @@ _FIELDS = ("real", "integer")
 _SYMMETRIES = ("general", "symmetric")
 
 
+def _parse(convert, lines, linenos):
+    """Every token of ``lines`` through ``convert``, naming the line of a bad one."""
+    try:
+        return list(map(convert, " ".join(lines).split()))
+    except ValueError:
+        for line, lineno in zip(lines, linenos):
+            try:
+                list(map(convert, line.split()))
+            except ValueError as exc:
+                raise MatrixMarketError(str(exc), line=lineno) from None
+
+
+def _reject(bad, linenos, message):
+    """Raise MatrixMarketError at the line of the first entry flagged ``bad``."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise MatrixMarketError(message, line=linenos[hits[0]])
+
+
 def read_matrix_market(path) -> np.ndarray:
     """Read a dense matrix from a Matrix Market file.
 
     Supports the ``array`` and ``coordinate`` formats with field ``real``
     (``integer`` is accepted and widened) and symmetry ``general`` or
-    ``symmetric`` (expanded on read).
+    ``symmetric``; a symmetric file holds the lower triangle.
 
     Raises
     ------
@@ -126,8 +149,12 @@ def read_matrix_market(path) -> np.ndarray:
     UnsupportedFieldError
         For complex/pattern fields or other symmetry variants.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    if not text.isascii():
+        bad = next(k for k, line in enumerate(lines, 1) if not line.isascii())
+        raise MatrixMarketError("non-ASCII byte", line=bad)
     if not lines:
         raise MatrixMarketError("empty file", line=1)
     header = lines[0].split()
@@ -145,88 +172,53 @@ def read_matrix_market(path) -> np.ndarray:
         raise UnsupportedFieldError(f"unsupported field {fld!r}", line=1)
     if sym not in _SYMMETRIES:
         raise UnsupportedFieldError(f"unsupported symmetry {sym!r}", line=1)
+    symmetric = sym == "symmetric"
 
-    # first non-comment, non-blank line after the header carries the sizes
-    body = [
-        (i + 1, ln)
-        for i, ln in enumerate(lines)
-        if i > 0 and ln.strip() and not ln.lstrip().startswith("%")
-    ]
-    if not body:
+    # the first non-comment, non-blank line after the header carries the sizes
+    linenos = [k for k, ln in enumerate(lines[1:], 2) if ln.lstrip()[:1] not in ("", "%")]
+    if not linenos:
         raise MatrixMarketError("missing size line", line=len(lines))
-    size_lineno, size_line = body[0]
-    entries = body[1:]
-    toks = size_line.split()
-
-    def parse_int(tok, lineno):
-        try:
-            return int(tok)
-        except ValueError:
-            raise MatrixMarketError(f"expected an integer, got {tok!r}", line=lineno)
-
-    def parse_real(tok, lineno):
-        try:
-            return float(tok)
-        except ValueError:
-            raise MatrixMarketError(f"expected a number, got {tok!r}", line=lineno)
+    size_at, last_at, linenos = linenos[0], linenos[-1], linenos[1:]
+    body = [lines[k - 1] for k in linenos]
+    sizes = _parse(int, [lines[size_at - 1]], [size_at])
+    if len(sizes) != (2 if fmt == "array" else 3) or min(sizes) < 0:
+        shape = "rows cols" if fmt == "array" else "rows cols nnz"
+        raise MatrixMarketError(f"size line must be '{shape}', nonnegative", line=size_at)
+    rows, cols, *nnz = sizes
+    if symmetric and rows != cols:
+        raise MatrixMarketError("symmetric matrix must be square", line=size_at)
 
     if fmt == "array":
-        if len(toks) != 2:
-            raise MatrixMarketError("array size line must be 'rows cols'", line=size_lineno)
-        rows, cols = (parse_int(t, size_lineno) for t in toks)
-        values = []
-        for lineno, ln in entries:
-            for tok in ln.split():
-                values.append(parse_real(tok, lineno))
-        if sym == "general":
-            if len(values) != rows * cols:
-                raise MatrixMarketError(
-                    f"expected {rows * cols} values, got {len(values)}",
-                    line=entries[-1][0] if entries else size_lineno,
-                )
-            # array format is column-major
-            return np.array(values).reshape((cols, rows)).T
-        if rows != cols:
-            raise MatrixMarketError("symmetric matrix must be square", line=size_lineno)
-        want = rows * (rows + 1) // 2
-        if len(values) != want:
-            raise MatrixMarketError(
-                f"expected {want} lower-triangle values, got {len(values)}",
-                line=entries[-1][0] if entries else size_lineno,
-            )
+        values = _parse(float, body, linenos)
+        count, want = len(values), rows * (rows + 1) // 2 if symmetric else rows * cols
+    else:
+        count, want = len(body), nnz[0]
+    if count != want:
+        raise MatrixMarketError(f"expected {want} {fmt} values, got {count}", line=last_at)
+    try:
         out = np.zeros((rows, cols))
-        it = iter(values)
-        for jcol in range(cols):
-            for irow in range(jcol, rows):
-                v = next(it)
-                out[irow, jcol] = v
-                out[jcol, irow] = v
-        return out
+    except (MemoryError, ValueError):
+        raise MatrixMarketError(f"no room for {rows} x {cols} values", line=size_at) from None
 
-    # coordinate
-    if len(toks) != 3:
-        raise MatrixMarketError(
-            "coordinate size line must be 'rows cols nnz'", line=size_lineno
-        )
-    rows, cols, nnz = (parse_int(t, size_lineno) for t in toks)
-    if len(entries) != nnz:
-        raise MatrixMarketError(
-            f"expected {nnz} entries, got {len(entries)}",
-            line=entries[-1][0] if entries else size_lineno,
-        )
-    out = np.zeros((rows, cols))
-    for lineno, ln in entries:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise MatrixMarketError("entry line must be 'i j value'", line=lineno)
-        i = parse_int(toks[0], lineno) - 1
-        jcol = parse_int(toks[1], lineno) - 1
-        v = parse_real(toks[2], lineno)
-        if not (0 <= i < rows and 0 <= jcol < cols):
-            raise MatrixMarketError("entry index out of range", line=lineno)
-        out[i, jcol] = v
-        if sym == "symmetric":
-            out[jcol, i] = v
+    if fmt == "array" and symmetric:  # the lower triangle, column by column
+        c, r = np.triu_indices(rows)
+    elif fmt == "array":
+        c, r = np.unravel_index(np.arange(want), (cols, rows))  # column-major
+    else:
+        cells = [line.split() for line in body]
+        _reject([len(cell) != 3 for cell in cells], linenos, "entry line must be 'i j value'")
+        i, j, values = (_parse(f, [cell[k] for cell in cells], linenos)
+                        for k, f in enumerate((int, int, float)))
+        out_of_range = [not (0 < p <= rows and 0 < q <= cols) for p, q in zip(i, j)]
+        _reject(out_of_range, linenos, "entry index out of range")
+        r, c = np.array(i, dtype=np.intp) - 1, np.array(j, dtype=np.intp) - 1
+        # one fill cannot rely on NumPy's order for repeated indices
+        first = np.unique(r * cols + c, return_index=True)[1]
+        _reject(~np.isin(np.arange(r.size), first), linenos, "entry position given twice")
+        _reject(symmetric & (r < c), linenos, "entry above the diagonal of a symmetric matrix")
+    out[r, c] = values
+    if symmetric:
+        out[c, r] = values
     return out
 
 
@@ -239,18 +231,16 @@ def write_matrix_market(path, m, fmt: str = "array") -> None:
     if fmt not in _FORMATS:
         raise ValueError(f"format must be one of {_FORMATS}")
     rows, cols = m.shape
+    if fmt == "array":
+        size, line, columns = f"{rows} {cols}", "%.17g\n", [m.T.ravel()]
+    else:
+        r, c = np.nonzero(m)
+        size, line, columns = f"{rows} {cols} {r.size}", "%d %d %.17g\n", [r + 1, c + 1, m[r, c]]
+    entries = np.column_stack(columns)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"%%MatrixMarket matrix {fmt} real general\n")
-        if fmt == "array":
-            fh.write(f"{rows} {cols}\n")
-            for jcol in range(cols):
-                for irow in range(rows):
-                    fh.write(f"{m[irow, jcol]:.17g}\n")
-        else:
-            nz = np.nonzero(m)
-            fh.write(f"{rows} {cols} {len(nz[0])}\n")
-            for irow, jcol in zip(*nz):
-                fh.write(f"{irow + 1} {jcol + 1} {m[irow, jcol]:.17g}\n")
+        fh.write(f"%%MatrixMarket matrix {fmt} real general\n{size}\n")
+        # one %-format of the whole body runs twice as fast as one per value
+        fh.write(line * len(entries) % tuple(entries.ravel().tolist()))
 
 
 def read_vector(path) -> np.ndarray:
@@ -263,5 +253,4 @@ def read_vector(path) -> np.ndarray:
 
 def write_vector(path, v) -> None:
     """Write a vector as an n x 1 array-format Matrix Market file."""
-    v = np.asarray(v, dtype=float).reshape(-1, 1)
-    write_matrix_market(path, v, fmt="array")
+    write_matrix_market(path, np.asarray(v, dtype=float).reshape(-1, 1), fmt="array")

@@ -86,6 +86,7 @@ def sweep(splits, x, b):
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     """Iterate the (possibly shifted) alternating scheme to the stop rule.
 

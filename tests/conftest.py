@@ -6,8 +6,16 @@ radius 1/4 even though no individual splitting is type II.
 """
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from altsplit import make_splitting
+
+# Property tests draw the same examples on every run and write no example
+# database into the checkout; no deadline, since the host may be shared.
+settings.register_profile(
+    "altsplit", derandomize=True, database=None, deadline=None, max_examples=200
+)
+settings.load_profile("altsplit")
 
 
 A_EXAMPLE = np.array([

@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+import altsplit.analysis as analysis
 from altsplit import (
     MissingDeltaError,
     NonsingularHypothesisError,
+    SingularIminusHError,
     ToleranceProfile,
     UnknownTheoremError,
     alternating_iteration_matrix,
@@ -167,6 +169,36 @@ class TestConvergenceVerifiers:
                 held += 1
                 assert verdict.conclusion_holds
         assert held >= 5
+
+    @pytest.mark.parametrize("theorem_id", ["single-vs-three", "two-vs-three"])
+    def test_singular_i_minus_h_is_a_hypothesis_failure(self, theorem_id):
+        # rho(H) rounds to 0.9999999999999996, below the rho >= 1 guard,
+        # while I - H is singular because A is
+        _, splits = walk_triple()
+        verdict = verify_convergence_theorem(theorem_id, splits)
+        assert not verdict.hypotheses_hold and not verdict.conclusion_holds
+        assert "I - H is singular, no induced splitting" in verdict.hypothesis_failures
+
+    def test_singular_pair_product_is_a_hypothesis_failure(self, monkeypatch):
+        _, splits = random_group_monotone_regular_triple(
+            np.random.default_rng(1), 4, rank_r=4
+        )
+        real = analysis.induced_splitting
+        calls = []
+
+        def singular_after_h(a, h, tol):
+            calls.append(h)
+            if len(calls) > 1:
+                raise SingularIminusHError("I - H is singular; no induced splitting")
+            return real(a, h, tol)
+
+        monkeypatch.setattr(analysis, "induced_splitting", singular_after_h)
+        verdict = verify_convergence_theorem("two-vs-three", splits)
+        assert len(calls) == 4
+        assert not verdict.hypotheses_hold
+        for name in ("B12", "B13", "B23"):
+            assert (f"I minus the {name} product is singular, no induced splitting"
+                    in verdict.hypothesis_failures)
 
     def test_implication_never_violated(self):
         for theorem_id in (

@@ -1,5 +1,6 @@
 """Command-line plumbing: flags, exit codes, table and CSV output."""
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,14 @@ class TestBenchCommand:
             fields = line.split()
             assert int(fields[2]) <= 2  # 1x1 system: every scheme is direct
 
+    def test_diverging_row_prints_no_warning(self):
+        # rho = 5.03: the iterates overflow, and the non-finite stop says so
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = cli.bench_laplace(5, alphas=[0.3], max_iterations=10_000)
+        assert not rows[0].converged
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_csv_contract(self, tmp_path, capsys):
         path = tmp_path / "rows.csv"
         code = main(["bench", "markov", "--states", "6", "--csv", str(path)])
@@ -215,6 +224,9 @@ class TestExitCodes:
         ("solve_negative_tol", 2),
         ("classify_negative_alpha", 2),
         ("non_ascii_comment", 2),
+        ("symmetric_non_square", 2),
+        ("negative_sizes", 2),
+        ("huge_coordinate_header", 2),
     ])
     def test_error_exits_with_documented_code(self, tmp_path, capsys, case, expected):
         a, u, b = (str(tmp_path / f"{name}.mtx") for name in "aub")
@@ -222,16 +234,21 @@ class TestExitCodes:
         write_matrix_market(u, np.array([[0.0, 1.0], [0.0, 0.0]]))  # index 2
         write_vector(b, np.ones(2))
         bad = tmp_path / "bad.mtx"
-        bad.write_bytes(
-            b"%%MatrixMarket matrix array real general\n% caf\xc3\xa9\n2 2\n1\n0\n0\n1\n"
-        )
+        bad.write_bytes({
+            "non_ascii_comment":
+                b"%%MatrixMarket matrix array real general\n% caf\xc3\xa9\n2 2\n1\n0\n0\n1\n",
+            "symmetric_non_square":
+                b"%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n",
+            "negative_sizes": b"%%MatrixMarket matrix array real general\n-1 -1\n1\n",
+            "huge_coordinate_header":
+                b"%%MatrixMarket matrix coordinate real general\n1000000 1000000 0\n",
+        }.get(case, b""))
         argv = {
             "classify_index_two_u": ["classify", "--matrix", a, "--u", u],
             "solve_negative_tol": [
                 "solve", "--matrix", a, "--rhs", b, "--split", a, "--tol", "-1",
             ],
             "classify_negative_alpha": ["classify", "--matrix", a, "--diag-alpha", "-1"],
-            "non_ascii_comment": ["classify", "--matrix", str(bad), "--diag-alpha", "1.0"],
-        }[case]
+        }.get(case, ["classify", "--matrix", str(bad), "--diag-alpha", "1.0"])
         assert main(argv) == expected
         assert capsys.readouterr().err.startswith("error: ")

@@ -1,0 +1,84 @@
+"""Property tests: no byte string makes the Matrix Market reader or the CLI
+fail with anything but MatrixMarketError and exit code 2."""
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from altsplit import MatrixMarketError, read_matrix_market
+from altsplit.cli import main
+
+SIZES = st.sampled_from([0, 1, 2, 3, 4, 50, -1])
+VALUES = st.one_of(st.floats().map(repr), st.integers(-3, 3).map(str))
+NOISE = st.sampled_from(["", "% note", "x", "1 2", "1 1 1 1", "1 1 x", "\xe9"])
+OFF_BY = st.sampled_from([0] * 8 + [1, -1])  # mostly right, sometimes off by one
+
+
+@st.composite
+def well_formed(draw):
+    """A valid header and a size line of at most 50 x 50 over a random body.
+
+    Counts are mostly right and entries mostly in range, so the deep paths
+    are reached; no example allocates more than 20 KiB.
+    """
+    fmt = draw(st.sampled_from(["array", "coordinate"]))
+    field = draw(st.sampled_from(["real", "integer"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric"]))
+    rows = draw(SIZES)
+    cols = draw(st.one_of(st.just(rows), st.just(rows), SIZES))
+    values = draw(st.lists(VALUES, min_size=1, max_size=6))
+    if fmt == "array":
+        full = rows * (rows + 1) // 2 if symmetry == "symmetric" else rows * cols
+        count = max(0, full + draw(OFF_BY))
+        sizes = [rows, cols]
+        body = [values[k % len(values)] for k in range(count)]
+    else:
+        count = draw(st.integers(0, 6))
+        sizes = [rows, cols, count + draw(OFF_BY)]
+        body = [
+            f"{draw(st.integers(1, max(rows, 1))) + draw(OFF_BY)} "
+            f"{draw(st.integers(1, max(cols, 1))) + draw(OFF_BY)} {values[k % len(values)]}"
+            for k in range(count)
+        ]
+    for line in draw(st.lists(NOISE, max_size=1)):
+        body.insert(draw(st.integers(0, len(body))), line)
+    header = f"%%MatrixMarket matrix {fmt} {field} {symmetry}"
+    return "\n".join([header, " ".join(map(str, sizes))] + body).encode("utf-8")
+
+
+FILES = st.one_of(st.binary(max_size=200), well_formed())
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mm") / "m.mtx"
+
+
+def _read(path, data):
+    path.write_bytes(data)
+    try:
+        return read_matrix_market(path)
+    except MatrixMarketError as exc:
+        return exc
+
+
+@given(data=FILES)
+def test_reader_returns_a_matrix_or_raises_matrix_market_error(path, data):
+    result = _read(path, data)
+    assert isinstance(result, (np.ndarray, MatrixMarketError))
+    if isinstance(result, np.ndarray):
+        assert result.ndim == 2 and result.size <= 50 * 50
+
+
+@given(data=FILES)
+def test_classify_exits_2_on_a_rejected_file(path, data):
+    if not isinstance(_read(path, data), MatrixMarketError):
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["classify", "--matrix", str(path), "--diag-alpha", "1"])
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()

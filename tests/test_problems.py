@@ -181,6 +181,23 @@ class TestMatrixMarket:
             read_matrix_market(path)
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("text, line", [
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 3 1\n1 3 1.0\n", 2),
+        ("%%MatrixMarket matrix array real general\n-1 -1\n1\n", 2),
+        ("%%MatrixMarket matrix coordinate real general\n1000000 1000000 0\n", 2),
+        ("%%MatrixMarket matrix array real general\n% café\n1 1\n1\n", 2),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1\n2 2 2\n1 1 3\n", 5),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1\n1 2 5\n", 4),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n3 1 5\n", 4),
+    ], ids=["symmetric-non-square", "negative-sizes", "huge-header", "non-ascii",
+            "repeated-entry", "upper-triangle-entry", "index-out-of-range"])
+    def test_malformed_input_names_its_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.mtx"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(MatrixMarketError) as err:
+            read_matrix_market(path)
+        assert err.value.line == line
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.mtx"
         path.write_text("%%NotMatrixMarket\n1 1\n0\n")
