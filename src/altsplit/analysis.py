@@ -212,10 +212,8 @@ def _group_monotone(a, tol):
     return True, ""
 
 
-def _pairwise_products(singles):
-    """H12 = U#V K#L, H13 = X#Y K#L, H23 = X#Y U#V from the single-step matrices."""
-    tk, tu, tx = singles
-    return tu @ tk, tx @ tk, tx @ tu
+# The two-step products of a triple: B12 = U#V K#L, B13 = X#Y K#L, B23 = X#Y U#V.
+_PAIRS = ((0, 1, "B12"), (0, 2, "B13"), (1, 2, "B23"))
 
 
 def verify_convergence_theorem(
@@ -232,7 +230,7 @@ def verify_convergence_theorem(
     splits = tuple(splits)
     if len(splits) != 3:
         raise ValueError(f"{theorem_id} expects exactly three splittings")
-    a = _check_shared_a(splits, tol)
+    a = _check_shared_a(splits)
 
     failures: list[str] = []
     measured: dict[str, float] = {}
@@ -247,15 +245,11 @@ def verify_convergence_theorem(
         if not rep.is_g_weak_regular_type2:
             failures.append(f"{name} is not a proper G-weak regular splitting of type II")
 
-    h = alternating_iteration_matrix(splits, tol)
-    singles = [s.iteration_matrix() for s in splits]
+    h = alternating_iteration_matrix(splits)
     rho_h = spectral_radius(h)
     measured["rho_H"] = rho_h
-    single_radii = {}
-    for name, t in zip(names, singles):
-        r = spectral_radius(t)
-        single_radii[name] = r
-        measured[f"rho_{name}"] = r
+    single_radii = {name: spectral_radius(s.iteration_matrix) for name, s in zip(names, splits)}
+    measured.update({f"rho_{name}": r for name, r in single_radii.items()})
 
     if theorem_id == "typeII-convergence":
         return _verdict(theorem_id, failures, rho_h < 1.0, measured)
@@ -273,32 +267,33 @@ def verify_convergence_theorem(
         measured["min_single_rho"] = floor
         return _verdict(theorem_id, failures, _no_worse(rho_h, floor), measured)
 
-    # The remaining two theorems need the splitting induced by H.
+    # The remaining two theorems compare against the splitting induced by H;
+    # without it only the hypotheses that need B# go unchecked.
+    b_sharp = None
     if rho_h >= 1.0:
         failures.append("rho(H) >= 1, no induced splitting")
-        return _verdict(theorem_id, failures, False, measured)
-    try:
-        induced = induced_splitting(a, h, tol)
-    except SingularIminusHError:
-        failures.append("I - H is singular, no induced splitting")
-        return _verdict(theorem_id, failures, False, measured)
-    induced_rep = classify(induced, tol)
-    if not induced_rep.is_g_weak_regular_type2:
-        failures.append("induced splitting A = B - C is not type II")
-    b_sharp = induced.solver.inverse_like()
+    else:
+        try:
+            induced = induced_splitting(a, h, tol)
+        except SingularIminusHError:
+            failures.append("I - H is singular, no induced splitting")
+        else:
+            if not classify(induced, tol).is_g_weak_regular_type2:
+                failures.append("induced splitting A = B - C is not type II")
+            b_sharp = induced.solver.inverse_like()
 
     if theorem_id == "single-vs-three":
         for name, s in zip(names, splits):
-            if not _ge_identity(s.u @ b_sharp, tol.eq_tol):
+            if b_sharp is not None and not _ge_identity(s.u @ b_sharp, tol.eq_tol):
                 failures.append(f"{name.split('-')[0]} B# >= I fails")
         floor = min(single_radii.values())
         measured["min_single_rho"] = floor
         return _verdict(theorem_id, failures, _no_worse(rho_h, floor), measured)
 
     # two-vs-three
-    pair_names = ("B12", "B13", "B23")
     pair_radii = []
-    for name, hp in zip(pair_names, _pairwise_products(singles)):
+    for first, second, name in _PAIRS:
+        hp = alternating_iteration_matrix((splits[first], splits[second]))
         rp = spectral_radius(hp)
         pair_radii.append(rp)
         measured[f"rho_{name}"] = rp
@@ -312,7 +307,7 @@ def verify_convergence_theorem(
             continue
         if not classify(ind, tol).is_g_weak_regular_type2:
             failures.append(f"induced splitting {name} is not type II")
-        if not _ge_identity(ind.u @ b_sharp, tol.eq_tol):
+        if b_sharp is not None and not _ge_identity(ind.u @ b_sharp, tol.eq_tol):
             failures.append(f"{name} B# >= I fails")
     floor = min(pair_radii)
     measured["min_pairwise_rho"] = floor
@@ -355,7 +350,7 @@ def verify_semiconvergence_theorem(
     splits = tuple(splits)
     if len(splits) != 3:
         raise ValueError(f"{theorem_id} expects exactly three splittings")
-    a = _check_shared_a(splits, tol)
+    a = _check_shared_a(splits)
     eye = np.eye(a.shape[0])
 
     failures: list[str] = []
@@ -369,16 +364,15 @@ def verify_semiconvergence_theorem(
         return _verdict(theorem_id, failures, False, measured)
 
     reports = [classify(s, tol) for s in splits]
-    singles = [s.iteration_matrix() for s in splits]
-    h = alternating_iteration_matrix(splits, tol)
+    h = alternating_iteration_matrix(splits)
     cert_h = is_semiconvergent(h, tol)
-    certs = [is_semiconvergent(t, tol) for t in singles]
+    certs = [is_semiconvergent(s.iteration_matrix, tol) for s in splits]
     measured["gamma_H"] = cert_h.gamma
     measured["rho_H"] = cert_h.rho
-    for name, t, c in zip(names, singles, certs):
+    for name, s, c in zip(names, splits, certs):
         measured[f"gamma_{name}"] = c.gamma
         # Both index variants appear across the statements; surface both.
-        measured[f"index_le1_{name}"] = float(index_at_most_one(t, tol))
+        measured[f"index_le1_{name}"] = float(index_at_most_one(s.iteration_matrix, tol))
         measured[f"index_le1_I_minus_{name}"] = float(c.index_of_I_minus_T == 1)
 
     if theorem_id in ("regular-three-step", "delta-shift", "induced-regular"):
@@ -417,7 +411,7 @@ def verify_semiconvergence_theorem(
         if failures:
             return _verdict(theorem_id, failures, False, measured)
         ind = _induced_from_product(splits, tol)
-        match = float(np.max(np.abs(ind.iteration_matrix() - h)))
+        match = float(np.max(np.abs(ind.iteration_matrix - h)))
         measured["induced_matrix_mismatch"] = match
         measured["min_B_inverse_entry"] = float(np.min(ind.solver.inverse_like()))
         measured["min_C_entry"] = float(np.min(ind.v))
@@ -445,7 +439,7 @@ def verify_semiconvergence_theorem(
         for name in names:
             if not measured[f"index_le1_{name}"]:
                 failures.append(f"index({name} iteration matrix) > 1")
-        if not index_at_most_one(eye - singles[1] @ singles[0], tol):
+        if not index_at_most_one(eye - alternating_iteration_matrix(splits[:2]), tol):
             failures.append("index(I - U^-1 V K^-1 L) > 1")
         if not index_at_most_one(h, tol):
             failures.append("index(H) > 1")
@@ -486,9 +480,9 @@ def verify_semiconvergence_theorem(
         return _verdict(theorem_id, failures, _no_worse(cert_h.gamma, bound), measured)
 
     # quasi-two-vs-three
-    pairs = ((0, 1, "B12"), (0, 2, "B13"), (1, 2, "B23"))
     pair_gammas = []
-    for (first, second, name), hp in zip(pairs, _pairwise_products(singles)):
+    for first, second, name in _PAIRS:
+        hp = alternating_iteration_matrix((splits[first], splits[second]))
         cert_p = is_semiconvergent(hp, tol)
         pair_gammas.append(cert_p.gamma)
         measured[f"gamma_{name}"] = cert_p.gamma
@@ -524,20 +518,20 @@ def induced_regular_splitting(
     splits = tuple(splits)
     if len(splits) != 3:
         raise ValueError("expected exactly three splittings")
-    _check_shared_a(splits, tol)
+    _check_shared_a(splits)
     for label, s in zip(("K-L", "U-V", "X-Y"), splits):
         if not classify(s, tol).is_regular:
             raise ClassificationError(f"{label} is not a regular splitting")
     ind = _induced_from_product(splits, tol)
     if ind is None:
         raise NonsingularHypothesisError("K + X - A + Y U^-1 L is singular")
-    h = alternating_iteration_matrix(splits, tol)
+    h = alternating_iteration_matrix(splits)
     scale = max(1.0, float(np.max(np.abs(h))))
     b_inv = ind.solver.inverse_like()
     if not is_nonnegative(b_inv, tol):
         raise NonsingularHypothesisError("induced B^-1 has negative entries")
     if not is_nonnegative(ind.v, tol):
         raise NonsingularHypothesisError("induced C = B - A has negative entries")
-    if float(np.max(np.abs(ind.iteration_matrix() - h))) > tol.eq_tol * scale:
+    if float(np.max(np.abs(ind.iteration_matrix - h))) > tol.eq_tol * scale:
         raise NonsingularHypothesisError("induced splitting does not reproduce H")
     return ind

@@ -108,10 +108,8 @@ def _bench_rows(order, splits, column, rule, tol, max_iterations, b, single=None
 
 
 def _rho(chosen) -> float:
-    """rho(H): seeded ARPACK on the matrix-free H when every V is CSR."""
-    if all(s.v_is_sparse for s in chosen):
-        return spectral_radius(_iteration_operator(chosen))
-    return spectral_radius(alternating_iteration_matrix(chosen))
+    """rho(H): seeded ARPACK on the matrix-free H."""
+    return spectral_radius(_iteration_operator(chosen))
 
 
 def _gamma(chosen) -> float:
@@ -346,6 +344,8 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be at least 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rng = np.random.default_rng(args.seed)
     print(f"seed {args.seed}")

@@ -216,6 +216,11 @@ def read_matrix_market(path) -> np.ndarray:
         first = np.unique(r * cols + c, return_index=True)[1]
         _reject(~np.isin(np.arange(r.size), first), linenos, "entry position given twice")
         _reject(symmetric & (r < c), linenos, "entry above the diagonal of a symmetric matrix")
+    values = np.asarray(values)
+    bad = ~np.isfinite(values)
+    if bad.any():  # one value per coordinate line; an array line may hold several
+        at = linenos if fmt == "coordinate" else np.repeat(linenos, [len(ln.split()) for ln in body])
+        _reject(bad, at, "value must be finite")
     out[r, c] = values
     if symmetric:
         out[c, r] = values

@@ -2,10 +2,10 @@
 
 One iteration means one full multi-splitting pass.  Sweeps never form the
 product iteration matrix; each pass costs one matvec with V per splitting
-plus a cached solve with U.  The matvec goes through the splitting's sweep
-operator, which is CSR for large sparse V and dense otherwise; ``run``
-applies the same storage rule to A for its residuals.  The iteration
-matrix itself is only assembled by the diagnostics in
+plus a cached solve with U.  The matvec goes through the splitting's stored
+V, which is CSR for large sparse V and dense otherwise; ``run`` takes A's
+sweep operator, formed by the same rule, from the first splitting.  The
+iteration matrix itself is only assembled by the diagnostics in
 :mod:`altsplit.splittings` and :mod:`altsplit.analysis`.
 
 A run stops at the first non-finite stop metric and reports it as not
@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, CachedSolver, ToleranceProfile, as_square, as_vector
 from .errors import MissingDeltaError
-from .splittings import Splitting, _check_shared_a, _sweep_operator
+from .splittings import Splitting, _check_shared_a
 
 __all__ = [
     "SchemeConfig",
@@ -57,13 +57,13 @@ class SchemeConfig:
             raise ValueError("between 1 and 3 splittings required")
         if self.stop_rule not in STOP_RULES:
             raise ValueError(f"stop_rule must be one of {STOP_RULES}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly inside (0, 1)")
-        _check_shared_a(self.splittings, DEFAULT_TOL)
+        _check_shared_a(self.splittings)
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     """
     splits = config.splittings
     n = splits[0].n
-    a = _sweep_operator(splits[0].a)
+    a = splits[0].a_op
     b = as_vector(b, n)
     x = np.zeros(n) if x0 is None else as_vector(x0, n).copy()
     if exact is not None:

@@ -1,7 +1,7 @@
 """Splittings A = U - V: construction, classification, iteration matrices.
 
-A splitting is stored with V derived as U - A, so the defining identity can
-never drift.  Classification produces verdicts, never exceptions; the
+A splitting is stored with V derived once as U - A, so the defining identity
+can never drift.  Classification produces verdicts, never exceptions; the
 constructive operations (induced splittings, closed forms) raise when their
 hypotheses fail because their outputs are undefined otherwise.
 
@@ -22,13 +22,15 @@ quasi   U nonsingular, index(I - U^-1 V) <= 1,      V K1, U^-1 V K1,
 
 with K1 = (I - U^-1 V)(I - U^-1 V)# and K2 = (I - V U^-1)#(I - V U^-1).
 
-Sweeps multiply by V through one operator chosen at construction: a CSR
-copy when V is large and sparse enough for CSR to pay, else V itself (see
-``CSR_MIN_ORDER``).  ``scipy.sparse`` is imported only on the CSR path.
+V is stored once, as the operator sweeps multiply by: CSR when it is large
+and sparse enough for CSR to pay, else dense (see ``CSR_MIN_ORDER``).  The
+dense V, the factors U#V and VU# and A's sweep operator are formed on first
+use, once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -85,18 +87,23 @@ def _sweep_operator(m: np.ndarray):
     return csr_array(m)
 
 
+def _kept(m: np.ndarray) -> np.ndarray:
+    """``m`` made read-only, since a splitting hands the same array to every caller."""
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class Splitting:
     """One splitting A = U - V with its cached solver for U.
 
-    ``v`` is always derived as ``u - a``; construct via
-    :func:`make_splitting`.  ``v_op`` is what sweeps multiply by: ``v``
-    itself, or a CSR copy of it when the storage rule above says CSR pays.
+    Construct via :func:`make_splitting`.  ``v_op`` is the one stored V,
+    dense or CSR by the storage rule above; the dense ``v``, the factors
+    and A's sweep operator are formed from it on first use, once.
     """
 
     a: np.ndarray
     u: np.ndarray
-    v: np.ndarray
     solver: CachedSolver = field(repr=False)
     v_op: object = field(repr=False, compare=False)
 
@@ -105,27 +112,32 @@ class Splitting:
         return self.a.shape[0]
 
     @property
-    def v_is_sparse(self) -> bool:
-        """True iff sweeps multiply by a CSR copy of V."""
-        return self.v_op is not self.v
-
-    @property
     def u_is_nonsingular(self) -> bool:
         return self.solver.is_nonsingular
 
+    @cached_property
+    def v(self) -> np.ndarray:
+        """V as a dense matrix."""
+        return self.v_op if isinstance(self.v_op, np.ndarray) else _kept(self.v_op.toarray())
+
+    @cached_property
+    def a_op(self):
+        """A's sweep operator, for the residuals of a run."""
+        return _sweep_operator(self.a)
+
+    @cached_property
     def iteration_matrix(self) -> np.ndarray:
         """Single-step iteration matrix U# V (U^-1 V when U is nonsingular)."""
-        return self.solver.solve(self.v)
+        return _kept(self.solver.solve(self.v))
 
+    @cached_property
     def reversed_iteration_matrix(self) -> np.ndarray:
         """Companion-side factor V U#."""
-        return self.solver.right_apply(self.v)
+        return _kept(self.solver.right_apply(self.v))
 
 
 def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
-    """Build a splitting of ``a`` from the chosen ``u``; V := U - A.
-
-    V's sweep operator (dense or CSR) is chosen here, once.
+    """Build a splitting of ``a`` from the chosen ``u``; V := U - A, stored once.
 
     Raises
     ------
@@ -140,8 +152,7 @@ def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
         raise DimensionMismatchError(
             f"A has shape {a.shape} but U has shape {u.shape}"
         )
-    v = u - a
-    return Splitting(a=a, u=u, v=v, solver=CachedSolver(u, tol), v_op=_sweep_operator(v))
+    return Splitting(a=a, u=u, solver=CachedSolver(u, tol), v_op=_sweep_operator(_kept(u - a)))
 
 
 def diag_scaling_splitting(
@@ -155,8 +166,8 @@ def diag_scaling_splitting(
         If diag(A) contains a zero entry.
     """
     a = as_square(a)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     d = np.diag(a)
     if np.any(d == 0.0):
         raise ZeroDiagonalError("diag(A) has a zero entry")
@@ -226,8 +237,7 @@ def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClas
     if not _same_range_and_null(s.u, s.a, tol):
         proper_w = Witness(check="range(U) == range(A) and null(U) == null(A)", matrix="U")
     usharp_w = _sign_witness(s.solver.inverse_like(), "U#", tol)
-    uv = s.iteration_matrix()
-    vu = s.reversed_iteration_matrix()
+    uv, vu = s.iteration_matrix, s.reversed_iteration_matrix
     plain = ((s.v, "V"), (uv, "U#V"), (vu, "VU#"))
 
     singular_w = Witness(check="U is singular", matrix="U")
@@ -262,32 +272,29 @@ def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClas
     return SplittingClassReport(**verdicts, witnesses=witnesses)
 
 
-def _check_shared_a(splits, tol: ToleranceProfile):
+def _check_shared_a(splits):
+    """The one A of 1 to 3 splittings: each A is the first one's object or equal to it."""
     if not 1 <= len(splits) <= 3:
         raise ValueError("expected between 1 and 3 splittings")
     a = splits[0].a
-    for s in splits[1:]:
-        if s.a.shape != a.shape or float(np.max(np.abs(s.a - a))) > tol.eq_tol:
-            raise MismatchedSplittingError(
-                "all splittings must share the same coefficient matrix"
-            )
+    if any(s.a is not a and not np.array_equal(s.a, a) for s in splits[1:]):
+        raise MismatchedSplittingError("all splittings must share the same coefficient matrix")
     return a
 
 
-def alternating_iteration_matrix(
-    splits, tol: ToleranceProfile = DEFAULT_TOL
-) -> np.ndarray:
+def _product(factors) -> np.ndarray:
+    """factors[-1] @ ... @ factors[0]: the first factor is applied first."""
+    return reduce(lambda h, t: t @ h, factors)
+
+
+def alternating_iteration_matrix(splits) -> np.ndarray:
     """Iteration matrix of the alternating sweep, first splitting applied first.
 
     For splittings [K-L, U-V, X-Y] this is (X#Y)(U#V)(K#L); ordinary
     inverses replace group inverses wherever U is nonsingular.
     """
-    _check_shared_a(splits, tol)
-    h = None
-    for s in splits:
-        t = s.iteration_matrix()
-        h = t if h is None else t @ h
-    return h
+    _check_shared_a(splits)
+    return _product([s.iteration_matrix for s in splits])
 
 
 def _iteration_operator(splits):
@@ -309,18 +316,14 @@ def _iteration_operator(splits):
     return LinearOperator((n, n), matvec=matvec, dtype=float)
 
 
-def companion_matrix(splits, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def companion_matrix(splits) -> np.ndarray:
     """Reversed-order companion matrix, (YX#)(VU#)(LK#) for three splittings.
 
     Shares its spectral radius with the alternating iteration matrix and is
     the nonnegativity carrier in the type-II convergence arguments.
     """
-    _check_shared_a(splits, tol)
-    c = None
-    for s in splits:
-        r = s.reversed_iteration_matrix()
-        c = r if c is None else r @ c
-    return c
+    _check_shared_a(splits)
+    return _product([s.reversed_iteration_matrix for s in splits])
 
 
 def induced_splitting(a, h, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
@@ -355,7 +358,7 @@ def b_sharp_closed_form(splits, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarr
     """
     if len(splits) != 3:
         raise ValueError("closed form needs exactly three splittings")
-    a = _check_shared_a(splits, tol)
+    a = _check_shared_a(splits)
     sk, _, sx = splits
     middle = _middle_factor(splits)
     if not _same_range_and_null(middle, a, tol):

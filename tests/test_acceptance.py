@@ -194,7 +194,7 @@ class TestCriterion6InducedSuite:
             ind = induced_splitting(a, h)
             worst_reproduce = max(
                 worst_reproduce,
-                float(np.max(np.abs(ind.iteration_matrix() - h))),
+                float(np.max(np.abs(ind.iteration_matrix - h))),
             )
             closed = b_sharp_closed_form(splits)
             direct = group_inverse(ind.u)

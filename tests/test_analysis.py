@@ -170,14 +170,20 @@ class TestConvergenceVerifiers:
                 assert verdict.conclusion_holds
         assert held >= 5
 
-    @pytest.mark.parametrize("theorem_id", ["single-vs-three", "two-vs-three"])
-    def test_singular_i_minus_h_is_a_hypothesis_failure(self, theorem_id):
+    @pytest.mark.parametrize("theorem_id, floor, holds", [
+        ("single-vs-three", "min_single_rho", False),
+        ("two-vs-three", "min_pairwise_rho", True),
+    ])
+    def test_singular_i_minus_h_is_a_hypothesis_failure(self, theorem_id, floor, holds):
         # rho(H) rounds to 0.9999999999999996, below the rho >= 1 guard,
         # while I - H is singular because A is
         _, splits = walk_triple()
         verdict = verify_convergence_theorem(theorem_id, splits)
-        assert not verdict.hypotheses_hold and not verdict.conclusion_holds
+        assert not verdict.hypotheses_hold
         assert "I - H is singular, no induced splitting" in verdict.hypothesis_failures
+        # the conclusion is the spectral comparison, evaluated without B#
+        m = verdict.measured_quantities
+        assert verdict.conclusion_holds == analysis._no_worse(m["rho_H"], m[floor]) == holds
 
     def test_singular_pair_product_is_a_hypothesis_failure(self, monkeypatch):
         _, splits = random_group_monotone_regular_triple(
@@ -312,7 +318,7 @@ class TestInducedRegularSplitting:
             rep = classify(ind)
             assert rep.is_regular
             h = alternating_iteration_matrix(splits)
-            np.testing.assert_allclose(ind.iteration_matrix(), h, atol=1e-9)
+            np.testing.assert_allclose(ind.iteration_matrix, h, atol=1e-9)
 
     def test_trivial_when_v_is_zero(self):
         a = 2.0 * np.eye(4) - 0.2 * RNG.uniform(0.0, 1.0, (4, 4))
@@ -333,7 +339,7 @@ class TestInducedRegularSplitting:
         splits = [diag_scaling_splitting(a, alpha) for alpha in (1.5, 2.0, 2.5)]
         ind = induced_regular_splitting(splits)
         h = alternating_iteration_matrix(splits)
-        np.testing.assert_allclose(ind.iteration_matrix(), h, atol=1e-9)
+        np.testing.assert_allclose(ind.iteration_matrix, h, atol=1e-9)
         # agrees with A (I - H)^-1 where that form exists
         b_direct = np.linalg.solve((np.eye(6) - h).T, a.T).T
         np.testing.assert_allclose(ind.u, b_direct, atol=1e-8)

@@ -227,6 +227,8 @@ class TestExitCodes:
         ("symmetric_non_square", 2),
         ("negative_sizes", 2),
         ("huge_coordinate_header", 2),
+        ("solve_nan_tol", 2),
+        ("verify_negative_trials", 2),
     ])
     def test_error_exits_with_documented_code(self, tmp_path, capsys, case, expected):
         a, u, b = (str(tmp_path / f"{name}.mtx") for name in "aub")
@@ -249,6 +251,10 @@ class TestExitCodes:
                 "solve", "--matrix", a, "--rhs", b, "--split", a, "--tol", "-1",
             ],
             "classify_negative_alpha": ["classify", "--matrix", a, "--diag-alpha", "-1"],
+            "solve_nan_tol": [
+                "solve", "--matrix", a, "--rhs", b, "--split", a, "--tol", "nan",
+            ],
+            "verify_negative_trials": ["verify", "--suite", "companion", "--trials", "-1"],
         }.get(case, ["classify", "--matrix", str(bad), "--diag-alpha", "1.0"])
         assert main(argv) == expected
         assert capsys.readouterr().err.startswith("error: ")

@@ -52,8 +52,8 @@ class TestTripleGenerators:
                 rep = classify(s)
                 assert rep.is_proper and rep.is_g_regular
             # convergent three-step product
-            t = splits[2].iteration_matrix() @ splits[1].iteration_matrix() \
-                @ splits[0].iteration_matrix()
+            t = splits[2].iteration_matrix @ splits[1].iteration_matrix \
+                @ splits[0].iteration_matrix
             assert spectral_radius(t) < 1.0
 
     def test_proper_triple(self):

@@ -1,5 +1,6 @@
 """Property tests: no byte string makes the Matrix Market reader or the CLI
-fail with anything but MatrixMarketError and exit code 2."""
+fail with anything but MatrixMarketError and exit code 2, and no invalid
+flag value gets the CLI past argument checking."""
 import contextlib
 import io
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from altsplit import MatrixMarketError, read_matrix_market
+import altsplit.schemes
+from altsplit import MatrixMarketError, read_matrix_market, write_matrix_market, write_vector
 from altsplit.cli import main
 
 SIZES = st.sampled_from([0, 1, 2, 3, 4, 50, -1])
@@ -82,3 +84,71 @@ def test_classify_exits_2_on_a_rejected_file(path, data):
         code = main(["classify", "--matrix", str(path), "--diag-alpha", "1"])
     assert code == 2
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+
+# Each command's checked flags, with values that make a run meaningless and
+# values that do not; the laplace grid stays small so no example is slow.
+COMMANDS = {
+    ("solve",): ("--tol", "--delta", "--max-iters"),
+    ("bench", "laplace"): ("--grid", "--tol", "--alphas"),
+    ("bench", "markov"): ("--states", "--tol", "--alphas"),
+    ("verify", "--suite", "companion"): ("--trials",),
+}
+BAD = {
+    "--tol": ["nan", "inf", "-inf", "0", "-1e-8"],
+    "--delta": ["0", "1", "-0.5", "1.5", "nan", "inf"],
+    "--max-iters": ["0", "-3"],
+    "--trials": ["0", "-1"],
+    "--alphas": ["", ",", "0", "1,0", "-1", "nan", "1,nan,2"],
+    "--grid": ["1", "0", "-2"],
+    "--states": ["2", "0", "-1"],
+}
+GOOD = {
+    "--tol": ["1e-6"],
+    "--delta": ["0.5"],
+    "--max-iters": ["5"],
+    "--trials": ["1"],
+    "--alphas": ["1,1.5", "2"],
+    "--grid": ["2", "3", "4"],
+    "--states": ["3", "6"],
+}
+
+
+@st.composite
+def invalid_argv(draw):
+    """argv of one command with every checked flag set, at least one to a bad value."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[command]
+    bad = draw(st.sets(st.sampled_from(flags), min_size=1))
+    values = [draw(st.sampled_from((BAD if flag in bad else GOOD)[flag])) for flag in flags]
+    return [*command, *(f"{flag}={value}" for flag, value in zip(flags, values))]
+
+
+@pytest.fixture(scope="module")
+def solve_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("solve")
+    a, b, u = (str(root / f"{name}.mtx") for name in "abu")
+    write_matrix_market(a, np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    write_vector(b, np.ones(2))
+    write_matrix_market(u, 2.0 * np.eye(2))
+    return [f"--matrix={a}", f"--rhs={b}", f"--split={u}"]
+
+
+def _no_sweep(*args):
+    raise AssertionError("an invalid flag value reached a sweep")
+
+
+@given(argv=invalid_argv())
+def test_invalid_flag_exits_2_before_any_sweep(solve_files, argv):
+    if argv[0] == "solve":
+        argv = argv + solve_files
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(altsplit.schemes, "sweep", _no_sweep)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value its type cannot parse
+            code = exc.code
+    assert code == 2
+    assert "error: " in err.getvalue() and "Traceback" not in err.getvalue()

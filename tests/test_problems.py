@@ -64,7 +64,7 @@ class TestLaplace:
         # Jacobi iteration radius of the 5-point matrix is cos(pi h)
         problem = make_laplace(8)
         s = diag_scaling_splitting(problem.A, 1.0)
-        assert spectral_radius(s.iteration_matrix()) == pytest.approx(
+        assert spectral_radius(s.iteration_matrix) == pytest.approx(
             np.cos(np.pi / 8.0), abs=1e-10
         )
 
@@ -197,6 +197,19 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError) as err:
             read_matrix_market(path)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("text", [
+        # the second value of a two-value array line
+        "%%MatrixMarket matrix array real general\n% note\n2 2\n1 2\n3 {}\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n% note\n2 2 {}\n",
+    ], ids=["array", "coordinate"])
+    def test_non_finite_value_names_its_line(self, tmp_path, text, token):
+        path = tmp_path / "nonfinite.mtx"
+        path.write_text(text.format(token))
+        with pytest.raises(MatrixMarketError) as err:
+            read_matrix_market(path)
+        assert err.value.line == 5
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.mtx"

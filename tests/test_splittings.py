@@ -3,9 +3,11 @@ import numpy as np
 import pytest
 
 from altsplit import (
+    CachedSolver,
     DimensionMismatchError,
     MismatchedSplittingError,
     RangeNullConditionError,
+    SchemeConfig,
     SingularIminusHError,
     Witness,
     ZeroDiagonalError,
@@ -21,7 +23,10 @@ from altsplit import (
     make_random_walk,
     make_splitting,
     spectral_radius,
+    verify_convergence_theorem,
+    verify_semiconvergence_theorem,
 )
+from altsplit.analysis import CONVERGENCE_THEOREMS, SEMICONVERGENCE_THEOREMS
 from altsplit.generators import (
     random_group_monotone_regular_triple,
     random_proper_triple,
@@ -183,7 +188,7 @@ class TestAlternatingIterationMatrix:
     def test_repeated_splitting_squares(self):
         a = RNG.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
         s = make_splitting(a, a + np.diag(RNG.uniform(0.2, 1.0, 4)))
-        t = s.iteration_matrix()
+        t = s.iteration_matrix
         np.testing.assert_allclose(
             alternating_iteration_matrix([s, s]), t @ t, atol=1e-12
         )
@@ -193,6 +198,71 @@ class TestAlternatingIterationMatrix:
         s2 = make_splitting(2 * np.eye(3), 3 * np.eye(3))
         with pytest.raises(MismatchedSplittingError):
             alternating_iteration_matrix([s1, s2])
+
+    def test_different_tiny_matrices_rejected(self):
+        # both differ by far less than any absolute slack
+        a1 = 1e-12 * np.array([[2.0, -1.0], [-1.0, 2.0]])
+        a2 = 1e-12 * np.array([[5.0, 3.0], [3.0, 5.0]])
+        s1, s2 = make_splitting(a1, 2 * a1), make_splitting(a2, 2 * a2)
+        with pytest.raises(MismatchedSplittingError):
+            alternating_iteration_matrix([s1, s2])
+        with pytest.raises(MismatchedSplittingError):
+            SchemeConfig(splittings=[s1, s2])
+
+    def test_bitwise_equal_copies_share_a(self):
+        a = RNG.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
+        splits = [diag_scaling_splitting(a.copy(), alpha) for alpha in (1.0, 1.5, 2.0)]
+        assert splits[0].a is not splits[1].a
+        SchemeConfig(splittings=splits)
+        np.testing.assert_array_equal(
+            alternating_iteration_matrix(splits),
+            splits[2].iteration_matrix
+            @ (splits[1].iteration_matrix @ splits[0].iteration_matrix),
+        )
+
+
+class TestCachedFactors:
+    def test_each_factor_is_formed_once(self, example_matrices):
+        a, k, _, _ = example_matrices
+        s = make_splitting(a, k)
+        for name in ("v", "iteration_matrix", "reversed_iteration_matrix", "a_op"):
+            assert getattr(s, name) is getattr(s, name), name
+        np.testing.assert_array_equal(s.iteration_matrix, s.solver.solve(k - a))
+        np.testing.assert_array_equal(s.reversed_iteration_matrix,
+                                      s.solver.right_apply(k - a))
+
+    def test_factors_are_read_only(self, example_triple):
+        h = alternating_iteration_matrix(example_triple[:1])
+        assert h is example_triple[0].iteration_matrix
+        with pytest.raises(ValueError):
+            h[0, 0] = 1.0
+
+    @pytest.mark.parametrize("make", [random_group_monotone_regular_triple,
+                                      random_quasi_regular_triple])
+    def test_classify_and_verifiers_read_the_cached_factors(self, monkeypatch, make):
+        _, splits = make(np.random.default_rng(5), 5)
+        for s in splits:
+            s.iteration_matrix, s.reversed_iteration_matrix
+        v_of = {id(s.solver): s.v for s in splits}
+        formed = []
+
+        def spy(method):
+            def wrapped(self, m):
+                if m is v_of.get(id(self)):
+                    formed.append(method.__name__)
+                return method(self, m)
+            return wrapped
+
+        monkeypatch.setattr(CachedSolver, "solve", spy(CachedSolver.solve))
+        monkeypatch.setattr(CachedSolver, "right_apply", spy(CachedSolver.right_apply))
+        for s in splits:
+            classify(s)
+        for theorem_id in CONVERGENCE_THEOREMS:
+            verify_convergence_theorem(theorem_id, splits)
+        for theorem_id in SEMICONVERGENCE_THEOREMS:
+            verify_semiconvergence_theorem(theorem_id, splits, delta=0.5)
+        companion_matrix(splits)
+        assert formed == []
 
 
 class TestCompanionMatrix:
@@ -237,7 +307,7 @@ class TestProperSplittingIdentities:
             np.testing.assert_allclose(
                 A_EXAMPLE @ a_sharp, s.u @ u_sharp, atol=1e-12
             )
-            resolvent = np.eye(3) - s.iteration_matrix()
+            resolvent = np.eye(3) - s.iteration_matrix
             np.testing.assert_allclose(
                 a_sharp, np.linalg.solve(resolvent, u_sharp), atol=1e-11
             )
@@ -253,13 +323,13 @@ class TestInducedSplitting:
     def test_reproduces_h(self, example_triple):
         h = alternating_iteration_matrix(example_triple)
         ind = induced_splitting(A_EXAMPLE, h)
-        np.testing.assert_allclose(ind.iteration_matrix(), h, atol=1e-12)
+        np.testing.assert_allclose(ind.iteration_matrix, h, atol=1e-12)
 
     def test_uniqueness_under_recomputation(self, example_triple):
         # recomputing the induced splitting from H = B#C reproduces B
         h = alternating_iteration_matrix(example_triple)
         ind = induced_splitting(A_EXAMPLE, h)
-        again = induced_splitting(A_EXAMPLE, ind.iteration_matrix())
+        again = induced_splitting(A_EXAMPLE, ind.iteration_matrix)
         np.testing.assert_allclose(again.u, ind.u, atol=1e-10)
 
     def test_singular_shift_rejected(self):
@@ -329,7 +399,7 @@ class TestComparisonChain:
         for _ in range(10):
             _, splits = random_group_monotone_regular_triple(RNG, 6)
             h = alternating_iteration_matrix(splits)
-            floor = min(spectral_radius(s.iteration_matrix()) for s in splits)
+            floor = min(spectral_radius(s.iteration_matrix) for s in splits)
             assert floor < 1.0
             assert spectral_radius(h) <= floor + 1e-10
 

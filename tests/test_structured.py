@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import altsplit.cli
 import altsplit.schemes
 from altsplit import (
     NotSquareError,
@@ -42,7 +43,13 @@ def closed_form_rho(grid_n, alphas):
     return float(np.max(np.abs(prod)))
 
 
-@pytest.fixture(scope="module", params=[21, 41])
+def is_csr(s):
+    from scipy.sparse import csr_array
+
+    return isinstance(s.v_op, csr_array)
+
+
+@pytest.fixture(scope="module", params=[9, 21, 41])
 def laplace_splits(request):
     problem = make_laplace(request.param)
     return request.param, [diag_scaling_splitting(problem.A, a) for a in ALPHAS]
@@ -52,20 +59,22 @@ class TestStorageRule:
     def test_laplace_order_400_goes_to_csr(self):
         problem = make_laplace(21)
         s = diag_scaling_splitting(problem.A, 1.5)
-        assert s.v_is_sparse
-        assert isinstance(s.v, np.ndarray)  # the public V stays dense
+        assert is_csr(s)
+        assert isinstance(s.v, np.ndarray)  # the public V is dense on demand
+        np.testing.assert_array_equal(s.v, s.u - s.a)
         x = np.random.default_rng(3).standard_normal(problem.order)
         np.testing.assert_allclose(sweep([s], x, problem.b),
                                    s.solver.solve(s.v @ x + problem.b), atol=1e-13)
 
     def test_small_orders_stay_dense(self):
         walk = make_random_walk(CSR_MIN_ORDER - 1)
-        assert not diag_scaling_splitting(walk.A, 2.0).v_is_sparse
+        s = diag_scaling_splitting(walk.A, 2.0)
+        assert isinstance(s.v_op, np.ndarray) and s.v is s.v_op
 
     def test_dense_v_stays_dense(self):
         n = CSR_MIN_ORDER
         a = np.random.default_rng(4).uniform(-1, 1, (n, n)) + n * np.eye(n)
-        assert not make_splitting(a, np.diag(np.diag(a))).v_is_sparse
+        assert isinstance(make_splitting(a, np.diag(np.diag(a))).v_op, np.ndarray)
 
     def test_csr_residual_rule_matches_dense_iterates(self):
         problem = make_laplace(21)
@@ -86,7 +95,7 @@ class TestArpackRho:
     def test_matches_closed_form(self, laplace_splits, scheme):
         grid_n, splits = laplace_splits
         chosen = splits[:SCHEMES[scheme]]
-        assert all(s.v_is_sparse for s in chosen)
+        assert all(is_csr(s) == (s.n >= CSR_MIN_ORDER) for s in chosen)
         rho = spectral_radius(_iteration_operator(chosen))
         assert rho == pytest.approx(closed_form_rho(grid_n, ALPHAS[:len(chosen)]),
                                     abs=1e-12)
@@ -121,6 +130,24 @@ def test_rho_operator_adds_no_sweep_passes(monkeypatch):
     monkeypatch.setattr(altsplit.schemes, "sweep", counting)
     rows = bench_laplace(21)
     assert len(calls) == sum(r.iterations for r in rows) == 3076
+
+
+def test_bench_keeps_no_dense_v_or_factor(monkeypatch):
+    # the sweeps and rho read V as CSR, so no splitting forms a dense
+    # order-400 matrix beyond the A and U it was built from
+    splits = []
+
+    def keep(config, *args, **kwargs):
+        splits.extend(config.splittings)
+        return run(config, *args, **kwargs)
+
+    monkeypatch.setattr(altsplit.cli, "run", keep)
+    bench_laplace(21)
+    assert len(splits) == 6
+    for s in splits:
+        held = [*vars(s).values(), *vars(s.solver).values()]
+        big = [m for m in held if isinstance(m, np.ndarray) and m.shape == (400, 400)]
+        assert all(m is s.a or m is s.u for m in big)
 
 
 def test_dense_workloads_do_not_import_scipy_sparse():
