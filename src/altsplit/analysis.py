@@ -127,22 +127,34 @@ def is_semiconvergent(
 def power_limit_oracle(
     t, k_max: int = 5_000, tol: ToleranceProfile = DEFAULT_TOL
 ) -> np.ndarray | None:
-    """Brute-force limit of T^k by repeated multiplication, or None.
+    """Limit of T^k from its powers alone, or None.
 
-    Independent oracle for :func:`is_semiconvergent` on small matrices:
-    returns T^k once consecutive powers differ by less than ``eq_tol``
-    entrywise, and None when powers blow up, oscillate or fail to settle
-    within ``k_max`` steps.
+    Independent, eigen-free oracle for :func:`is_semiconvergent` on small
+    matrices.  T^m is reached by repeated squaring and checked at
+    m = 1, 2, 4, ... up to the last doubling not above ``k_max``, then once
+    at m = ``k_max`` itself (the last doubled power times T^(k_max - m)).
+    At each checkpoint it returns T^(m+1) when the consecutive powers
+    satisfy max|T^(m+1) - T^m| < ``eq_tol``.  Comparing T^(2m) with T^m
+    instead would be wrong: a quarter-turn rotation has T^4 = I, so
+    T^8 - T^4 = 0 although its powers cycle and have no limit.
+
+    ``k_max`` is the largest power tried, as in a one-power-at-a-time
+    loop: a T whose powers settle only after T^k_max gives None.  None
+    also means blow-up (an entry of T^m above 1e12 at a checkpoint) or
+    powers that oscillate.
     """
     t = as_square(t)
-    p = t.copy()
-    for _ in range(k_max):
+    p, m = t.copy(), 1
+    while m <= k_max:
         if float(np.max(np.abs(p))) > 1e12:
             return None
         q = p @ t
         if float(np.max(np.abs(q - p))) < tol.eq_tol:
             return q
-        p = q
+        if m == k_max:
+            break
+        jump = p if 2 * m <= k_max else np.linalg.matrix_power(t, k_max - m)
+        p, m = p @ jump, min(2 * m, k_max)
     return None
 
 

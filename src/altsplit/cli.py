@@ -255,7 +255,7 @@ def _cmd_bench(args) -> int:
 def _suite_group_inverse(rng, trials, size):
     failures = []
     for k in range(trials):
-        n = int(rng.integers(2, size + 1))
+        n = int(rng.integers(_SMALLEST_ORDER["group-inverse"], size + 1))
         r = int(rng.integers(1, n + 1))
         a = random_index_one(rng, n, r)
         x = group_inverse(a)
@@ -273,7 +273,7 @@ def _suite_group_inverse(rng, trials, size):
 def _suite_companion(rng, trials, size):
     failures = []
     for k in range(trials):
-        n = int(rng.integers(3, size + 1))
+        n = int(rng.integers(_SMALLEST_ORDER["companion"], size + 1))
         a, splits = random_proper_triple(rng, n)
         h = alternating_iteration_matrix(splits)
         s = companion_matrix(splits)
@@ -288,7 +288,7 @@ def _suite_companion(rng, trials, size):
 def _suite_convergence(rng, trials, size, theorem_id):
     failures = []
     for k in range(trials):
-        n = int(rng.integers(3, size + 1))
+        n = int(rng.integers(_SMALLEST_ORDER[theorem_id], size + 1))
         if theorem_id == "two-vs-three" and rng.random() < 0.7:
             # nonsingular monotone instances exercise the >= I hypotheses
             a, splits = random_group_monotone_regular_triple(rng, n, rank_r=n)
@@ -303,7 +303,7 @@ def _suite_convergence(rng, trials, size, theorem_id):
 def _suite_semiconvergence(rng, trials, size):
     failures = []
     for k in range(trials):
-        n = int(rng.integers(2, size + 1))
+        n = int(rng.integers(_SMALLEST_ORDER["semiconvergence"], size + 1))
         t, kind = random_semiconvergence_case(rng, n)
         cert = is_semiconvergent(t)
         limit = power_limit_oracle(t, k_max=20_000, tol=ToleranceProfile(eq_tol=1e-11))
@@ -317,7 +317,7 @@ def _suite_semiconvergence(rng, trials, size):
 def _suite_quasi(rng, trials, size):
     failures = []
     for k in range(trials):
-        n = int(rng.integers(4, size + 1))
+        n = int(rng.integers(_SMALLEST_ORDER["quasi"], size + 1))
         a, splits = random_quasi_regular_triple(rng, n)
         for theorem_id in ("quasi-three-step", "quasi-three-comparison", "quasi-two-vs-three"):
             verdict = verify_semiconvergence_theorem(theorem_id, splits)
@@ -342,11 +342,25 @@ _SUITES = {
     "quasi": _suite_quasi,
 }
 
+# The smallest order each suite draws; --size must reach it.
+_SMALLEST_ORDER = {
+    "group-inverse": 2,
+    "companion": 3,
+    "typeII-convergence": 3,
+    "both-types-comparison": 3,
+    "two-vs-three": 3,
+    "semiconvergence": 2,
+    "quasi": 4,
+}
+
 
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    smallest = max(_SMALLEST_ORDER[name] for name in names)
+    if args.size < smallest:
+        raise ValueError(f"--size must be at least {smallest} for suite {args.suite}")
     rng = np.random.default_rng(args.seed)
     print(f"seed {args.seed}")
     any_failed = False

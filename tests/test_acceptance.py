@@ -294,6 +294,31 @@ class TestCriterion8OracleEquivalence:
         )
 
 
+class TestCriterion8MoreSeeds:
+    """Criterion 8's assertions on 200 more cases at each of seeds 1 to 7."""
+
+    @pytest.mark.parametrize("seed", range(1, 8))
+    def test_two_hundred_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        oracle_tol = ToleranceProfile(eq_tol=1e-11)
+        worst_limit_gap = 0.0
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            t, kind = random_semiconvergence_case(rng, n)
+            cert = is_semiconvergent(t)
+            limit = power_limit_oracle(t, k_max=20_000, tol=oracle_tol)
+            assert cert.verdict == (limit is not None), kind
+            if limit is not None:
+                worst_limit_gap = max(
+                    worst_limit_gap, float(np.max(np.abs(limit - cert.limit_matrix)))
+                )
+        assert worst_limit_gap < 1e-8
+        report(
+            f"PASS criterion 8, seed {seed}: 200 mixed cases, certificate matches "
+            f"the power oracle everywhere, max limit gap = {worst_limit_gap:.2e}"
+        )
+
+
 class TestCriterion9GroupInverseEquations:
     def test_hundred_matrices(self):
         rng = np.random.default_rng(42)

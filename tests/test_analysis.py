@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import altsplit.analysis as analysis
+import altsplit.core as core
 from altsplit import (
     MissingDeltaError,
     NonsingularHypothesisError,
@@ -93,6 +94,66 @@ class TestPowerLimitOracle:
 
     def test_divergent_has_no_limit(self):
         assert power_limit_oracle(1.5 * np.eye(2)) is None
+
+    @pytest.mark.parametrize("theta", [np.pi / 2, 2 * np.pi / 3])
+    def test_rotation_has_no_limit(self, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        r = np.array([[c, -s], [s, c]])
+        if theta == np.pi / 2:
+            # T^8 = T^4 = I: a test of T^(2m) - T^m would call this convergent
+            np.testing.assert_allclose(
+                np.linalg.matrix_power(r, 8), np.linalg.matrix_power(r, 4), atol=1e-12
+            )
+        assert power_limit_oracle(r, k_max=20_000, tol=ORACLE_TOL) is None
+
+    @pytest.mark.parametrize("k_max, settles", [(18_000, False), (18_500, True), (20_000, True)])
+    def test_k_max_is_the_largest_power_tried(self, k_max, settles):
+        # 0.999^m * 0.001 < 1e-11 first near m = 18,400: past the last
+        # doubling (16,384) and reached only by the check at k_max
+        lim = power_limit_oracle(np.diag([1.0, 0.999]), k_max=k_max, tol=ORACLE_TOL)
+        assert (lim is not None) == settles
+        if settles:
+            np.testing.assert_allclose(lim, np.diag([1.0, 0.0]), atol=1e-7)
+
+    @pytest.mark.parametrize("k_max", [1, 3, 5, 37, 300])
+    def test_agrees_with_one_power_at_a_time(self, k_max):
+        def linear(t):
+            p = t.copy()
+            for _ in range(k_max):
+                if float(np.max(np.abs(p))) > 1e12:
+                    return None
+                q = p @ t
+                if float(np.max(np.abs(q - p))) < ORACLE_TOL.eq_tol:
+                    return q
+                p = q
+            return None
+
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            t, kind = random_semiconvergence_case(rng, int(rng.integers(2, 11)))
+            expected = linear(t)
+            lim = power_limit_oracle(t, k_max=k_max, tol=ORACLE_TOL)
+            assert (lim is None) == (expected is None), kind
+            if lim is not None:
+                assert float(np.max(np.abs(lim - expected))) < 1e-8
+
+    def test_reads_no_spectrum(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        cases = [random_semiconvergence_case(rng, int(rng.integers(2, 11)))[0]
+                 for _ in range(12)]
+        certs = [is_semiconvergent(t) for t in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the power oracle must not compute a spectrum")
+
+        for name in ("eig", "eigvals", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(core, "_spectrum", refuse)
+        for t, cert in zip(cases, certs):
+            lim = power_limit_oracle(t, k_max=20_000, tol=ORACLE_TOL)
+            assert cert.verdict == (lim is not None)
+            if lim is not None:
+                assert float(np.max(np.abs(lim - cert.limit_matrix))) < 1e-8
 
     def test_matches_certificate_on_random_cases(self):
         for _ in range(40):

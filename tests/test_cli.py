@@ -212,6 +212,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "25/25 ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("suite, size", [
+        ("group-inverse", 2), ("companion", 3), ("semiconvergence", 2), ("quasi", 4),
+    ])
+    def test_smallest_size_runs(self, capsys, suite, size):
+        code = main(["verify", "--suite", suite, "--trials", "3", "--size", str(size)])
+        assert code == 0
+        assert "3/3 ok" in capsys.readouterr().out
+
     def test_unknown_suite_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
@@ -229,6 +237,10 @@ class TestExitCodes:
         ("huge_coordinate_header", 2),
         ("solve_nan_tol", 2),
         ("verify_negative_trials", 2),
+        ("verify_companion_size_2", 2),
+        ("verify_quasi_size_3", 2),
+        ("verify_all_size_3", 2),
+        ("verify_group_inverse_size_1", 2),
     ])
     def test_error_exits_with_documented_code(self, tmp_path, capsys, case, expected):
         a, u, b = (str(tmp_path / f"{name}.mtx") for name in "aub")
@@ -255,6 +267,14 @@ class TestExitCodes:
                 "solve", "--matrix", a, "--rhs", b, "--split", a, "--tol", "nan",
             ],
             "verify_negative_trials": ["verify", "--suite", "companion", "--trials", "-1"],
+            "verify_companion_size_2": ["verify", "--suite", "companion", "--size", "2"],
+            "verify_quasi_size_3": ["verify", "--suite", "quasi", "--size", "3"],
+            "verify_all_size_3": ["verify", "--suite", "all", "--size", "3"],
+            "verify_group_inverse_size_1": ["verify", "--suite", "group-inverse", "--size", "1"],
         }.get(case, ["classify", "--matrix", str(bad), "--diag-alpha", "1.0"])
         assert main(argv) == expected
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""  # refused before any seed or suite line
+        if "--size" in argv:
+            assert "--size must be at least" in captured.err
