@@ -5,10 +5,46 @@ semiconvergence results on concrete splitting instances.  They are
 instance-level checks, not proof checkers: on any instance where every
 hypothesis holds, the conclusion must hold, and the test suites treat a
 violation as a failure rather than a data point.
+
+Each verifier is one rule of this table over the facts of its triple
+[K-L, U-V, X-Y], each computed once.  T is a single-step iteration matrix,
+M = K + X - A + Y U# L, B12 = U#V K#L, B13 = X#Y K#L and B23 = X#Y U#V the
+two-step products (Bij), G-II and G-I a proper G-weak regular splitting of
+type II and I.  "<=" allows ``COMPARISON_SLACK`` and needs the floor,
+recorded under the key in [], below 1.
+
+======================  ===============================================  ==========================
+theorem                 hypotheses checked                               conclusion [floor key]
+======================  ===============================================  ==========================
+typeII-convergence      A# >= 0; each splitting G-II                     rho(H) < 1
+single-vs-three         A# >= 0; each G-II; M has A's range and null     rho(H) <= min rho(T)
+                        space; H induces a G-II B - C; K, U, X B# >= I   [min_single_rho]
+both-types-comparison   A# >= 0; each G-II and G-I; M as above           rho(H) <= min rho(T)
+                                                                         [min_single_rho]
+two-vs-three            as single-vs-three, but each Bij induces a G-II  rho(H) <= min rho(Bij)
+                        B' - C' with B' B# >= I                          [min_pairwise_rho]
+regular-three-step      A an M-matrix with property c; each splitting    H semiconvergent
+                        regular; M nonsingular; diag(H) > 0
+delta-shift             as regular-three-step, without diag(H) > 0       delta H + (1 - delta) I
+                                                                         semiconvergent
+induced-regular         as delta-shift                                   B = K M^-1 X has B^-1 >= 0
+                                                                         and B^-1 C = H; H >= 0
+quasi-three-step        a quasi class all share; each T semiconvergent   H semiconvergent, and the
+                        with index(T) <= 1; index(I - B12) <= 1;         induced splitting in a
+                        index(H) <= 1                                    shared quasi class
+quasi-comparison        K-L quasi-regular, T semiconvergent; U-V, X-Y    gamma(H) <= gamma(X-Y)
+                        quasi weak regular of type I; index(I - T) <= 1  [gamma_X-Y]
+                        for each T and for H
+quasi-three-comparison  each quasi-regular with T semiconvergent;        gamma(H) <= min gamma(T)
+                        index(I - T) <= 1 for each T and for H           [min_single_gamma]
+quasi-two-vs-three      as quasi-three-comparison, and each Bij has      gamma(H) <= min gamma(Bij)
+                        index(I - Bij) <= 1 and a quasi-regular B' - C'  [min_pairwise_gamma]
+======================  ===============================================  ==========================
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +90,6 @@ __all__ = [
     "induced_regular_splitting",
 ]
 
-# Comparison conclusions are asserted with this much numerical slack.
 COMPARISON_SLACK = 1e-10
 
 
@@ -182,27 +217,87 @@ def is_m_matrix_with_property_c(a, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
 # theorem verifiers
 # ---------------------------------------------------------------------------
 
-CONVERGENCE_THEOREMS = (
-    "typeII-convergence",
-    "single-vs-three",
-    "both-types-comparison",
-    "two-vs-three",
-)
-
-SEMICONVERGENCE_THEOREMS = (
-    "regular-three-step",
-    "delta-shift",
-    "induced-regular",
-    "quasi-three-step",
-    "quasi-comparison",
-    "quasi-three-comparison",
-    "quasi-two-vs-three",
-)
+_NAMES = ("K-L", "U-V", "X-Y")
+_PAIRS = {"B12": (0, 1), "B13": (0, 2), "B23": (1, 2)}
 
 
-def _verdict(theorem_id, failures, conclusion, measured) -> TheoremVerdict:
-    """The verdict of one instance: the hypotheses hold iff nothing failed."""
-    return TheoremVerdict(theorem_id, not failures, failures, conclusion, measured)
+class _Triple:
+    """The facts the rules share, each computed on first use and at most
+    once; ``measured`` collects the measured quantities in recorded order."""
+
+    def __init__(self, splits, tol: ToleranceProfile, delta: float | None = None):
+        self.splits, self.tol, self.delta = splits, tol, delta
+        self.a = _check_shared_a(splits)
+        self.measured: dict[str, float] = {}
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return alternating_iteration_matrix(self.splits)
+
+    @cached_property
+    def matrices(self) -> dict[str, np.ndarray]:
+        """H and each single-step iteration matrix, by name."""
+        return {"H": self.h} | {name: s.iteration_matrix for name, s in zip(_NAMES, self.splits)}
+
+    @cached_property
+    def rho(self) -> dict[str, float]:
+        return {name: spectral_radius(m) for name, m in self.matrices.items()}
+
+    @cached_property
+    def certs(self) -> dict[str, SemiconvergenceCertificate]:
+        return {name: is_semiconvergent(m, self.tol) for name, m in self.matrices.items()}
+
+    @cached_property
+    def reports(self) -> dict:
+        return {name: classify(s, self.tol) for name, s in zip(_NAMES, self.splits)}
+
+    @cached_property
+    def middle(self) -> np.ndarray:
+        return _middle_factor(self.splits)
+
+    @cached_property
+    def middle_nonsingular(self) -> bool:
+        return _nonsingular(self.middle, self.tol.rank_tol)
+
+    @cached_property
+    def induced(self) -> Splitting | None:
+        """A = B - C with B = K M^-1 X, which reproduces H; None if M is singular."""
+        if self.middle_nonsingular:
+            return _induced_from_product(self.splits, self.tol, self.middle)
+        return None
+
+    @cached_property
+    def induced_mismatch(self) -> float:
+        return float(np.max(np.abs(self.induced.iteration_matrix - self.h)))
+
+    def induced_failure(self, regular: bool) -> str | None:
+        """Why the induced B fails B^-1 >= 0, C >= 0 (if ``regular``) or
+        B^-1 C = H at ``eq_tol * max(1, max|H|)``; None when it passes."""
+        if not is_nonnegative(self.induced.solver.inverse_like(), self.tol):
+            return "induced B^-1 has negative entries"
+        if regular and not is_nonnegative(self.induced.v, self.tol):
+            return "induced C = B - A has negative entries"
+        if not self.induced_mismatch <= self.tol.eq_tol * max(1.0, float(np.max(np.abs(self.h)))):
+            return "induced splitting does not reproduce H"
+        return None
+
+
+def _induced_type2(t, h, rho_h, rho, i_minus, label):
+    """A = B - C with B#C = ``h`` (None if ``rho_h`` >= 1 or I - h is singular)
+    and the failures met, which call rho(h), I - h and B - C as given."""
+    if rho_h >= 1.0:
+        return None, [f"{rho} >= 1, no induced splitting"]
+    try:
+        ind = induced_splitting(t.a, h, t.tol)
+    except SingularIminusHError:
+        return None, [f"{i_minus} is singular, no induced splitting"]
+    type2 = classify(ind, t.tol).is_g_weak_regular_type2
+    return ind, [] if type2 else [f"induced splitting {label} is not type II"]
+
+
+def _b_sharp_fails(b_sharp, u, tol) -> bool:
+    """U B# >= I fails, for a B# that exists."""
+    return b_sharp is not None and not float(np.min(u @ b_sharp - np.eye(len(u)))) >= -tol.eq_tol
 
 
 def _no_worse(value: float, bound: float) -> bool:
@@ -210,22 +305,200 @@ def _no_worse(value: float, bound: float) -> bool:
     return value <= bound + COMPARISON_SLACK and bound < 1.0
 
 
-def _ge_identity(m: np.ndarray, slack: float) -> bool:
-    return float(np.min(m - np.eye(m.shape[0]))) >= -slack
+def _no_worse_than(t, kind: str, competitors, floor_key: str) -> bool:
+    """``kind`` ("rho" or "gamma") of H no worse than the least recorded for
+    the competitors, which is recorded under ``floor_key``."""
+    floor = t.measured[floor_key] = min(t.measured[f"{kind}_{name}"] for name in competitors)
+    return _no_worse(t.measured[f"{kind}_H"], floor)
 
 
-def _group_monotone(a, tol):
-    """(holds, reason) for A# exists with A# >= 0."""
-    a_sharp = _group_inverse_or_none(a, tol.rank_tol)
+# The hypotheses a family shares.  Each returns the failures in order and
+# records the family's measured quantities.
+
+def _convergence(t, middle: bool = True) -> list[str]:
+    t.measured.update({f"rho_{name}": rho for name, rho in t.rho.items()})
+    a_sharp = _group_inverse_or_none(t.a, t.tol.rank_tol)
+    failures = []
     if a_sharp is None:
-        return False, "A has index greater than 1"
-    if not is_nonnegative(a_sharp, tol):
-        return False, "A# has negative entries"
-    return True, ""
+        failures.append("A is not group monotone: A has index greater than 1")
+    elif not is_nonnegative(a_sharp, t.tol):
+        failures.append("A is not group monotone: A# has negative entries")
+    failures += [f"{name} is not a proper G-weak regular splitting of type II"
+                 for name, r in t.reports.items() if not r.is_g_weak_regular_type2]
+    if middle and not _same_range_and_null(t.middle, t.a, t.tol):
+        failures.append("K + X - A + Y U# L does not share range/null with A")
+    return failures
 
 
-# The two-step products of a triple: B12 = U#V K#L, B13 = X#Y K#L, B23 = X#Y U#V.
-_PAIRS = ((0, 1, "B12"), (0, 2, "B13"), (1, 2, "B23"))
+def _semiconvergence(t, family: str) -> list[str]:
+    """``family`` is "M-matrix", "quasi" (records only) or "quasi-regular"."""
+    m = t.measured
+    m["gamma_H"], m["rho_H"] = t.certs["H"].gamma, t.certs["H"].rho
+    for name, s in zip(_NAMES, t.splits):
+        m[f"gamma_{name}"] = t.certs[name].gamma
+        # Both index variants appear across the statements; surface both.
+        m[f"index_le1_{name}"] = float(index_at_most_one(s.iteration_matrix, t.tol))
+        m[f"index_le1_I_minus_{name}"] = float(t.certs[name].index_of_I_minus_T == 1)
+    if family == "M-matrix":
+        failures = [] if is_m_matrix_with_property_c(t.a, t.tol) else [
+            "A is not an M-matrix with property c"]
+        failures += [f"{name} is not a regular splitting"
+                     for name, r in t.reports.items() if not r.is_regular]
+        m["middle_nonsingular"] = float(t.middle_nonsingular)
+        return failures + ([] if t.middle_nonsingular else ["K + X - A + Y U^-1 L is singular"])
+    m.update({f"semiconvergent_{name}": float(t.certs[name].verdict) for name in _NAMES})
+    if family == "quasi":
+        return []
+    return [f"{name}{text}" for name in _NAMES for text, holds in (
+        (" is not a quasi-regular splitting", t.reports[name].is_quasi_regular),
+        (" iteration matrix is not semiconvergent", t.certs[name].verdict)) if not holds]
+
+
+def _index(t) -> list[str]:
+    failures = [f"index(I - {name} iteration matrix) > 1"
+                for name in _NAMES if t.certs[name].index_of_I_minus_T > 1]
+    return failures + (["index(I - H) > 1"] if t.certs["H"].index_of_I_minus_T > 1 else [])
+
+
+# The rules.  Each returns its theorem's hypothesis failures and conclusion.
+
+def _single_vs_three(t):
+    failures = _convergence(t)
+    ind, why = _induced_type2(t, t.h, t.rho["H"], "rho(H)", "I - H", "A = B - C")
+    b_sharp = None if ind is None else ind.solver.inverse_like()
+    failures += why + [f"{name[0]} B# >= I fails" for name, s in zip(_NAMES, t.splits)
+                       if _b_sharp_fails(b_sharp, s.u, t.tol)]
+    return failures, _no_worse_than(t, "rho", _NAMES, "min_single_rho")
+
+
+def _two_vs_three(t):
+    failures = _convergence(t)
+    ind, why = _induced_type2(t, t.h, t.rho["H"], "rho(H)", "I - H", "A = B - C")
+    b_sharp = None if ind is None else ind.solver.inverse_like()
+    failures += why
+    for name, (i, j) in _PAIRS.items():
+        hp = alternating_iteration_matrix((t.splits[i], t.splits[j]))
+        rp = t.measured[f"rho_{name}"] = spectral_radius(hp)
+        ind, why = _induced_type2(t, hp, rp, f"rho of the {name} product",
+                                  f"I minus the {name} product", name)
+        failures += why
+        if ind is not None and _b_sharp_fails(b_sharp, ind.u, t.tol):
+            failures.append(f"{name} B# >= I fails")
+    return failures, _no_worse_than(t, "rho", _PAIRS, "min_pairwise_rho")
+
+
+def _regular_three_step(t):
+    failures = _semiconvergence(t, "M-matrix")
+    t.measured["min_diag_H"] = float(np.min(np.diag(t.h)))
+    if t.measured["min_diag_H"] <= 0.0:
+        failures.append("diag(H) is not strictly positive")
+    return failures, t.certs["H"].verdict
+
+
+def _delta_shift(t):
+    failures = _semiconvergence(t, "M-matrix")
+    cert = is_semiconvergent(t.delta * t.h + (1.0 - t.delta) * np.eye(t.a.shape[0]), t.tol)
+    t.measured["gamma_H_delta"] = cert.gamma
+    return failures, cert.verdict
+
+
+def _induced_regular(t):
+    # Strict regularity (C >= 0) can fail for B = K M^-1 X even under the
+    # stated hypotheses (the walk benchmark is a witness), so the checkable
+    # conclusion is the weak form; min(C) is surfaced for inspection.  B
+    # exists only where the hypotheses hold.
+    failures = _semiconvergence(t, "M-matrix")
+    if failures:
+        return failures, False
+    t.measured["induced_matrix_mismatch"] = t.induced_mismatch
+    t.measured["min_B_inverse_entry"] = float(np.min(t.induced.solver.inverse_like()))
+    t.measured["min_C_entry"] = float(np.min(t.induced.v))
+    return failures, t.induced_failure(regular=False) is None and is_nonnegative(t.h, t.tol)
+
+
+def _quasi_three_step(t):
+    failures = _semiconvergence(t, "quasi")
+    shared = [c for c in ("is_quasi_weak_regular_type1", "is_quasi_weak_regular_type2",
+                          "is_quasi_regular") if all(getattr(r, c) for r in t.reports.values())]
+    if not shared:
+        failures.append("splittings do not share a quasi class")
+    failures += [f"{name} iteration matrix is not semiconvergent"
+                 for name in _NAMES if not t.certs[name].verdict]
+    failures += [f"index({name} iteration matrix) > 1"
+                 for name in _NAMES if not t.measured[f"index_le1_{name}"]]
+    b12 = alternating_iteration_matrix(t.splits[:2])
+    if not index_at_most_one(np.eye(t.a.shape[0]) - b12, t.tol):
+        failures.append("index(I - U^-1 V K^-1 L) > 1")
+    if not index_at_most_one(t.h, t.tol):
+        failures.append("index(H) > 1")
+    conclusion = t.certs["H"].verdict
+    if conclusion and shared:
+        # Without a nonsingular M the induced-splitting clause is
+        # unverifiable; the semiconvergence conclusion stands on its own.
+        if t.induced is None:
+            t.measured["induced_same_quasi_class"] = float("nan")
+        else:
+            report = classify(t.induced, t.tol)
+            conclusion = any(getattr(report, c) for c in shared)
+            t.measured["induced_same_quasi_class"] = float(conclusion)
+    return failures, conclusion
+
+
+def _quasi_comparison(t):
+    failures = _semiconvergence(t, "quasi")
+    if not (t.reports["K-L"].is_quasi_regular and t.certs["K-L"].verdict):
+        failures.append("K-L is not a semiconvergent quasi-regular splitting")
+    failures += [f"{name} is not quasi weak regular of type I" for name in _NAMES[1:]
+                 if not t.reports[name].is_quasi_weak_regular_type1]
+    return failures + _index(t), _no_worse_than(t, "gamma", ["X-Y"], "gamma_X-Y")
+
+
+def _quasi_two_vs_three(t):
+    failures = _semiconvergence(t, "quasi-regular")
+    for name, (i, j) in _PAIRS.items():
+        pair = (t.splits[i], t.splits[j])
+        cert = is_semiconvergent(alternating_iteration_matrix(pair), t.tol)
+        t.measured[f"gamma_{name}"] = cert.gamma
+        if cert.index_of_I_minus_T > 1:
+            failures.append(f"index(I - {name} product) > 1")
+        ind = _induced_from_product(pair, t.tol)
+        if ind is None:
+            failures.append(f"{name} middle factor is singular")
+        elif not classify(ind, t.tol).is_quasi_regular:
+            failures.append(f"induced splitting {name} is not quasi-regular")
+    return failures + _index(t), _no_worse_than(t, "gamma", _PAIRS, "min_pairwise_gamma")
+
+
+# The theorem table of the module docstring, one rule a theorem.
+_CONVERGENCE_RULES = {
+    "typeII-convergence": lambda t: (_convergence(t, middle=False), t.rho["H"] < 1.0),
+    "single-vs-three": _single_vs_three,
+    "both-types-comparison": lambda t: (
+        _convergence(t) + [f"{name} is not a proper G-weak regular splitting of type I"
+                           for name, r in t.reports.items() if not r.is_g_weak_regular_type1],
+        _no_worse_than(t, "rho", _NAMES, "min_single_rho")),
+    "two-vs-three": _two_vs_three,
+}
+_SEMICONVERGENCE_RULES = {
+    "regular-three-step": _regular_three_step,
+    "delta-shift": _delta_shift,
+    "induced-regular": _induced_regular,
+    "quasi-three-step": _quasi_three_step,
+    "quasi-comparison": _quasi_comparison,
+    "quasi-three-comparison": lambda t: (
+        _semiconvergence(t, "quasi-regular") + _index(t),
+        _no_worse_than(t, "gamma", _NAMES, "min_single_gamma")),
+    "quasi-two-vs-three": _quasi_two_vs_three,
+}
+CONVERGENCE_THEOREMS = tuple(_CONVERGENCE_RULES)
+SEMICONVERGENCE_THEOREMS = tuple(_SEMICONVERGENCE_RULES)
+
+
+def _triple(caller, splits, tol, delta=None) -> _Triple:
+    splits = tuple(splits)
+    if len(splits) != 3:
+        raise ValueError(f"{caller} expects exactly three splittings")
+    return _Triple(splits, tol, delta)
 
 
 def verify_convergence_theorem(
@@ -233,114 +506,14 @@ def verify_convergence_theorem(
 ) -> TheoremVerdict:
     """Certify one of the index-1 convergence/comparison results.
 
-    ``theorem_id`` is one of ``typeII-convergence``, ``single-vs-three``,
-    ``both-types-comparison``, ``two-vs-three`` (all expect three splittings
-    of one matrix A).
+    ``theorem_id`` is one of ``CONVERGENCE_THEOREMS`` (all expect three
+    splittings of one matrix A).
     """
     if theorem_id not in CONVERGENCE_THEOREMS:
         raise UnknownTheoremError(f"unknown convergence theorem {theorem_id!r}")
-    splits = tuple(splits)
-    if len(splits) != 3:
-        raise ValueError(f"{theorem_id} expects exactly three splittings")
-    a = _check_shared_a(splits)
-
-    failures: list[str] = []
-    measured: dict[str, float] = {}
-
-    gm, why = _group_monotone(a, tol)
-    if not gm:
-        failures.append(f"A is not group monotone: {why}")
-
-    reports = [classify(s, tol) for s in splits]
-    names = ("K-L", "U-V", "X-Y")
-    for name, rep in zip(names, reports):
-        if not rep.is_g_weak_regular_type2:
-            failures.append(f"{name} is not a proper G-weak regular splitting of type II")
-
-    h = alternating_iteration_matrix(splits)
-    rho_h = spectral_radius(h)
-    measured["rho_H"] = rho_h
-    single_radii = {name: spectral_radius(s.iteration_matrix) for name, s in zip(names, splits)}
-    measured.update({f"rho_{name}": r for name, r in single_radii.items()})
-
-    if theorem_id == "typeII-convergence":
-        return _verdict(theorem_id, failures, rho_h < 1.0, measured)
-
-    if not _same_range_and_null(_middle_factor(splits), a, tol):
-        failures.append("K + X - A + Y U# L does not share range/null with A")
-
-    if theorem_id == "both-types-comparison":
-        for name, rep in zip(names, reports):
-            if not rep.is_g_weak_regular_type1:
-                failures.append(
-                    f"{name} is not a proper G-weak regular splitting of type I"
-                )
-        floor = min(single_radii.values())
-        measured["min_single_rho"] = floor
-        return _verdict(theorem_id, failures, _no_worse(rho_h, floor), measured)
-
-    # The remaining two theorems compare against the splitting induced by H;
-    # without it only the hypotheses that need B# go unchecked.
-    b_sharp = None
-    if rho_h >= 1.0:
-        failures.append("rho(H) >= 1, no induced splitting")
-    else:
-        try:
-            induced = induced_splitting(a, h, tol)
-        except SingularIminusHError:
-            failures.append("I - H is singular, no induced splitting")
-        else:
-            if not classify(induced, tol).is_g_weak_regular_type2:
-                failures.append("induced splitting A = B - C is not type II")
-            b_sharp = induced.solver.inverse_like()
-
-    if theorem_id == "single-vs-three":
-        for name, s in zip(names, splits):
-            if b_sharp is not None and not _ge_identity(s.u @ b_sharp, tol.eq_tol):
-                failures.append(f"{name.split('-')[0]} B# >= I fails")
-        floor = min(single_radii.values())
-        measured["min_single_rho"] = floor
-        return _verdict(theorem_id, failures, _no_worse(rho_h, floor), measured)
-
-    # two-vs-three
-    pair_radii = []
-    for first, second, name in _PAIRS:
-        hp = alternating_iteration_matrix((splits[first], splits[second]))
-        rp = spectral_radius(hp)
-        pair_radii.append(rp)
-        measured[f"rho_{name}"] = rp
-        if rp >= 1.0:
-            failures.append(f"rho of the {name} product >= 1, no induced splitting")
-            continue
-        try:
-            ind = induced_splitting(a, hp, tol)
-        except SingularIminusHError:
-            failures.append(f"I minus the {name} product is singular, no induced splitting")
-            continue
-        if not classify(ind, tol).is_g_weak_regular_type2:
-            failures.append(f"induced splitting {name} is not type II")
-        if b_sharp is not None and not _ge_identity(ind.u @ b_sharp, tol.eq_tol):
-            failures.append(f"{name} B# >= I fails")
-    floor = min(pair_radii)
-    measured["min_pairwise_rho"] = floor
-    return _verdict(theorem_id, failures, _no_worse(rho_h, floor), measured)
-
-
-def _quasi_flags(report):
-    return {
-        "regular": report.is_quasi_regular,
-        "type1": report.is_quasi_weak_regular_type1,
-        "type2": report.is_quasi_weak_regular_type2,
-    }
-
-
-def _index_failures(names, certs, cert_h):
-    """Failures of index(I - T) <= 1 for each single-step matrix and for H."""
-    out = [f"index(I - {name} iteration matrix) > 1"
-           for name, c in zip(names, certs) if c.index_of_I_minus_T > 1]
-    if cert_h.index_of_I_minus_T > 1:
-        out.append("index(I - H) > 1")
-    return out
+    t = _triple(theorem_id, splits, tol)
+    failures, conclusion = _CONVERGENCE_RULES[theorem_id](t)
+    return TheoremVerdict(theorem_id, not failures, failures, conclusion, t.measured)
 
 
 def verify_semiconvergence_theorem(
@@ -351,164 +524,24 @@ def verify_semiconvergence_theorem(
 ) -> TheoremVerdict:
     """Certify one of the semiconvergence results for singular systems.
 
-    ``theorem_id`` is one of ``regular-three-step``, ``delta-shift``,
-    ``induced-regular``, ``quasi-three-step``, ``quasi-comparison``,
-    ``quasi-three-comparison``, ``quasi-two-vs-three``.  All expect three
-    splittings with nonsingular split parts; ``delta-shift`` additionally
-    needs ``delta``.
+    ``theorem_id`` is one of ``SEMICONVERGENCE_THEOREMS``.  All expect three
+    splittings with nonsingular split parts; ``delta-shift`` also needs
+    ``delta`` in (0, 1), checked before the splittings are read.
     """
     if theorem_id not in SEMICONVERGENCE_THEOREMS:
         raise UnknownTheoremError(f"unknown semiconvergence theorem {theorem_id!r}")
-    splits = tuple(splits)
-    if len(splits) != 3:
-        raise ValueError(f"{theorem_id} expects exactly three splittings")
-    a = _check_shared_a(splits)
-    eye = np.eye(a.shape[0])
-
-    failures: list[str] = []
-    measured: dict[str, float] = {}
-    names = ("K-L", "U-V", "X-Y")
-
-    for name, s in zip(names, splits):
-        if not s.u_is_nonsingular:
-            failures.append(f"{name} has a singular split part")
-    if failures:
-        return _verdict(theorem_id, failures, False, measured)
-
-    reports = [classify(s, tol) for s in splits]
-    h = alternating_iteration_matrix(splits)
-    cert_h = is_semiconvergent(h, tol)
-    certs = [is_semiconvergent(s.iteration_matrix, tol) for s in splits]
-    measured["gamma_H"] = cert_h.gamma
-    measured["rho_H"] = cert_h.rho
-    for name, s, c in zip(names, splits, certs):
-        measured[f"gamma_{name}"] = c.gamma
-        # Both index variants appear across the statements; surface both.
-        measured[f"index_le1_{name}"] = float(index_at_most_one(s.iteration_matrix, tol))
-        measured[f"index_le1_I_minus_{name}"] = float(c.index_of_I_minus_T == 1)
-
-    if theorem_id in ("regular-three-step", "delta-shift", "induced-regular"):
-        if not is_m_matrix_with_property_c(a, tol):
-            failures.append("A is not an M-matrix with property c")
-        for name, rep in zip(names, reports):
-            if not rep.is_regular:
-                failures.append(f"{name} is not a regular splitting")
-        middle_nonsingular = _nonsingular(_middle_factor(splits), tol.rank_tol)
-        measured["middle_nonsingular"] = float(middle_nonsingular)
-        if not middle_nonsingular:
-            failures.append("K + X - A + Y U^-1 L is singular")
-
-        if theorem_id == "regular-three-step":
-            diag_min = float(np.min(np.diag(h)))
-            measured["min_diag_H"] = diag_min
-            if diag_min <= 0.0:
-                failures.append("diag(H) is not strictly positive")
-            return _verdict(theorem_id, failures, cert_h.verdict, measured)
-
-        if theorem_id == "delta-shift":
-            if delta is None:
-                raise MissingDeltaError("delta-shift theorem needs delta")
-            if not 0.0 < delta < 1.0:
-                raise ValueError("delta must lie in (0, 1)")
-            cert_delta = is_semiconvergent(delta * h + (1.0 - delta) * eye, tol)
-            measured["gamma_H_delta"] = cert_delta.gamma
-            return _verdict(theorem_id, failures, cert_delta.verdict, measured)
-
-        # induced-regular: the candidate B = K M^-1 X reproduces H as a
-        # weak regular splitting of type I.  Strict regularity (C >= 0) can
-        # fail for this candidate even under the stated hypotheses (the
-        # walk benchmark is a witness), so the checkable conclusion is the
-        # weak form; min(C) is surfaced for inspection.  The middle factor
-        # M is nonsingular (tested above), so the induced splitting exists.
-        if failures:
-            return _verdict(theorem_id, failures, False, measured)
-        ind = _induced_from_product(splits, tol)
-        match = float(np.max(np.abs(ind.iteration_matrix - h)))
-        measured["induced_matrix_mismatch"] = match
-        measured["min_B_inverse_entry"] = float(np.min(ind.solver.inverse_like()))
-        measured["min_C_entry"] = float(np.min(ind.v))
-        conclusion = (
-            is_nonnegative(ind.solver.inverse_like(), tol)
-            and is_nonnegative(h, tol)
-            and match < tol.eq_tol * max(1.0, float(np.max(np.abs(h))))
-        )
-        return _verdict(theorem_id, failures, conclusion, measured)
-
-    # quasi family -----------------------------------------------------
-    quasi = [_quasi_flags(rep) for rep in reports]
-    for name, c in zip(names, certs):
-        measured[f"semiconvergent_{name}"] = float(c.verdict)
-
-    if theorem_id == "quasi-three-step":
-        common = [kind for kind in ("type1", "type2", "regular")
-                  if all(q[kind] for q in quasi)]
-        if not common:
-            failures.append("splittings do not share a quasi class")
-        for name, c in zip(names, certs):
-            if not c.verdict:
-                failures.append(f"{name} iteration matrix is not semiconvergent")
-        # index conditions exactly as stated
-        for name in names:
-            if not measured[f"index_le1_{name}"]:
-                failures.append(f"index({name} iteration matrix) > 1")
-        if not index_at_most_one(eye - alternating_iteration_matrix(splits[:2]), tol):
-            failures.append("index(I - U^-1 V K^-1 L) > 1")
-        if not index_at_most_one(h, tol):
-            failures.append("index(H) > 1")
-        conclusion = cert_h.verdict
-        if conclusion and common:
-            ind = _induced_from_product(splits, tol)
-            if ind is None:
-                # Induced-splitting clause is unverifiable without the
-                # nonsingular middle factor; the semiconvergence conclusion
-                # stands on its own.
-                measured["induced_same_quasi_class"] = float("nan")
-            else:
-                ind_flags = _quasi_flags(classify(ind, tol))
-                conclusion = any(ind_flags[kind] for kind in common)
-                measured["induced_same_quasi_class"] = float(conclusion)
-        return _verdict(theorem_id, failures, conclusion, measured)
-
-    if theorem_id == "quasi-comparison":
-        if not (quasi[0]["regular"] and certs[0].verdict):
-            failures.append("K-L is not a semiconvergent quasi-regular splitting")
-        for name, q in zip(names[1:], quasi[1:]):
-            if not q["type1"]:
-                failures.append(f"{name} is not quasi weak regular of type I")
-        failures += _index_failures(names, certs, cert_h)
-        bound = measured["gamma_X-Y"]
-        return _verdict(theorem_id, failures, _no_worse(cert_h.gamma, bound), measured)
-
-    for name, q, c in zip(names, quasi, certs):
-        if not q["regular"]:
-            failures.append(f"{name} is not a quasi-regular splitting")
-        if not c.verdict:
-            failures.append(f"{name} iteration matrix is not semiconvergent")
-
-    if theorem_id == "quasi-three-comparison":
-        failures += _index_failures(names, certs, cert_h)
-        bound = min(measured[f"gamma_{name}"] for name in names)
-        measured["min_single_gamma"] = bound
-        return _verdict(theorem_id, failures, _no_worse(cert_h.gamma, bound), measured)
-
-    # quasi-two-vs-three
-    pair_gammas = []
-    for first, second, name in _PAIRS:
-        hp = alternating_iteration_matrix((splits[first], splits[second]))
-        cert_p = is_semiconvergent(hp, tol)
-        pair_gammas.append(cert_p.gamma)
-        measured[f"gamma_{name}"] = cert_p.gamma
-        if cert_p.index_of_I_minus_T > 1:
-            failures.append(f"index(I - {name} product) > 1")
-        ind = _induced_from_product((splits[first], splits[second]), tol)
-        if ind is None:
-            failures.append(f"{name} middle factor is singular")
-        elif not classify(ind, tol).is_quasi_regular:
-            failures.append(f"induced splitting {name} is not quasi-regular")
-    failures += _index_failures(names, certs, cert_h)
-    bound = min(pair_gammas)
-    measured["min_pairwise_gamma"] = bound
-    return _verdict(theorem_id, failures, _no_worse(cert_h.gamma, bound), measured)
+    if theorem_id == "delta-shift":
+        if delta is None:
+            raise MissingDeltaError("delta-shift theorem needs delta")
+        if not 0.0 < delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+    t = _triple(theorem_id, splits, tol, delta)
+    failures = [f"{name} has a singular split part"
+                for name, s in zip(_NAMES, t.splits) if not s.u_is_nonsingular]
+    conclusion = False
+    if not failures:
+        failures, conclusion = _SEMICONVERGENCE_RULES[theorem_id](t)
+    return TheoremVerdict(theorem_id, not failures, failures, conclusion, t.measured)
 
 
 def induced_regular_splitting(
@@ -525,25 +558,16 @@ def induced_regular_splitting(
     ClassificationError
         If any input splitting fails to classify as regular.
     NonsingularHypothesisError
-        If K + X - A + Y U^-1 L is singular.
+        If K + X - A + Y U^-1 L is singular, or the induced B^-1 or C has a
+        negative entry, or B^-1 C does not reproduce H.
     """
-    splits = tuple(splits)
-    if len(splits) != 3:
-        raise ValueError("expected exactly three splittings")
-    _check_shared_a(splits)
-    for label, s in zip(("K-L", "U-V", "X-Y"), splits):
-        if not classify(s, tol).is_regular:
-            raise ClassificationError(f"{label} is not a regular splitting")
-    ind = _induced_from_product(splits, tol)
-    if ind is None:
+    t = _triple("induced_regular_splitting", splits, tol)
+    for name, report in t.reports.items():
+        if not report.is_regular:
+            raise ClassificationError(f"{name} is not a regular splitting")
+    if t.induced is None:
         raise NonsingularHypothesisError("K + X - A + Y U^-1 L is singular")
-    h = alternating_iteration_matrix(splits)
-    scale = max(1.0, float(np.max(np.abs(h))))
-    b_inv = ind.solver.inverse_like()
-    if not is_nonnegative(b_inv, tol):
-        raise NonsingularHypothesisError("induced B^-1 has negative entries")
-    if not is_nonnegative(ind.v, tol):
-        raise NonsingularHypothesisError("induced C = B - A has negative entries")
-    if float(np.max(np.abs(ind.iteration_matrix - h))) > tol.eq_tol * scale:
-        raise NonsingularHypothesisError("induced splitting does not reproduce H")
-    return ind
+    why = t.induced_failure(regular=True)
+    if why is not None:
+        raise NonsingularHypothesisError(why)
+    return t.induced

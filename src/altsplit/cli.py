@@ -252,105 +252,74 @@ def _cmd_bench(args) -> int:
     return 0 if all(r.converged for r in rows) else 1
 
 
-def _suite_group_inverse(rng, trials, size):
-    failures = []
-    for k in range(trials):
-        n = int(rng.integers(_SMALLEST_ORDER["group-inverse"], size + 1))
-        r = int(rng.integers(1, n + 1))
-        a = random_index_one(rng, n, r)
-        x = group_inverse(a)
-        scale = max(1.0, float(np.max(np.abs(a))))
-        res = max(
-            float(np.max(np.abs(a @ x @ a - a))),
-            float(np.max(np.abs(x @ a @ x - x))),
-            float(np.max(np.abs(a @ x - x @ a))),
-        ) / scale
-        if res > 1e-10:
-            failures.append((k, f"defining-equation residual {res:.3e}"))
-    return failures
+def _check_group_inverse(rng, n):
+    a = random_index_one(rng, n, int(rng.integers(1, n + 1)))
+    x = group_inverse(a)
+    residuals = (a @ x @ a - a, x @ a @ x - x, a @ x - x @ a)
+    res = max(float(np.max(np.abs(r))) for r in residuals) / max(1.0, float(np.max(np.abs(a))))
+    return f"defining-equation residual {res:.3e}" if res > 1e-10 else None
 
 
-def _suite_companion(rng, trials, size):
-    failures = []
-    for k in range(trials):
-        n = int(rng.integers(_SMALLEST_ORDER["companion"], size + 1))
-        a, splits = random_proper_triple(rng, n)
-        h = alternating_iteration_matrix(splits)
-        s = companion_matrix(splits)
-        a_sharp = group_inverse(a)
-        gap = abs(spectral_radius(s) - spectral_radius(h))
-        mismatch = float(np.max(np.abs(s - a @ h @ a_sharp)))
-        if gap > 1e-8 or mismatch > 1e-8:
-            failures.append((k, f"rho gap {gap:.3e}, S - A H A# {mismatch:.3e}"))
-    return failures
+def _check_companion(rng, n):
+    a, splits = random_proper_triple(rng, n)
+    h = alternating_iteration_matrix(splits)
+    s = companion_matrix(splits)
+    gap = abs(spectral_radius(s) - spectral_radius(h))
+    mismatch = float(np.max(np.abs(s - a @ h @ group_inverse(a))))
+    if gap > 1e-8 or mismatch > 1e-8:
+        return f"rho gap {gap:.3e}, S - A H A# {mismatch:.3e}"
+    return None
 
 
-def _suite_convergence(rng, trials, size, theorem_id):
-    failures = []
-    for k in range(trials):
-        n = int(rng.integers(_SMALLEST_ORDER[theorem_id], size + 1))
-        if theorem_id == "two-vs-three" and rng.random() < 0.7:
-            # nonsingular monotone instances exercise the >= I hypotheses
-            a, splits = random_group_monotone_regular_triple(rng, n, rank_r=n)
-        else:
-            a, splits = random_group_monotone_regular_triple(rng, n)
-        verdict = verify_convergence_theorem(theorem_id, splits)
+def _check_convergence(theorem_id):
+    def check(rng, n):
+        # two-vs-three draws nonsingular monotone instances 70% of the
+        # time, to exercise its >= I hypotheses
+        rank_r = n if theorem_id == "two-vs-three" and rng.random() < 0.7 else None
+        verdict = verify_convergence_theorem(
+            theorem_id, random_group_monotone_regular_triple(rng, n, rank_r=rank_r)[1])
         if verdict.hypotheses_hold and not verdict.conclusion_holds:
-            failures.append((k, f"hypotheses hold but conclusion fails: {verdict.measured_quantities}"))
-    return failures
+            return f"hypotheses hold but conclusion fails: {verdict.measured_quantities}"
+        return None
+    return check
 
 
-def _suite_semiconvergence(rng, trials, size):
-    failures = []
-    for k in range(trials):
-        n = int(rng.integers(_SMALLEST_ORDER["semiconvergence"], size + 1))
-        t, kind = random_semiconvergence_case(rng, n)
-        cert = is_semiconvergent(t)
-        limit = power_limit_oracle(t, k_max=20_000, tol=ToleranceProfile(eq_tol=1e-11))
-        if cert.verdict != (limit is not None):
-            failures.append((k, f"{kind}: certificate {cert.verdict}, oracle {limit is not None}"))
-        elif cert.verdict and float(np.max(np.abs(cert.limit_matrix - limit))) > 1e-8:
-            failures.append((k, f"{kind}: limits disagree"))
-    return failures
+def _check_semiconvergence(rng, n):
+    t, kind = random_semiconvergence_case(rng, n)
+    cert = is_semiconvergent(t)
+    limit = power_limit_oracle(t, k_max=20_000, tol=ToleranceProfile(eq_tol=1e-11))
+    if cert.verdict != (limit is not None):
+        return f"{kind}: certificate {cert.verdict}, oracle {limit is not None}"
+    if cert.verdict and float(np.max(np.abs(cert.limit_matrix - limit))) > 1e-8:
+        return f"{kind}: limits disagree"
+    return None
 
 
-def _suite_quasi(rng, trials, size):
-    failures = []
-    for k in range(trials):
-        n = int(rng.integers(_SMALLEST_ORDER["quasi"], size + 1))
-        a, splits = random_quasi_regular_triple(rng, n)
-        for theorem_id in ("quasi-three-step", "quasi-three-comparison", "quasi-two-vs-three"):
-            verdict = verify_semiconvergence_theorem(theorem_id, splits)
-            if verdict.hypotheses_hold and not verdict.conclusion_holds:
-                failures.append((k, f"{theorem_id}: {verdict.measured_quantities}"))
-        m_a, m_splits = random_singular_m_matrix_triple(rng, n)
-        for theorem_id, d in (("regular-three-step", None), ("delta-shift", 0.5),
-                              ("induced-regular", None)):
-            verdict = verify_semiconvergence_theorem(theorem_id, m_splits, delta=d)
-            if verdict.hypotheses_hold and not verdict.conclusion_holds:
-                failures.append((k, f"{theorem_id}: {verdict.measured_quantities}"))
-    return failures
+def _check_quasi(rng, n):
+    quasi = random_quasi_regular_triple(rng, n)[1]
+    m_matrix = random_singular_m_matrix_triple(rng, n)[1]
+    for splits, theorem_id, delta in (
+        (quasi, "quasi-three-step", None), (quasi, "quasi-three-comparison", None),
+        (quasi, "quasi-two-vs-three", None), (m_matrix, "regular-three-step", None),
+        (m_matrix, "delta-shift", 0.5), (m_matrix, "induced-regular", None),
+    ):
+        verdict = verify_semiconvergence_theorem(theorem_id, splits, delta=delta)
+        if verdict.hypotheses_hold and not verdict.conclusion_holds:
+            return f"{theorem_id}: {verdict.measured_quantities}"
+    return None
 
 
+# Each suite, in the order of --suite all: the smallest order it draws
+# (--size must reach it), and the check of one trial on an order drawn
+# from [smallest, --size], which says why the trial failed, or None.
 _SUITES = {
-    "group-inverse": _suite_group_inverse,
-    "companion": _suite_companion,
-    "typeII-convergence": lambda rng, t, s: _suite_convergence(rng, t, s, "typeII-convergence"),
-    "both-types-comparison": lambda rng, t, s: _suite_convergence(rng, t, s, "both-types-comparison"),
-    "two-vs-three": lambda rng, t, s: _suite_convergence(rng, t, s, "two-vs-three"),
-    "semiconvergence": _suite_semiconvergence,
-    "quasi": _suite_quasi,
-}
-
-# The smallest order each suite draws; --size must reach it.
-_SMALLEST_ORDER = {
-    "group-inverse": 2,
-    "companion": 3,
-    "typeII-convergence": 3,
-    "both-types-comparison": 3,
-    "two-vs-three": 3,
-    "semiconvergence": 2,
-    "quasi": 4,
+    "group-inverse": (2, _check_group_inverse),
+    "companion": (3, _check_companion),
+    "typeII-convergence": (3, _check_convergence("typeII-convergence")),
+    "both-types-comparison": (3, _check_convergence("both-types-comparison")),
+    "two-vs-three": (3, _check_convergence("two-vs-three")),
+    "semiconvergence": (2, _check_semiconvergence),
+    "quasi": (4, _check_quasi),
 }
 
 
@@ -358,20 +327,24 @@ def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    smallest = max(_SMALLEST_ORDER[name] for name in names)
+    smallest = max(_SUITES[name][0] for name in names)
     if args.size < smallest:
         raise ValueError(f"--size must be at least {smallest} for suite {args.suite}")
     rng = np.random.default_rng(args.seed)
     print(f"seed {args.seed}")
     any_failed = False
     for name in names:
-        failures = _SUITES[name](rng, args.trials, args.size)
-        status = "ok" if not failures else "FAIL"
-        print(f"{name:<24s} {args.trials - len(failures)}/{args.trials} {status}")
+        low, check = _SUITES[name]
+        failures = []
+        for k in range(args.trials):
+            why = check(rng, int(rng.integers(low, args.size + 1)))
+            if why is not None:
+                failures.append((k, why))
+        print(f"{name:<24s} {args.trials - len(failures)}/{args.trials} "
+              f"{'FAIL' if failures else 'ok'}")
         if failures:
             any_failed = True
-            k, why = failures[0]
-            print(f"  first counterexample: trial {k}: {why}")
+            print(f"  first counterexample: trial {failures[0][0]}: {failures[0][1]}")
     return 1 if any_failed else 0
 
 

@@ -377,15 +377,17 @@ def _middle_factor(splits) -> np.ndarray:
     return middle
 
 
-def _induced_from_product(splits, tol: ToleranceProfile) -> Splitting | None:
+def _induced_from_product(splits, tol: ToleranceProfile, middle=None) -> Splitting | None:
     """Splitting A = B - C induced by a two- or three-step product.
 
     B = U_first M^-1 U_last with M the middle factor; this equals
     A (I - H)^-1 whenever that exists and stays defined for singular A,
-    where 1 is an eigenvalue of H.  None when M is singular.
+    where 1 is an eigenvalue of H.  None when M is singular.  A caller that
+    has formed M and found it nonsingular passes it as ``middle``.
     """
-    middle = _middle_factor(splits)
-    if not _nonsingular(middle, tol.rank_tol):
-        return None
+    if middle is None:
+        middle = _middle_factor(splits)
+        if not _nonsingular(middle, tol.rank_tol):
+            return None
     b = splits[0].u @ np.linalg.solve(middle, splits[-1].u)
     return make_splitting(splits[0].a, b, tol)

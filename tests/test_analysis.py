@@ -291,6 +291,46 @@ class TestSemiconvergenceVerifiers:
         with pytest.raises(MissingDeltaError):
             verify_semiconvergence_theorem("delta-shift", splits)
 
+    @pytest.mark.parametrize("delta, error", [
+        (None, MissingDeltaError),
+        (7.0, ValueError),
+        (float("nan"), ValueError),
+        (0.0, ValueError),
+        (1.0, ValueError),
+    ])
+    def test_delta_checked_before_the_splittings(self, delta, error):
+        # U = A is singular, so the splittings alone would give a verdict
+        walk = make_random_walk(4)
+        s = make_splitting(walk.A, walk.A)
+        with pytest.raises(error):
+            verify_semiconvergence_theorem("delta-shift", [s, s, s], delta=delta)
+
+    def test_middle_factor_formed_and_decided_once(self, monkeypatch):
+        import altsplit.splittings as splittings
+
+        _, splits = walk_triple()
+        middles, decided = [], []
+
+        def forming(real):
+            def wrapped(chosen):
+                middles.append(real(chosen))
+                return middles[-1]
+            return wrapped
+
+        def deciding(real):
+            def wrapped(m, *args, **kwargs):
+                decided.extend(m is middle for middle in middles)
+                return real(m, *args, **kwargs)
+            return wrapped
+
+        for module in (analysis, splittings):
+            monkeypatch.setattr(module, "_middle_factor", forming(module._middle_factor))
+            monkeypatch.setattr(module, "_nonsingular", deciding(module._nonsingular))
+        verdict = verify_semiconvergence_theorem("induced-regular", splits)
+        assert verdict.hypotheses_hold and verdict.conclusion_holds
+        assert len(middles) == 1
+        assert decided.count(True) == 1
+
     def test_walk_regular_three_step(self):
         _, splits = walk_triple()
         verdict = verify_semiconvergence_theorem("regular-three-step", splits)
@@ -363,7 +403,70 @@ class TestSemiconvergenceVerifiers:
                 assert not (verdict.hypotheses_hold and not verdict.conclusion_holds)
 
 
+GENERATOR_THEOREMS = [
+    (random_group_monotone_regular_triple, analysis.CONVERGENCE_THEOREMS),
+    (random_singular_m_matrix_triple, analysis.SEMICONVERGENCE_THEOREMS[:3]),
+    (random_quasi_regular_triple, analysis.SEMICONVERGENCE_THEOREMS[3:]),
+]
+
+
+def _verdicts(splits, theorem_ids):
+    return {
+        theorem_id: verify_convergence_theorem(theorem_id, splits)
+        if theorem_id in analysis.CONVERGENCE_THEOREMS
+        else verify_semiconvergence_theorem(theorem_id, splits, delta=0.5)
+        for theorem_id in theorem_ids
+    }
+
+
+class TestPermutationSimilarity:
+    """P A P^T split by the P U P^T: a relabelling of the unknowns, which
+    no class verdict, hypothesis or conclusion may notice."""
+
+    @pytest.mark.parametrize("make, theorem_ids", GENERATOR_THEOREMS,
+                             ids=[make.__name__ for make, _ in GENERATOR_THEOREMS])
+    def test_verdicts_survive_a_permutation(self, make, theorem_ids):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 9))
+            a, splits = make(rng, n)
+            p = np.eye(n)[rng.permutation(n)]
+            pa = p @ a @ p.T
+            permuted = [make_splitting(pa, p @ s.u @ p.T) for s in splits]
+            for s, ps in zip(splits, permuted):
+                assert classify(s).flags() == classify(ps).flags(), seed
+            before, after = _verdicts(splits, theorem_ids), _verdicts(permuted, theorem_ids)
+            for theorem_id in theorem_ids:
+                v, pv = before[theorem_id], after[theorem_id]
+                assert v.hypotheses_hold == pv.hypotheses_hold, (seed, theorem_id)
+                assert v.hypothesis_failures == pv.hypothesis_failures, (seed, theorem_id)
+                assert v.conclusion_holds == pv.conclusion_holds, (seed, theorem_id)
+                for key in ("rho_H", "gamma_H"):
+                    if key in v.measured_quantities:
+                        gap = abs(v.measured_quantities[key] - pv.measured_quantities[key])
+                        assert gap <= 1e-12, (seed, theorem_id, key)
+
+
 class TestInducedRegularSplitting:
+    def test_agrees_with_the_verifier(self):
+        # one check of the induced B: the function returns it exactly when
+        # the verifier's weak conclusion holds and C = B - A >= 0 too
+        rng = np.random.default_rng(3)
+        cases = [walk_triple()[1], walk_triple(30)[1]]
+        cases += [random_singular_m_matrix_triple(rng, int(rng.integers(4, 9)))[1]
+                  for _ in range(10)]
+        for splits in cases:
+            verdict = verify_semiconvergence_theorem("induced-regular", splits)
+            assert verdict.hypotheses_hold
+            regular = (verdict.conclusion_holds
+                       and verdict.measured_quantities["min_C_entry"] >= -1e-12)
+            try:
+                induced_regular_splitting(splits)
+            except NonsingularHypothesisError:
+                assert not regular
+            else:
+                assert regular
+
     def test_walk_triple_is_only_weak_regular(self):
         # the walk's induced C = B - A has genuinely negative entries, so
         # the strict contract refuses it even though B^-1 C = H holds

@@ -225,6 +225,28 @@ class TestVerifyCommand:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
 
+    def test_a_trial_fails_once_however_many_checks_fail(self, monkeypatch, capsys):
+        # every quasi-suite verdict is a counterexample: six per trial
+        from altsplit.analysis import TheoremVerdict
+
+        def broken(theorem_id, splits, delta=None):
+            return TheoremVerdict(theorem_id, True, [], False, {"gamma_H": 1.0})
+
+        monkeypatch.setattr(cli, "verify_semiconvergence_theorem", broken)
+        code = main(["verify", "--suite", "quasi", "--trials", "2", "--size", "4"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "quasi                    0/2 FAIL" in out
+        assert "first counterexample: trial 0: quasi-three-step: {'gamma_H': 1.0}" in out
+
+    def test_all_runs_the_suites_in_table_order(self, capsys):
+        assert main(["verify", "--suite", "all", "--trials", "1", "--size", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split()[0] for line in lines] == [
+            "group-inverse", "companion", "typeII-convergence", "both-types-comparison",
+            "two-vs-three", "semiconvergence", "quasi",
+        ]
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("case, expected", [
