@@ -7,7 +7,8 @@ vector solves the homogeneous singular system (I - T^t) x = 0.
 
 Matrix Market files (Boisvert, Pozo and Remington, NIST IR 5935, 1996) of
 either format and symmetry are read through one (row, column, value) triple
-and one fill, and written through one emitter.
+and one fill, and written through one emitter.  The body is tokenised once,
+and line numbers are found only when an error needs one.
 """
 from __future__ import annotations
 
@@ -116,23 +117,29 @@ _FIELDS = ("real", "integer")
 _SYMMETRIES = ("general", "symmetric")
 
 
-def _parse(convert, lines, linenos):
-    """Every token of ``lines`` through ``convert``, naming the line of a bad one."""
+def _linenos(lines):
+    """1-based numbers of the lines neither blank nor comment (as the header is)."""
+    return (k for k, line in enumerate(lines, 1) if line.lstrip()[:1] not in ("", "%"))
+
+
+def _parse(convert, tokens, line_of):
+    """Every token through ``convert`` into one array, naming the line of the first bad one."""
+    dtype = float if convert is float else object  # ints stay Python ints: none overflows
     try:
-        return list(map(convert, " ".join(lines).split()))
+        return np.fromiter(map(convert, tokens), dtype, len(tokens))
     except ValueError:
-        for line, lineno in zip(lines, linenos):
+        for k, token in enumerate(tokens):
             try:
-                list(map(convert, line.split()))
+                convert(token)
             except ValueError as exc:
-                raise MatrixMarketError(str(exc), line=lineno) from None
+                raise MatrixMarketError(str(exc), line=line_of(k)) from None
 
 
-def _reject(bad, linenos, message):
+def _reject(bad, line_of, message):
     """Raise MatrixMarketError at the line of the first entry flagged ``bad``."""
     hits = np.flatnonzero(bad)
     if hits.size:
-        raise MatrixMarketError(message, line=linenos[hits[0]])
+        raise MatrixMarketError(message, line=line_of(hits[0]))
 
 
 def read_matrix_market(path) -> np.ndarray:
@@ -175,12 +182,9 @@ def read_matrix_market(path) -> np.ndarray:
     symmetric = sym == "symmetric"
 
     # the first non-comment, non-blank line after the header carries the sizes
-    linenos = [k for k, ln in enumerate(lines[1:], 2) if ln.lstrip()[:1] not in ("", "%")]
-    if not linenos:
+    if (size_at := next(_linenos(lines), None)) is None:
         raise MatrixMarketError("missing size line", line=len(lines))
-    size_at, last_at, linenos = linenos[0], linenos[-1], linenos[1:]
-    body = [lines[k - 1] for k in linenos]
-    sizes = _parse(int, [lines[size_at - 1]], [size_at])
+    sizes = _parse(int, lines[size_at - 1].split(), lambda k: size_at)
     if len(sizes) != (2 if fmt == "array" else 3) or min(sizes) < 0:
         shape = "rows cols" if fmt == "array" else "rows cols nnz"
         raise MatrixMarketError(f"size line must be '{shape}', nonnegative", line=size_at)
@@ -188,13 +192,24 @@ def read_matrix_market(path) -> np.ndarray:
     if symmetric and rows != cols:
         raise MatrixMarketError("symmetric matrix must be square", line=size_at)
 
+    def line_of(k):  # of array value or coordinate entry k, or of the size line for k = -1
+        linenos = list(_linenos(lines))  # the size line first; found only to name an error
+        per_line = [len(lines[n - 1].split()) if fmt == "array" else 1 for n in linenos[1:]]
+        return int(np.repeat(linenos, [1, *per_line])[k + 1])
+
+    rest = lines[size_at:]
+    if "%" in (body := " ".join(rest)):  # drop comment lines; blank lines hold no token
+        rest = [line for line in rest if line.lstrip()[:1] != "%"]
+        body = " ".join(rest)
     if fmt == "array":
-        values = _parse(float, body, linenos)
+        values = _parse(float, body.split(), line_of)
         count, want = len(values), rows * (rows + 1) // 2 if symmetric else rows * cols
     else:
-        count, want = len(body), nnz[0]
+        cells = [cell for cell in map(str.split, rest) if cell]
+        count, want = len(cells), nnz[0]
     if count != want:
-        raise MatrixMarketError(f"expected {want} {fmt} values, got {count}", line=last_at)
+        raise MatrixMarketError(f"expected {want} {fmt} values, got {count}",
+                                line=line_of(count - 1))
     try:
         out = np.zeros((rows, cols))
     except (MemoryError, ValueError):
@@ -205,22 +220,17 @@ def read_matrix_market(path) -> np.ndarray:
     elif fmt == "array":
         c, r = np.unravel_index(np.arange(want), (cols, rows))  # column-major
     else:
-        cells = [line.split() for line in body]
-        _reject([len(cell) != 3 for cell in cells], linenos, "entry line must be 'i j value'")
-        i, j, values = (_parse(f, [cell[k] for cell in cells], linenos)
+        _reject([len(cell) != 3 for cell in cells], line_of, "entry line must be 'i j value'")
+        i, j, values = (_parse(f, [cell[k] for cell in cells], line_of)
                         for k, f in enumerate((int, int, float)))
         out_of_range = [not (0 < p <= rows and 0 < q <= cols) for p, q in zip(i, j)]
-        _reject(out_of_range, linenos, "entry index out of range")
+        _reject(out_of_range, line_of, "entry index out of range")
         r, c = np.array(i, dtype=np.intp) - 1, np.array(j, dtype=np.intp) - 1
         # one fill cannot rely on NumPy's order for repeated indices
         first = np.unique(r * cols + c, return_index=True)[1]
-        _reject(~np.isin(np.arange(r.size), first), linenos, "entry position given twice")
-        _reject(symmetric & (r < c), linenos, "entry above the diagonal of a symmetric matrix")
-    values = np.asarray(values)
-    bad = ~np.isfinite(values)
-    if bad.any():  # one value per coordinate line; an array line may hold several
-        at = linenos if fmt == "coordinate" else np.repeat(linenos, [len(ln.split()) for ln in body])
-        _reject(bad, at, "value must be finite")
+        _reject(~np.isin(np.arange(r.size), first), line_of, "entry position given twice")
+        _reject(symmetric & (r < c), line_of, "entry above the diagonal of a symmetric matrix")
+    _reject(~np.isfinite(values), line_of, "value must be finite")
     out[r, c] = values
     if symmetric:
         out[c, r] = values

@@ -75,6 +75,27 @@ def test_reader_returns_a_matrix_or_raises_matrix_market_error(path, data):
         assert result.ndim == 2 and result.size <= 50 * 50
 
 
+FILLER = st.sampled_from(["", "   ", "\t", "%", "% 1 x 2", "  % indented", "%%MatrixMarket"])
+
+
+@given(original=well_formed(), draw=st.data())
+def test_comment_and_blank_lines_move_only_line_numbers(path, original, draw):
+    # inserted anywhere after the header, they leave a valid file's matrix
+    # alone and move an error's line by the count inserted above it
+    lines = original.decode("utf-8").split("\n")
+    added = draw.draw(st.lists(st.tuples(st.integers(1, len(lines)), FILLER), max_size=6))
+    padded = list(lines)
+    for at, text in sorted(added, reverse=True):
+        padded.insert(at, text)
+    before = _read(path, original)
+    after = _read(path, "\n".join(padded).encode("utf-8"))
+    assert type(after) is type(before)
+    if isinstance(before, np.ndarray):
+        assert after.shape == before.shape and after.tobytes() == before.tobytes()
+    else:
+        assert after.line == before.line + sum(at < before.line for at, _ in added)
+
+
 @given(data=FILES)
 def test_classify_exits_2_on_a_rejected_file(path, data):
     if not isinstance(_read(path, data), MatrixMarketError):

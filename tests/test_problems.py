@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import altsplit.problems
 from altsplit import (
     MatrixMarketError,
     UnsupportedFieldError,
@@ -210,6 +211,30 @@ class TestMatrixMarket:
         with pytest.raises(MatrixMarketError) as err:
             read_matrix_market(path)
         assert err.value.line == 5
+
+    @pytest.mark.parametrize("fmt", ["array", "coordinate"])
+    @pytest.mark.parametrize("commented", [False, True])
+    def test_a_valid_file_finds_no_line_number_past_its_size_line(
+            self, tmp_path, monkeypatch, fmt, commented):
+        # body line numbers are found only when an error must name one
+        m = make_laplace(21).A
+        path = tmp_path / "a.mtx"
+        write_matrix_market(path, m, fmt=fmt)
+        header, size, body = path.read_text().split("\n", 2)
+        if commented:  # two lines before the size line, two after
+            header, size = f"{header}\n% note\n", f"{size}\n   % indented\n"
+        path.write_text("\n".join([header, size, body]))
+        found = []
+        scan = altsplit.problems._linenos
+
+        def spy(lines):
+            for k in scan(lines):
+                found.append(k)
+                yield k
+
+        monkeypatch.setattr(altsplit.problems, "_linenos", spy)
+        np.testing.assert_array_equal(read_matrix_market(path), m)
+        assert found == [4 if commented else 2]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "hdr.mtx"
