@@ -116,6 +116,13 @@ def _gamma(chosen) -> float:
     return gamma(alternating_iteration_matrix(chosen))
 
 
+def _choice(name, value, table):
+    """``table[value]``; a ValueError naming the accepted values otherwise."""
+    if value not in table:
+        raise ValueError(f"{name} must be one of {', '.join(map(repr, table))}, got {value!r}")
+    return table[value]
+
+
 def bench_laplace(
     grid_n: int,
     alphas=(1.0, 1.5, 1.75),
@@ -125,12 +132,12 @@ def bench_laplace(
     max_iterations: int = 2_000_000,
 ):
     """Run the Dirichlet benchmark; returns rows three/two/single."""
+    rule = _choice("stop", stop, {"error": "error_vs_exact", "residual": "residual"})
     problem = make_laplace(grid_n)
     splits = [diag_scaling_splitting(problem.A, a) for a in sorted(alphas)]
     single = None
     if single_alpha is not None:
         single = diag_scaling_splitting(problem.A, single_alpha)
-    rule = "error_vs_exact" if stop == "error" else "residual"
     return _bench_rows(problem.order, splits, _rho, rule, tol, max_iterations, problem.b,
                        single=single, exact=problem.exact)
 
@@ -144,14 +151,11 @@ def bench_markov(
     max_iterations: int = 2_000_000,
 ):
     """Run the stationary-distribution benchmark; gamma column, blank error."""
+    rule = _choice("stop", stop, {"residual": "residual", "diff": "successive_diff"})
     problem = make_random_walk(states)
+    x0 = _choice("x0_kind", x0_kind,
+                 {"e1": np.eye(1, states)[0], "uniform": np.full(states, 1.0 / states)})
     splits = [diag_scaling_splitting(problem.A, a) for a in sorted(alphas)]
-    if x0_kind == "uniform":
-        x0 = np.full(states, 1.0 / states)
-    else:
-        x0 = np.zeros(states)
-        x0[0] = 1.0
-    rule = "successive_diff" if stop == "diff" else "residual"
     return _bench_rows(states, splits, _gamma, rule, tol, max_iterations, np.zeros(states),
                        x0=x0)
 

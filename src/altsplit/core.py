@@ -294,7 +294,6 @@ class CachedSolver:
     def __init__(self, u, tol: ToleranceProfile = DEFAULT_TOL):
         u = as_square(u)
         self._n = u.shape[0]
-        self._tol = tol
         self._inverse_like = None
         d = np.diag(u)
         if np.count_nonzero(u - np.diag(d)) == 0:

@@ -7,20 +7,20 @@ hypotheses fail because their outputs are undefined otherwise.
 
 ``classify`` decides every product class by one rule (Berman and Plemmons,
 ch. 7): the class holds iff its family's base condition holds and its
-product is entrywise >= 0.  A false verdict's witness is the first failed
-base condition, else the product's most negative entry.
+product X, U#X or XU# (regular, weak type I, type II) is entrywise >= 0.
+A false verdict's witness is the first failed base condition, else the
+product's most negative entry.
 
-======  ==========================================  =====================
-family  base condition                              products (regular,
-                                                    weak type I, type II)
-======  ==========================================  =====================
-G       proper, U# >= 0                             V, U#V, VU#
-plain   U nonsingular, U# >= 0                      V, U#V, VU#
-quasi   U nonsingular, index(I - U^-1 V) <= 1,      V K1, U^-1 V K1,
-        index(I - V U^-1) <= 1, U# >= 0             K2 V U^-1
-======  ==========================================  =====================
+======  ===============================================  ====
+family  base condition                                   X
+======  ===============================================  ====
+G       proper, U# >= 0                                  V
+plain   U nonsingular, U# >= 0                           V
+quasi   U nonsingular, index(I - U^-1 V) <= 1, U# >= 0   V K1
+======  ===============================================  ====
 
-with K1 = (I - U^-1 V)(I - U^-1 V)# and K2 = (I - V U^-1)#(I - V U^-1).
+with K1 = (I - U^-1 V)(I - U^-1 V)#.  I - V U^-1 = U (I - U^-1 V) U^-1 has
+the same index, and K2 = (I - V U^-1)#(I - V U^-1) gives K2 V U^-1 = X U^-1.
 
 V is stored once, as the operator sweeps multiply by: CSR when it is large
 and sparse enough for CSR to pay, else dense (see ``CSR_MIN_ORDER``).  The
@@ -244,18 +244,15 @@ def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClas
     nonsingular_w = usharp_w if s.u_is_nonsingular else singular_w
     quasi_w, quasi = nonsingular_w, ()
     if s.u_is_nonsingular:
-        eye = np.eye(s.n)
-        t1, t2 = eye - uv, eye - vu  # I - U^-1 V, I - V U^-1
-        t1_sharp = _group_inverse_or_none(t1, tol.rank_tol)
-        t2_sharp = _group_inverse_or_none(t2, tol.rank_tol)
-        if t1_sharp is None or t2_sharp is None:
-            quasi_w = Witness(
-                check="index(I - U^-1 V) or index(I - V U^-1) exceeds 1",
-                matrix="I - U^-1 V",
-            )
+        t = np.eye(s.n) - uv  # I - U^-1 V
+        t_sharp = _group_inverse_or_none(t, tol.rank_tol)
+        if t_sharp is None:
+            quasi_w = Witness(check="index(I - U^-1 V) or index(I - V U^-1) exceeds 1",
+                              matrix="I - U^-1 V")
         else:
-            k1, k2 = t1 @ t1_sharp, t2_sharp @ t2
-            quasi = ((s.v @ k1, "V K1"), (uv @ k1, "U^-1 V K1"), (k2 @ vu, "K2 V U^-1"))
+            x = s.v @ (t @ t_sharp)  # V K1
+            quasi = ((x, "V K1"), (s.solver.solve(x), "U^-1 V K1"),
+                     (s.solver.right_apply(x), "K2 V U^-1"))
 
     witnesses = {"is_proper": proper_w} if proper_w else {}
     for family, base_w, products in (

@@ -179,6 +179,17 @@ class TestBenchCommand:
         assert code == 1
         assert len(out.splitlines()) == 2  # the table is still printed
 
+    @pytest.mark.parametrize("bench, size, option, accepted", [
+        ("bench_markov", 10, {"stop": "successive_diff"}, "'residual', 'diff'"),
+        ("bench_laplace", 5, {"stop": "bogus"}, "'error', 'residual'"),
+        ("bench_markov", 10, {"x0_kind": "unifrom"}, "'e1', 'uniform'"),
+    ], ids=["markov-stop", "laplace-stop", "markov-x0"])
+    def test_unknown_option_value_is_refused(self, monkeypatch, bench, size, option, accepted):
+        # An unknown value must not run the default rule or start vector instead
+        monkeypatch.setattr(cli, "run", None)
+        with pytest.raises(ValueError, match=f"must be one of {accepted}"):
+            getattr(cli, bench)(size, **option)
+
     @pytest.mark.parametrize("bench, size", [("bench_markov", 10), ("bench_laplace", 3)])
     def test_runs_go_through_the_module_run(self, monkeypatch, bench, size):
         # The benchmark's walk-chain workload swaps cli.run to keep each

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from altsplit import (
+    DEFAULT_TOL,
     CachedSolver,
     DimensionMismatchError,
     MismatchedSplittingError,
@@ -17,6 +18,7 @@ from altsplit import (
     companion_matrix,
     diag_scaling_splitting,
     group_inverse,
+    index_at_most_one,
     induced_splitting,
     is_nonnegative,
     make_laplace,
@@ -26,9 +28,11 @@ from altsplit import (
     verify_convergence_theorem,
     verify_semiconvergence_theorem,
 )
+import altsplit.splittings as splittings
 from altsplit.analysis import CONVERGENCE_THEOREMS, SEMICONVERGENCE_THEOREMS
 from altsplit.generators import (
     random_group_monotone_regular_triple,
+    random_index_one,
     random_proper_triple,
     random_quasi_regular_triple,
     random_singular_m_matrix_triple,
@@ -173,6 +177,113 @@ class TestClassifyWitnessPrecedence:
         elif u_sharp_negative:
             for name in PLAIN_CLASSES:
                 assert rep.witnesses[name].check == "U# >= 0"
+
+
+def _markov_splitting(rng, n, decades):
+    """V = U P with P row-stochastic and U positive diagonal, cond(U) = 10**decades."""
+    p = rng.uniform(0.0, 1.0, (n, n))
+    p /= p.sum(axis=1, keepdims=True)
+    u = np.diag(np.logspace(0, decades, n)[rng.permutation(n)])
+    return make_splitting(u - u @ p, u)
+
+
+def _dense_u_splitting(seed, u_inverse_positive):
+    """Singular index-1 A with a random dense nonsingular U, U^-1 > 0 if asked."""
+    rng = np.random.default_rng(seed)
+    a = random_index_one(rng, 5, 4)
+    if u_inverse_positive:
+        return make_splitting(a, np.linalg.inv(rng.uniform(0.1, 1.0, (5, 5))))
+    return make_splitting(a, rng.uniform(-1.0, 1.0, (5, 5)) + 5 * np.eye(5))
+
+
+NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]])
+INDEX_WITNESS = Witness(check="index(I - U^-1 V) or index(I - V U^-1) exceeds 1",
+                        matrix="I - U^-1 V")
+# (id, splitting builder): every U is nonsingular
+QUASI_CASES = [
+    (f"quasi-triple-{seed}-{i}", _generated(random_quasi_regular_triple, seed, i))
+    for seed in range(4) for i in range(3)
+] + [
+    (f"dense-U-{seed}-{positive}", lambda seed=seed, positive=positive:
+     _dense_u_splitting(seed, positive))
+    for seed in range(3) for positive in (False, True)
+] + [
+    ("walk-diag", lambda: diag_scaling_splitting(make_random_walk(10).A, 2.0)),
+] + [
+    (f"markov-{seed}-{decades}", lambda seed=seed, decades=decades:
+     _markov_splitting(np.random.default_rng(seed), 5, decades))
+    for seed in range(3) for decades in (0, 2, 4)
+] + [
+    ("index-2", lambda: make_splitting(NILPOTENT, np.eye(2))),
+    ("index-2-kron", lambda: make_splitting(np.kron(np.eye(2), NILPOTENT), 2 * np.eye(4))),
+]
+
+
+def _quasi_reference(s):
+    """The quasi classes from their definitions, each group inverse taken on its own.
+
+    T1 = I - U^-1 V, T2 = I - V U^-1, K1 = T1 T1#, K2 = T2# T2.  Returns the
+    failed base check, or the products V K1, U^-1 V K1 and K2 V U^-1.
+    """
+    u_inv = np.linalg.inv(s.u)
+    if not is_nonnegative(u_inv):
+        return "U# >= 0"
+    t1, t2 = np.eye(s.n) - u_inv @ s.v, np.eye(s.n) - s.v @ u_inv
+    if not (index_at_most_one(t1) and index_at_most_one(t2)):
+        return "index"
+    k1, k2 = t1 @ group_inverse(t1), group_inverse(t2) @ t2
+    return (s.v @ k1, u_inv @ s.v @ k1, k2 @ s.v @ u_inv)
+
+
+class TestQuasiClassesFollowTheirDefinitions:
+    @pytest.mark.parametrize(
+        "build", [case[1] for case in QUASI_CASES], ids=[c[0] for c in QUASI_CASES]
+    )
+    def test_verdicts_and_witnesses_match_the_definitions(self, build):
+        s = build()
+        rep = classify(s)
+        expected = _quasi_reference(s)
+        if expected == "U# >= 0":
+            for name in QUASI_CLASSES:
+                assert rep.witnesses[name].check == "U# >= 0"
+        elif expected == "index":
+            for name in QUASI_CLASSES:
+                assert rep.witnesses[name] == INDEX_WITNESS
+        else:
+            for name, product in zip(QUASI_CLASSES, expected):
+                lo = float(product.min())
+                assert getattr(rep, name) == (lo >= -DEFAULT_TOL.nonneg_tol), name
+                if name in rep.witnesses:
+                    assert rep.witnesses[name].min_entry == pytest.approx(lo, rel=1e-12)
+
+    def test_the_corpus_reaches_every_branch(self):
+        kinds = [_quasi_reference(build()) for _, build in QUASI_CASES]
+        assert "U# >= 0" in kinds and "index" in kinds
+        lows = [p.min() for k in kinds if not isinstance(k, str) for p in k]
+        assert min(lows) < -1e-6 and max(lows) >= -DEFAULT_TOL.nonneg_tol
+
+    def test_one_index_decision_per_nonsingular_u(self, monkeypatch):
+        group_inverse_or_none, calls = splittings._group_inverse_or_none, []
+
+        def counted(m, rank_tol):
+            calls.append(m)
+            return group_inverse_or_none(m, rank_tol)
+
+        monkeypatch.setattr(splittings, "_group_inverse_or_none", counted)
+        s = _generated(random_quasi_regular_triple, 0, 0)()
+        assert s.u_is_nonsingular
+        classify(s)
+        assert len(calls) == 1
+
+    def test_a_stochastic_p_never_gives_an_index_witness(self):
+        # index(I - P) = 1 for every stochastic P, so with V = U P the
+        # quasi base can fail only on U# >= 0, never on the index.  The
+        # similar I - V U^-1 = U (I - P) U^-1 is as badly conditioned as U
+        # (cond 1e7), and an index decision on it misjudges this instance.
+        s = _markov_splitting(np.random.default_rng(0), 5, 7)
+        rep = classify(s)
+        for name in QUASI_CLASSES:
+            assert rep.witnesses[name] != INDEX_WITNESS
 
 
 class TestAlternatingIterationMatrix:
