@@ -223,11 +223,14 @@ _PAIRS = {"B12": (0, 1), "B13": (0, 2), "B23": (1, 2)}
 
 class _Triple:
     """The facts the rules share, each computed on first use and at most
-    once; ``measured`` collects the measured quantities in recorded order."""
+    once, under the splittings' one profile; ``measured`` collects the
+    measured quantities in recorded order."""
 
-    def __init__(self, splits, tol: ToleranceProfile, delta: float | None = None):
-        self.splits, self.tol, self.delta = splits, tol, delta
-        self.a = _check_shared_a(splits)
+    def __init__(self, caller: str, splits, delta: float | None = None):
+        self.splits, self.delta = tuple(splits), delta
+        if len(self.splits) != 3:
+            raise ValueError(f"{caller} expects exactly three splittings")
+        self.a, self.tol = _check_shared_a(self.splits), self.splits[0].tol
         self.measured: dict[str, float] = {}
 
     @cached_property
@@ -249,7 +252,7 @@ class _Triple:
 
     @cached_property
     def reports(self) -> dict:
-        return {name: classify(s, self.tol) for name, s in zip(_NAMES, self.splits)}
+        return {name: classify(s) for name, s in zip(_NAMES, self.splits)}
 
     @cached_property
     def middle(self) -> np.ndarray:
@@ -263,7 +266,7 @@ class _Triple:
     def induced(self) -> Splitting | None:
         """A = B - C with B = K M^-1 X, which reproduces H; None if M is singular."""
         if self.middle_nonsingular:
-            return _induced_from_product(self.splits, self.tol, self.middle)
+            return _induced_from_product(self.splits, self.middle)
         return None
 
     @cached_property
@@ -291,7 +294,7 @@ def _induced_type2(t, h, rho_h, rho, i_minus, label):
         ind = induced_splitting(t.a, h, t.tol)
     except SingularIminusHError:
         return None, [f"{i_minus} is singular, no induced splitting"]
-    type2 = classify(ind, t.tol).is_g_weak_regular_type2
+    type2 = classify(ind).is_g_weak_regular_type2
     return ind, [] if type2 else [f"induced splitting {label} is not type II"]
 
 
@@ -438,7 +441,7 @@ def _quasi_three_step(t):
         if t.induced is None:
             t.measured["induced_same_quasi_class"] = float("nan")
         else:
-            report = classify(t.induced, t.tol)
+            report = classify(t.induced)
             conclusion = any(getattr(report, c) for c in shared)
             t.measured["induced_same_quasi_class"] = float(conclusion)
     return failures, conclusion
@@ -461,10 +464,10 @@ def _quasi_two_vs_three(t):
         t.measured[f"gamma_{name}"] = cert.gamma
         if cert.index_of_I_minus_T > 1:
             failures.append(f"index(I - {name} product) > 1")
-        ind = _induced_from_product(pair, t.tol)
+        ind = _induced_from_product(pair)
         if ind is None:
             failures.append(f"{name} middle factor is singular")
-        elif not classify(ind, t.tol).is_quasi_regular:
+        elif not classify(ind).is_quasi_regular:
             failures.append(f"induced splitting {name} is not quasi-regular")
     return failures + _index(t), _no_worse_than(t, "gamma", _PAIRS, "min_pairwise_gamma")
 
@@ -494,16 +497,7 @@ CONVERGENCE_THEOREMS = tuple(_CONVERGENCE_RULES)
 SEMICONVERGENCE_THEOREMS = tuple(_SEMICONVERGENCE_RULES)
 
 
-def _triple(caller, splits, tol, delta=None) -> _Triple:
-    splits = tuple(splits)
-    if len(splits) != 3:
-        raise ValueError(f"{caller} expects exactly three splittings")
-    return _Triple(splits, tol, delta)
-
-
-def verify_convergence_theorem(
-    theorem_id: str, splits, tol: ToleranceProfile = DEFAULT_TOL
-) -> TheoremVerdict:
+def verify_convergence_theorem(theorem_id: str, splits) -> TheoremVerdict:
     """Certify one of the index-1 convergence/comparison results.
 
     ``theorem_id`` is one of ``CONVERGENCE_THEOREMS`` (all expect three
@@ -511,16 +505,13 @@ def verify_convergence_theorem(
     """
     if theorem_id not in CONVERGENCE_THEOREMS:
         raise UnknownTheoremError(f"unknown convergence theorem {theorem_id!r}")
-    t = _triple(theorem_id, splits, tol)
+    t = _Triple(theorem_id, splits)
     failures, conclusion = _CONVERGENCE_RULES[theorem_id](t)
     return TheoremVerdict(theorem_id, not failures, failures, conclusion, t.measured)
 
 
 def verify_semiconvergence_theorem(
-    theorem_id: str,
-    splits,
-    tol: ToleranceProfile = DEFAULT_TOL,
-    delta: float | None = None,
+    theorem_id: str, splits, delta: float | None = None
 ) -> TheoremVerdict:
     """Certify one of the semiconvergence results for singular systems.
 
@@ -535,7 +526,7 @@ def verify_semiconvergence_theorem(
             raise MissingDeltaError("delta-shift theorem needs delta")
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-    t = _triple(theorem_id, splits, tol, delta)
+    t = _Triple(theorem_id, splits, delta)
     failures = [f"{name} has a singular split part"
                 for name, s in zip(_NAMES, t.splits) if not s.u_is_nonsingular]
     conclusion = False
@@ -544,9 +535,7 @@ def verify_semiconvergence_theorem(
     return TheoremVerdict(theorem_id, not failures, failures, conclusion, t.measured)
 
 
-def induced_regular_splitting(
-    splits, tol: ToleranceProfile = DEFAULT_TOL
-) -> Splitting:
+def induced_regular_splitting(splits) -> Splitting:
     """Regular splitting A = B - C with B^-1 C equal to the three-step matrix.
 
     B is built as K (K + X - A + Y U^-1 L)^-1 X, which coincides with
@@ -561,7 +550,7 @@ def induced_regular_splitting(
         If K + X - A + Y U^-1 L is singular, or the induced B^-1 or C has a
         negative entry, or B^-1 C does not reproduce H.
     """
-    t = _triple("induced_regular_splitting", splits, tol)
+    t = _Triple("induced_regular_splitting", splits)
     for name, report in t.reports.items():
         if not report.is_regular:
             raise ClassificationError(f"{name} is not a regular splitting")

@@ -75,21 +75,19 @@ class BenchRow:
     converged: bool
 
 
-def _bench_rows(order, splits, column, rule, tol, max_iterations, b, single=None, **run_args):
+def _bench_rows(order, splits, column, rule, tol, max_iterations, b, **run_args):
     """Rows three/two/single: each scheme runs on the first 3, 2 or 1 splittings.
 
-    ``column(chosen)`` gives the row's rho or gamma; ``single``, if given,
-    replaces the single-step row's splitting.  ``run`` is read as this
-    module's global at each call, so a caller may swap it to observe the
-    runs.
+    ``column`` gives a row's rho or gamma from its splittings.  ``run`` is
+    read as this module's global at each call, so a caller may swap it to
+    observe the runs.
     """
     rows = []
     # The schemes there are splittings for; single always runs, so that
     # an empty list fails in SchemeConfig rather than giving no rows.
     for scheme, k in (("three", 3), ("two", 2), ("single", 1))[-max(len(splits), 1):]:
-        chosen = [single] if k == 1 and single is not None else splits[:k]
         config = SchemeConfig(
-            splittings=chosen, stop_rule=rule, tolerance=tol, max_iterations=max_iterations
+            splittings=splits[:k], stop_rule=rule, tolerance=tol, max_iterations=max_iterations
         )
         report = run(config, b, **run_args)
         rows.append(
@@ -100,7 +98,7 @@ def _bench_rows(order, splits, column, rule, tol, max_iterations, b, single=None
                 residual=report.final_residual,
                 error=report.final_error,
                 time_seconds=report.elapsed_seconds,
-                rho_or_gamma=column(chosen),
+                rho_or_gamma=column(splits[:k]),
                 converged=report.converged,
             )
         )
@@ -128,18 +126,14 @@ def bench_laplace(
     alphas=(1.0, 1.5, 1.75),
     tol: float = 1e-6,
     stop: str = "error",
-    single_alpha: float | None = None,
     max_iterations: int = 2_000_000,
 ):
     """Run the Dirichlet benchmark; returns rows three/two/single."""
     rule = _choice("stop", stop, {"error": "error_vs_exact", "residual": "residual"})
     problem = make_laplace(grid_n)
     splits = [diag_scaling_splitting(problem.A, a) for a in sorted(alphas)]
-    single = None
-    if single_alpha is not None:
-        single = diag_scaling_splitting(problem.A, single_alpha)
     return _bench_rows(problem.order, splits, _rho, rule, tol, max_iterations, problem.b,
-                       single=single, exact=problem.exact)
+                       exact=problem.exact)
 
 
 def bench_markov(
@@ -246,7 +240,7 @@ def _cmd_bench(args) -> int:
     given = {name: getattr(args, name) for name in ("alphas", "tol", "stop")}
     given = {name: value for name, value in given.items() if value is not None}
     if args.problem == "laplace":
-        rows = bench_laplace(args.grid, single_alpha=args.single_alpha, **given)
+        rows = bench_laplace(args.grid, **given)
         _print_rows(rows, "rho")
     else:
         rows = bench_markov(args.states, x0_kind=args.x0, **given)
@@ -388,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lap.add_argument("--alphas", type=_parse_alphas, default=None)
     p_lap.add_argument("--tol", type=float, default=None)
     p_lap.add_argument("--stop", choices=["error", "residual"], default=None)
-    p_lap.add_argument("--single-alpha", type=float, default=None,
-                       help="override the splitting used by the single-step row")
     p_lap.add_argument("--csv", default=None)
     p_lap.set_defaults(func=_cmd_bench)
     p_mkv = bench_sub.add_parser("markov")

@@ -1,9 +1,11 @@
 """Splittings A = U - V: construction, classification, iteration matrices.
 
 A splitting is stored with V derived once as U - A, so the defining identity
-can never drift.  Classification produces verdicts, never exceptions; the
-constructive operations (induced splittings, closed forms) raise when their
-hypotheses fail because their outputs are undefined otherwise.
+can never drift, and with the ``ToleranceProfile`` it was built with, which
+every decision about it reads.  Classification produces verdicts, never
+exceptions; the constructive operations (induced splittings, closed forms)
+raise when their hypotheses fail because their outputs are undefined
+otherwise.
 
 ``classify`` decides every product class by one rule (Berman and Plemmons,
 ch. 7): the class holds iff its family's base condition holds and its
@@ -24,13 +26,14 @@ the same index, and K2 = (I - V U^-1)#(I - V U^-1) gives K2 V U^-1 = X U^-1.
 
 V is stored once, as the operator sweeps multiply by: CSR when it is large
 and sparse enough for CSR to pay, else dense (see ``CSR_MIN_ORDER``).  The
-dense V, the factors U#V and VU# and A's sweep operator are formed on first
-use, once.
+dense V, the factors U#V and VU#, A's sweep operator and the class report
+(its witnesses a read-only mapping) are formed on first use, once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -106,6 +109,7 @@ class Splitting:
     u: np.ndarray
     solver: CachedSolver = field(repr=False)
     v_op: object = field(repr=False, compare=False)
+    tol: ToleranceProfile = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -135,6 +139,8 @@ class Splitting:
         """Companion-side factor V U#."""
         return _kept(self.solver.right_apply(self.v))
 
+    _report = cached_property(lambda self: _class_report(self))  # what classify hands out
+
 
 def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
     """Build a splitting of ``a`` from the chosen ``u``; V := U - A, stored once.
@@ -152,7 +158,8 @@ def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
         raise DimensionMismatchError(
             f"A has shape {a.shape} but U has shape {u.shape}"
         )
-    return Splitting(a=a, u=u, solver=CachedSolver(u, tol), v_op=_sweep_operator(_kept(u - a)))
+    return Splitting(a=a, u=u, solver=CachedSolver(u, tol),
+                     v_op=_sweep_operator(_kept(u - a)), tol=tol)
 
 
 def diag_scaling_splitting(
@@ -206,7 +213,7 @@ class SplittingClassReport:
     is_quasi_regular: bool
     is_quasi_weak_regular_type1: bool
     is_quasi_weak_regular_type2: bool
-    witnesses: dict[str, Witness]
+    witnesses: MappingProxyType[str, Witness]
 
     def flags(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in _VERDICTS}
@@ -226,17 +233,22 @@ def _sign_witness(m: np.ndarray, name: str, tol: ToleranceProfile) -> Witness | 
     return Witness(check=f"{name} >= 0", matrix=name, min_entry=lo)
 
 
-def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClassReport:
-    """Compute all ten class verdicts for one splitting.
+def classify(s: Splitting) -> SplittingClassReport:
+    """All ten class verdicts for one splitting, under its own profile.
 
     The nine product classes follow the family table in the module
     docstring.  A verdict is false exactly when it has a witness.
-    Failures are verdicts with witnesses, never exceptions.
+    Failures are verdicts with witnesses, never exceptions.  The report
+    is computed on the first call and the same one returned after.
     """
+    return s._report
+
+
+def _class_report(s: Splitting) -> SplittingClassReport:
     proper_w = None
-    if not _same_range_and_null(s.u, s.a, tol):
+    if not _same_range_and_null(s.u, s.a, s.tol):
         proper_w = Witness(check="range(U) == range(A) and null(U) == null(A)", matrix="U")
-    usharp_w = _sign_witness(s.solver.inverse_like(), "U#", tol)
+    usharp_w = _sign_witness(s.solver.inverse_like(), "U#", s.tol)
     uv, vu = s.iteration_matrix, s.reversed_iteration_matrix
     plain = ((s.v, "V"), (uv, "U#V"), (vu, "VU#"))
 
@@ -245,7 +257,7 @@ def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClas
     quasi_w, quasi = nonsingular_w, ()
     if s.u_is_nonsingular:
         t = np.eye(s.n) - uv  # I - U^-1 V
-        t_sharp = _group_inverse_or_none(t, tol.rank_tol)
+        t_sharp = _group_inverse_or_none(t, s.tol.rank_tol)
         if t_sharp is None:
             quasi_w = Witness(check="index(I - U^-1 V) or index(I - V U^-1) exceeds 1",
                               matrix="I - U^-1 V")
@@ -262,20 +274,23 @@ def classify(s: Splitting, tol: ToleranceProfile = DEFAULT_TOL) -> SplittingClas
     ):
         for i, product_class in enumerate(_PRODUCT_CLASSES):
             # products[i] is read only when the base holds
-            w = base_w or _sign_witness(*products[i], tol)
+            w = base_w or _sign_witness(*products[i], s.tol)
             if w is not None:
                 witnesses[f"is_{family}{product_class}"] = w
     verdicts = {name: name not in witnesses for name in _VERDICTS}
-    return SplittingClassReport(**verdicts, witnesses=witnesses)
+    return SplittingClassReport(**verdicts, witnesses=MappingProxyType(witnesses))
 
 
 def _check_shared_a(splits):
-    """The one A of 1 to 3 splittings: each A is the first one's object or equal to it."""
+    """The one A of 1 to 3 splittings, built with one profile: each A is the
+    first one's object or equal to it."""
     if not 1 <= len(splits) <= 3:
         raise ValueError("expected between 1 and 3 splittings")
     a = splits[0].a
     if any(s.a is not a and not np.array_equal(s.a, a) for s in splits[1:]):
         raise MismatchedSplittingError("all splittings must share the same coefficient matrix")
+    if any(s.tol != splits[0].tol for s in splits[1:]):
+        raise MismatchedSplittingError("all splittings must be built with one tolerance profile")
     return a
 
 
@@ -342,7 +357,7 @@ def induced_splitting(a, h, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
     return make_splitting(a, b, tol)
 
 
-def b_sharp_closed_form(splits, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+def b_sharp_closed_form(splits) -> np.ndarray:
     """Closed form X#(K + X - A + Y U# L)K# for the induced B's group inverse.
 
     Requires exactly three splittings of one matrix A plus the range/null
@@ -358,7 +373,7 @@ def b_sharp_closed_form(splits, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarr
     a = _check_shared_a(splits)
     sk, _, sx = splits
     middle = _middle_factor(splits)
-    if not _same_range_and_null(middle, a, tol):
+    if not _same_range_and_null(middle, a, sk.tol):
         raise RangeNullConditionError(
             "K + X - A + Y U# L does not share range/null with A"
         )
@@ -374,7 +389,7 @@ def _middle_factor(splits) -> np.ndarray:
     return middle
 
 
-def _induced_from_product(splits, tol: ToleranceProfile, middle=None) -> Splitting | None:
+def _induced_from_product(splits, middle=None) -> Splitting | None:
     """Splitting A = B - C induced by a two- or three-step product.
 
     B = U_first M^-1 U_last with M the middle factor; this equals
@@ -384,7 +399,7 @@ def _induced_from_product(splits, tol: ToleranceProfile, middle=None) -> Splitti
     """
     if middle is None:
         middle = _middle_factor(splits)
-        if not _nonsingular(middle, tol.rank_tol):
+        if not _nonsingular(middle, splits[0].tol.rank_tol):
             return None
     b = splits[0].u @ np.linalg.solve(middle, splits[-1].u)
-    return make_splitting(splits[0].a, b, tol)
+    return make_splitting(splits[0].a, b, splits[0].tol)

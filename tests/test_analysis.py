@@ -280,6 +280,26 @@ class TestConvergenceVerifiers:
                 verdict = verify_convergence_theorem(theorem_id, splits)
                 assert not (verdict.hypotheses_hold and not verdict.conclusion_holds)
 
+    def test_singular_comparisons_fail_only_on_b_sharp_dominance(self):
+        # On singular A, U B# = Q diag(U1 B1^-1, 0) Q^-1 has a zero diagonal
+        # entry where I has a one, so "B# >= I" is the one hypothesis that
+        # fails; the conclusions still hold.
+        singular = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 8))
+            a, splits = random_group_monotone_regular_triple(rng, n)
+            if np.linalg.matrix_rank(a) == n:
+                continue
+            singular += 1
+            for theorem_id, names in (("single-vs-three", ("K", "U", "X")),
+                                      ("two-vs-three", ("B12", "B13", "B23"))):
+                verdict = verify_convergence_theorem(theorem_id, splits)
+                assert verdict.hypothesis_failures == [f"{name} B# >= I fails"
+                                                       for name in names], seed
+                assert verdict.conclusion_holds, seed
+        assert singular >= 30
+
 
 class TestSemiconvergenceVerifiers:
     def test_unknown_id(self):
