@@ -80,8 +80,12 @@ def _bench_rows(order, splits, column, rule, tol, max_iterations, b, **run_args)
 
     ``column`` gives a row's rho or gamma from its splittings.  ``run`` is
     read as this module's global at each call, so a caller may swap it to
-    observe the runs.
+    observe the runs.  More than three splittings is a ValueError: no
+    scheme would run the fourth.
     """
+    if len(splits) > 3:
+        raise ValueError(f"at most three alphas, one per step of the three-step scheme; "
+                         f"got {len(splits)}")
     rows = []
     # The schemes there are splittings for; single always runs, so that
     # an empty list fails in SchemeConfig rather than giving no rows.

@@ -18,14 +18,19 @@ need several facts of one matrix compute each once:
 The one exception to dense input is :func:`spectral_radius`, which also
 takes a matrix-free ``scipy.sparse.linalg.LinearOperator`` and then finds
 the dominant eigenvalue with seeded ARPACK instead of a full ``eigvals``.
+
+scipy is imported only where it is called: ``scipy.linalg`` in the
+:class:`CachedSolver` branch that LU-factors a dense, nonsingular,
+non-diagonal U, and ``scipy.sparse.linalg`` for ARPACK.  Diagonal solves
+and the spectral routines run on numpy alone.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     DimensionMismatchError,
@@ -285,7 +290,7 @@ class CachedSolver:
     The factorization is computed once at construction:
 
     * diagonal U: reciprocal diagonal (group inverse of a diagonal matrix),
-    * nonsingular dense U: LU factorization,
+    * nonsingular dense U: LU factorization (the one ``scipy.linalg`` import),
     * singular dense U: explicit group inverse.
 
     Instances are immutable after construction and safe to share.
@@ -308,8 +313,10 @@ class CachedSolver:
             return
         self.is_nonsingular = _nonsingular(u, tol.rank_tol)
         if self.is_nonsingular:
+            from scipy.linalg import lu_factor, lu_solve
+
             self._mode = "lu"
-            self._lu = lu_factor(u)
+            self._lu_solve = partial(lu_solve, lu_factor(u))
         else:
             self._mode = "sharp"
             self._inverse_like = group_inverse(u, tol)
@@ -325,7 +332,7 @@ class CachedSolver:
                 return self._diag * rhs
             return self._diag[:, None] * rhs
         if self._mode == "lu":
-            return lu_solve(self._lu, rhs)
+            return self._lu_solve(rhs)
         return self._inverse_like @ rhs
 
     def right_apply(self, b: np.ndarray) -> np.ndarray:
@@ -333,7 +340,7 @@ class CachedSolver:
         if self._mode == "diag":
             return b * self._diag
         if self._mode == "lu":
-            return lu_solve(self._lu, b.T, trans=1).T
+            return self._lu_solve(b.T, trans=1).T
         return b @ self._inverse_like
 
     def inverse_like(self) -> np.ndarray:
@@ -342,6 +349,6 @@ class CachedSolver:
             if self._mode == "diag":
                 self._inverse_like = np.diag(self._diag)
             else:
-                self._inverse_like = lu_solve(self._lu, np.eye(self._n))
+                self._inverse_like = self._lu_solve(np.eye(self._n))
         return self._inverse_like
 

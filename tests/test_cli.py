@@ -191,6 +191,24 @@ class TestBenchCommand:
             getattr(cli, bench)(size, **option)
 
     @pytest.mark.parametrize("bench, size", [("bench_markov", 10), ("bench_laplace", 3)])
+    def test_a_fourth_alpha_is_refused(self, monkeypatch, bench, size):
+        # The three-step scheme uses three splittings; a fourth must not
+        # be dropped from the table without a word
+        monkeypatch.setattr(cli, "run", None)
+        with pytest.raises(ValueError, match="at most three alphas"):
+            getattr(cli, bench)(size, alphas=(2.0, 2.5, 3.0, 4.0))
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "markov", "--states", "10", "--alphas", "2,2.5,3,4"],
+        ["bench", "laplace", "--grid", "3", "--alphas", "1,1.5,1.75,2"],
+    ], ids=["markov", "laplace"])
+    def test_a_fourth_alpha_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at most three alphas" in captured.err
+
+    @pytest.mark.parametrize("bench, size", [("bench_markov", 10), ("bench_laplace", 3)])
     def test_runs_go_through_the_module_run(self, monkeypatch, bench, size):
         # The benchmark's walk-chain workload swaps cli.run to keep each
         # run's final vector; a driver that bound run early would bypass it.

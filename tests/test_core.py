@@ -224,6 +224,22 @@ class TestCachedSolver:
             solver.solve(m), np.linalg.solve(u, m), atol=1e-10
         )
 
+    def test_lu_mode_is_bitwise_scipy_lu(self):
+        from scipy.linalg import lu_factor, lu_solve
+
+        u = RNG.uniform(-1, 1, (5, 5)) + 5 * np.eye(5)
+        m = RNG.uniform(-1, 1, (5, 5))
+        solver = CachedSolver(u)
+        assert solver._mode == "lu"
+        lu = lu_factor(u)
+        for got, want in (
+            (solver.solve(m[0]), lu_solve(lu, m[0])),
+            (solver.solve(m), lu_solve(lu, m)),
+            (solver.right_apply(m), lu_solve(lu, m.T, trans=1).T),
+            (solver.inverse_like(), lu_solve(lu, np.eye(5))),
+        ):
+            np.testing.assert_array_equal(got, want)
+
     def test_singular_mode_uses_group_inverse(self):
         solver = CachedSolver(A_EXAMPLE)
         assert not solver.is_nonsingular
