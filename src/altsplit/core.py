@@ -1,7 +1,7 @@
 """Dense real matrix kernel: rank, spectra, group inverse, subspace tests.
 
 Everything downstream treats matrices as immutable ``numpy.ndarray`` values
-in float64.  All operations are pure; factorizations are cached only inside
+in float64.  All operations are pure; U^-1 or U# is kept only inside
 :class:`CachedSolver` instances, which are created once and then read-only.
 
 Each fact about a matrix comes from one private routine, so callers that
@@ -19,16 +19,14 @@ The one exception to dense input is :func:`spectral_radius`, which also
 takes a matrix-free ``scipy.sparse.linalg.LinearOperator`` and then finds
 the dominant eigenvalue with seeded ARPACK instead of a full ``eigvals``.
 
-scipy is imported only where it is called: ``scipy.linalg`` in the
-:class:`CachedSolver` branch that LU-factors a dense, nonsingular,
-non-diagonal U, and ``scipy.sparse.linalg`` for ARPACK.  Diagonal solves
-and the spectral routines run on numpy alone.
+The one scipy import here is ``scipy.sparse.linalg`` for ARPACK, made
+only when it is called.  :class:`CachedSolver` and the spectral routines
+run on numpy alone.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -276,6 +274,12 @@ def _same_range_and_null(m: np.ndarray, n: np.ndarray, tol: ToleranceProfile) ->
     return all(_projectors_agree(p, q, tol) for p, q in pairs)
 
 
+def _kept(m: np.ndarray) -> np.ndarray:
+    """``m`` made read-only, for an array handed to every caller that asks."""
+    m.flags.writeable = False
+    return m
+
+
 def is_nonnegative(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff every entry is at least ``-nonneg_tol``."""
     m = np.asarray(m, dtype=float)
@@ -287,19 +291,23 @@ def is_nonnegative(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
 class CachedSolver:
     """Uniform action of U^-1 (nonsingular U) or U# (index-1 singular U).
 
-    The factorization is computed once at construction:
+    One read-only representation of U^-1 or U# is kept:
 
-    * diagonal U: reciprocal diagonal (group inverse of a diagonal matrix),
-    * nonsingular dense U: LU factorization (the one ``scipy.linalg`` import),
-    * singular dense U: explicit group inverse.
+    * diagonal U: the reciprocal diagonal (group inverse of a diagonal
+      matrix); the dense form is built on the first ``inverse_like()``;
+    * any other U: one dense matrix formed at construction,
+      ``np.linalg.inv(u)`` when U is nonsingular, else the group inverse.
+
+    A vector (one sweep) is multiplied by that matrix; a matrix product
+    with a nonsingular dense U is a backward-stable ``np.linalg.solve``,
+    whose error, unlike ``inv(U) @ V``'s, does not grow with cond(U).
 
     Instances are immutable after construction and safe to share.
     """
 
     def __init__(self, u, tol: ToleranceProfile = DEFAULT_TOL):
         u = as_square(u)
-        self._n = u.shape[0]
-        self._inverse_like = None
+        self._u = None
         d = np.diag(u)
         if np.count_nonzero(u - np.diag(d)) == 0:
             ad = np.abs(d)
@@ -307,48 +315,38 @@ class CachedSolver:
             nz = ad > cutoff
             recip = np.zeros_like(d)
             recip[nz] = 1.0 / d[nz]
-            self._mode = "diag"
-            self._diag = recip
+            self._diag = _kept(recip)
+            self._inverse_like = None
             self.is_nonsingular = bool(np.all(nz))
             return
+        self._diag = None
         self.is_nonsingular = _nonsingular(u, tol.rank_tol)
         if self.is_nonsingular:
-            from scipy.linalg import lu_factor, lu_solve
-
-            self._mode = "lu"
-            self._lu_solve = partial(lu_solve, lu_factor(u))
-        else:
-            self._mode = "sharp"
-            self._inverse_like = group_inverse(u, tol)
-
-    @property
-    def n(self) -> int:
-        return self._n
+            self._u = _kept(u.copy())
+        self._inverse_like = _kept(
+            np.linalg.inv(u) if self.is_nonsingular else group_inverse(u, tol)
+        )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """U^-1 rhs, or U# rhs when U is singular."""
-        if self._mode == "diag":
-            if rhs.ndim == 1:
-                return self._diag * rhs
-            return self._diag[:, None] * rhs
-        if self._mode == "lu":
-            return self._lu_solve(rhs)
-        return self._inverse_like @ rhs
+        if self._diag is None:
+            if self._u is not None and rhs.ndim == 2:
+                return np.linalg.solve(self._u, rhs)
+            return self._inverse_like @ rhs
+        if rhs.ndim == 1:
+            return self._diag * rhs
+        return self._diag[:, None] * rhs
 
     def right_apply(self, b: np.ndarray) -> np.ndarray:
         """B U^-1 (or B U#)."""
-        if self._mode == "diag":
-            return b * self._diag
-        if self._mode == "lu":
-            return self._lu_solve(b.T, trans=1).T
-        return b @ self._inverse_like
+        if self._u is not None:
+            return np.linalg.solve(self._u.T, b.T).T
+        if self._diag is None:
+            return b @ self._inverse_like
+        return b * self._diag
 
     def inverse_like(self) -> np.ndarray:
-        """Explicit U^-1 or U# as a dense matrix (computed once, cached)."""
+        """U^-1 or U# as a read-only dense matrix (formed once, cached)."""
         if self._inverse_like is None:
-            if self._mode == "diag":
-                self._inverse_like = np.diag(self._diag)
-            else:
-                self._inverse_like = self._lu_solve(np.eye(self._n))
+            self._inverse_like = _kept(np.diag(self._diag))
         return self._inverse_like
-

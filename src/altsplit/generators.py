@@ -93,14 +93,13 @@ def random_proper_triple(
     rng: np.random.Generator,
     n: int,
     rank_r: int | None = None,
-    spread: float = 0.25,
     tol: ToleranceProfile = DEFAULT_TOL,
 ):
     """(A, [s1, s2, s3]): generic proper splittings sharing A's rank frame.
 
     With A = F G a rank factorization, every U = F W G with W nonsingular
-    shares A's range and null space; W near the identity keeps the
-    alternating iteration matrix contractive.
+    shares A's range and null space; W = I + E/4, E uniform in [-1, 1],
+    keeps the alternating iteration matrix contractive.
     """
     r = int(rank_r) if rank_r is not None else int(rng.integers(2, n + 1))
     a = random_index_one(rng, n, r)
@@ -109,7 +108,7 @@ def random_proper_triple(
     g = vt[:r, :]
     splits = []
     for _ in range(3):
-        w = np.eye(r) + spread * rng.uniform(-1.0, 1.0, (r, r))
+        w = np.eye(r) + 0.25 * rng.uniform(-1.0, 1.0, (r, r))
         splits.append(make_splitting(a, f @ w @ g, tol))
     return a, splits
 
@@ -169,14 +168,13 @@ def random_semiconvergence_case(rng: np.random.Generator, n: int):
 def random_singular_m_matrix_triple(
     rng: np.random.Generator,
     n: int,
-    alphas=(2.0, 2.5, 3.0),
     tol: ToleranceProfile = DEFAULT_TOL,
 ):
     """(A, splits): singular M-matrix with property c plus regular diagonal splittings.
 
     A = I - B/rho(B) with B entrywise positive, so the Perron eigenvalue is
-    simple and A has index 1.  U_i = alpha_i I with alpha_i >= 1 gives
-    regular splittings.
+    simple and A has index 1.  U_i = alpha_i I with alpha_i = 2, 2.5, 3
+    gives regular splittings.
     """
     while True:
         b = rng.uniform(0.05, 1.0, (n, n))
@@ -184,33 +182,32 @@ def random_singular_m_matrix_triple(
         a = np.eye(n) - b / rho
         if index_at_most_one(a, tol):
             break
-    splits = [make_splitting(a, float(alpha) * np.eye(n), tol) for alpha in alphas]
+    splits = [make_splitting(a, alpha * np.eye(n), tol) for alpha in (2.0, 2.5, 3.0)]
     return a, splits
 
 
 def random_quasi_regular_triple(
     rng: np.random.Generator,
     n: int,
-    null_dim: int = 1,
     tol: ToleranceProfile = DEFAULT_TOL,
 ):
     """(A, splits): singular A with three semiconvergent quasi-regular splittings.
 
-    Block frame Q diag(A1, 0) Q^-1 with A1 inverse-positive.  Each split
-    part pairs a regular splitting of A1 with an arbitrary inverse-positive
-    bottom block, so the unit-eigenvalue component sits exactly where the
-    spectral projector K1 removes it.
+    Block frame Q diag(A1, 0) Q^-1 with A1 inverse-positive of order n - 1.
+    Each split part pairs a regular splitting of A1 with an arbitrary
+    positive 1 x 1 bottom block, so the unit-eigenvalue component sits
+    exactly where the spectral projector K1 removes it.
     """
-    r = n - null_dim
+    r = n - 1
     if r < 2:
-        raise ValueError("need n - null_dim >= 2")
+        raise ValueError("need n >= 3")
     q = random_monomial(rng, n)
     q_inv = np.linalg.inv(q)
     a1 = random_inverse_positive(rng, r)
-    a = _embed(q, q_inv, [a1, np.zeros((null_dim, null_dim))])
+    a = _embed(q, q_inv, [a1, np.zeros((1, 1))])
     splits = []
     for _ in range(3):
         d = np.diag(rng.uniform(0.2, 1.5, r))
-        w = random_inverse_positive(rng, null_dim)
+        w = random_inverse_positive(rng, 1)
         splits.append(make_splitting(a, _embed(q, q_inv, [a1 + d, w]), tol))
     return a, splits

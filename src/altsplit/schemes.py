@@ -14,12 +14,14 @@ converged, rather than iterating on overflowed or NaN iterates.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOL, CachedSolver, ToleranceProfile, as_square, as_vector
+from .core import (DEFAULT_TOL, CachedSolver, ToleranceProfile, _nonsingular,
+                   as_square, as_vector)
 from .errors import MissingDeltaError
 from .splittings import Splitting, _check_shared_a
 
@@ -59,8 +61,8 @@ class SchemeConfig:
             raise ValueError(f"stop_rule must be one of {STOP_RULES}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        if not isinstance(self.max_iterations, numbers.Integral) or self.max_iterations < 1:
+            raise ValueError("max_iterations must be a positive integer")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly inside (0, 1)")
         _check_shared_a(self.splittings)
@@ -173,4 +175,7 @@ def run_shifted(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport
 def exact_solution(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """A^-1 b for nonsingular A, else the group-inverse solution A# b."""
     a = as_square(a)
-    return CachedSolver(a, tol).solve(as_vector(b, a.shape[0]))
+    b = as_vector(b, a.shape[0])
+    if _nonsingular(a, tol.rank_tol):
+        return np.linalg.solve(a, b)
+    return CachedSolver(a, tol).solve(b)

@@ -42,6 +42,7 @@ from .core import (
     CachedSolver,
     ToleranceProfile,
     _group_inverse_or_none,
+    _kept,
     _nonsingular,
     _same_range_and_null,
     as_square,
@@ -88,12 +89,6 @@ def _sweep_operator(m: np.ndarray):
     from scipy.sparse import csr_array
 
     return csr_array(m)
-
-
-def _kept(m: np.ndarray) -> np.ndarray:
-    """``m`` made read-only, since a splitting hands the same array to every caller."""
-    m.flags.writeable = False
-    return m
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,11 @@ class TestGenSolve:
         b = RNG.uniform(-1, 1, 4)
         np.testing.assert_allclose(exact_solution(np.eye(4), b), b)
 
+    def test_nonsingular_is_one_lu_solve(self):
+        a = RNG.uniform(-1, 1, (5, 5)) + 5 * np.eye(5)
+        b = RNG.uniform(-1, 1, 5)
+        np.testing.assert_array_equal(exact_solution(a, b), np.linalg.solve(a, b))
+
     def test_singular_uses_group_inverse(self):
         # A# b computed by multiplying the known group inverse
         b = np.array([2.0, 0.5, 0.0])
@@ -224,21 +229,29 @@ class TestCachedSolver:
             solver.solve(m), np.linalg.solve(u, m), atol=1e-10
         )
 
-    def test_lu_mode_is_bitwise_scipy_lu(self):
-        from scipy.linalg import lu_factor, lu_solve
-
+    def test_dense_mode_is_bitwise_numpy(self):
         u = RNG.uniform(-1, 1, (5, 5)) + 5 * np.eye(5)
         m = RNG.uniform(-1, 1, (5, 5))
         solver = CachedSolver(u)
-        assert solver._mode == "lu"
-        lu = lu_factor(u)
+        inv = np.linalg.inv(u)
         for got, want in (
-            (solver.solve(m[0]), lu_solve(lu, m[0])),
-            (solver.solve(m), lu_solve(lu, m)),
-            (solver.right_apply(m), lu_solve(lu, m.T, trans=1).T),
-            (solver.inverse_like(), lu_solve(lu, np.eye(5))),
+            (solver.solve(m[0]), inv @ m[0]),
+            (solver.solve(m), np.linalg.solve(u, m)),
+            (solver.right_apply(m), np.linalg.solve(u.T, m.T).T),
+            (solver.inverse_like(), inv),
         ):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("u", [A_EXAMPLE, np.eye(3) + np.triu(np.ones((3, 3))),
+                                   np.diag([2.0, 4.0, 0.0])],
+                             ids=["sharp", "inverse", "diagonal"])
+    def test_kept_matrix_is_read_only(self, u):
+        solver = CachedSolver(u)
+        b = np.array([1.0, 2.0, 3.0])
+        before = solver.solve(b)
+        with pytest.raises(ValueError):
+            solver.inverse_like()[0, 0] += 1.0
+        np.testing.assert_array_equal(solver.solve(b), before)
 
     def test_singular_mode_uses_group_inverse(self):
         solver = CachedSolver(A_EXAMPLE)

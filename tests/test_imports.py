@@ -1,11 +1,11 @@
 """Which paths load scipy: each check runs in a fresh interpreter.
 
-scipy is imported only where it is called: ``scipy.linalg`` when a
-:class:`CachedSolver` LU-factors a dense, nonsingular, non-diagonal U,
-``scipy.sparse`` for CSR operators from order 200 and ARPACK for ``rho``.
-The walk-chain table, ``classify --diag-alpha`` and diagonal solves below
-order 200 must start and finish on numpy alone.  In-process tests cannot
-see this, because other tests have already imported scipy.
+scipy is imported only where it is called: ``scipy.sparse`` for CSR
+operators from order 200 and ``scipy.sparse.linalg`` for ARPACK ``rho``.
+:class:`CachedSolver` runs on numpy alone, so the walk-chain table,
+``classify``, ``verify``, ``exact_solution`` and every solve below order 200
+must start and finish without scipy.  In-process tests cannot see this,
+because other tests have already imported scipy.
 """
 import os
 import subprocess
@@ -78,20 +78,33 @@ def test_diagonal_paths_load_no_scipy(tmp_path):
     """)
 
 
-def test_lu_solver_in_a_fresh_process():
-    run_fresh("""
+def test_dense_paths_load_no_scipy(tmp_path):
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-1, 1, (6, 6)) + 6 * np.eye(6)
+    paths = {"a": str(tmp_path / "a.mtx"), "u": str(tmp_path / "u.mtx")}
+    write_matrix_market(paths["a"], a)
+    write_matrix_market(paths["u"], np.tril(a))
+    run_fresh(f"""
+        paths = {paths!r}
         import numpy as np
-        from altsplit import CachedSolver
-        check("import altsplit")
-        rng = np.random.default_rng(7)
-        u = rng.uniform(-1, 1, (6, 6)) + 6 * np.eye(6)
-        m = rng.uniform(-1, 1, (6, 6))
-        solver = CachedSolver(u)
-        assert solver._mode == "lu" and solver.is_nonsingular
-        assert "scipy.linalg" in sys.modules
-        inv = np.linalg.inv(u)
-        assert np.allclose(solver.solve(m[0]), inv @ m[0])
-        assert np.allclose(solver.solve(m), inv @ m)
-        assert np.allclose(solver.right_apply(m), m @ inv)
-        assert np.allclose(solver.inverse_like(), inv)
+        from altsplit import CachedSolver, exact_solution, read_matrix_market
+        from altsplit.cli import main
+
+        def quiet(argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                return main(argv)
+
+        assert quiet(["verify", "--suite", "all", "--trials", "2"]) == 0
+        check("verify --suite all")
+        assert quiet(["classify", "--matrix", paths["a"], "--u", paths["u"]]) == 0
+        check("classify --u with dense U")
+        a = read_matrix_market(paths["a"])
+        b = np.arange(6.0)
+        assert np.allclose(a @ exact_solution(a, b), b)
+        check("exact_solution")
+        solver = CachedSolver(a)
+        assert solver.is_nonsingular
+        assert np.allclose(solver.solve(b), np.linalg.solve(a, b))
+        assert np.allclose(solver.right_apply(a), np.eye(6))
+        check("CachedSolver with dense U")
     """)

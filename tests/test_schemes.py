@@ -264,3 +264,10 @@ class TestSchemeConfigValidation:
         s = make_splitting(np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
             SchemeConfig(splittings=[s], stop_rule="energy")
+
+    @pytest.mark.parametrize("k", [0, 2.5, 1e6])
+    def test_max_iterations_is_a_positive_integer(self, k):
+        s = make_splitting(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="max_iterations"):
+            SchemeConfig(splittings=[s], max_iterations=k)
+        assert SchemeConfig(splittings=[s], max_iterations=np.int64(3)).max_iterations == 3

@@ -33,6 +33,7 @@ from altsplit.analysis import CONVERGENCE_THEOREMS, SEMICONVERGENCE_THEOREMS
 from altsplit.generators import (
     random_group_monotone_regular_triple,
     random_index_one,
+    random_inverse_positive,
     random_proper_triple,
     random_quasi_regular_triple,
     random_singular_m_matrix_triple,
@@ -144,6 +145,56 @@ QUASI_CLASSES = (
 )
 
 
+# type I <-> type II: transposing A and U maps U#V to (V U#)^T, V K1 to (V K1)^T
+TYPE_SWAP = {f"is_{family}weak_regular_type{k}": f"is_{family}weak_regular_type{3 - k}"
+             for family in ("g_", "", "quasi_") for k in (1, 2)}
+
+
+def _type_two_only(seed):
+    """(A, U) with A = sI - N and U^-1 = t (I + eps E), E >= 0, when the
+    splitting is weak regular of type II and not of type I, else None."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    a = random_inverse_positive(rng, n)
+    e = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+    t = rng.uniform(0.3, 1.0) / a.diagonal().max()
+    x = t * (np.eye(n) + rng.uniform(0.05, 0.5) * e)
+    if np.min(np.eye(n) - a @ x) >= 0 and np.min(np.eye(n) - x @ a) < -1e-8:
+        return a, np.linalg.inv(x)
+    return None
+
+
+class TestTransposeSwapsWeakTypes:
+    @staticmethod
+    def assert_swapped(a, u):
+        flags = classify(make_splitting(a, u)).flags()
+        flipped = classify(make_splitting(a.T, u.T)).flags()
+        assert flipped == {TYPE_SWAP.get(name, name): v for name, v in flags.items()}
+        return flags
+
+    @pytest.mark.parametrize("generator", [
+        random_group_monotone_regular_triple,
+        random_proper_triple,
+        random_quasi_regular_triple,
+        random_singular_m_matrix_triple,
+    ])
+    def test_generated_triples(self, generator):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a, splits = generator(rng, int(rng.integers(3, 9)))
+            for s in splits:
+                self.assert_swapped(a, s.u)
+
+    def test_type_two_but_not_type_one(self):
+        cases = [case for case in map(_type_two_only, range(400)) if case is not None]
+        assert len(cases) >= 10
+        for a, u in cases:
+            flags = self.assert_swapped(a, u)
+            for family in ("g_", "", "quasi_"):
+                assert flags[f"is_{family}weak_regular_type2"]
+                assert not flags[f"is_{family}weak_regular_type1"]
+
+
 class TestClassifyWitnessPrecedence:
     @pytest.mark.parametrize(
         "build, known", [case[1:] for case in WITNESS_CASES], ids=[c[0] for c in WITNESS_CASES]
@@ -177,6 +228,24 @@ class TestClassifyWitnessPrecedence:
         elif u_sharp_negative:
             for name in PLAIN_CLASSES:
                 assert rep.witnesses[name].check == "U# >= 0"
+
+    def test_ill_conditioned_u_keeps_the_sign_of_u_inverse_v_k1(self):
+        """U^-1 = x y^T + 10^-d R > 0 with cond(U) = 2.3e8 and V = U (I - T1).
+
+        A 60-digit evaluation gives min(U^-1 V K1) = -0.653, so the splitting
+        is not quasi weak regular of type I; ``inv(U) @ V`` in place of a
+        solve with U carried enough error to flip the sign to true.
+        """
+        rng = np.random.default_rng(2179)
+        n = int(rng.integers(3, 8))
+        t1 = random_index_one(rng, n, int(rng.integers(1, n)))
+        x = np.outer(rng.uniform(0.5, 1, n), rng.uniform(0.5, 1, n))
+        u = np.linalg.inv(x + 10 ** -rng.uniform(0, 10) * rng.uniform(0, 1, (n, n)))
+        rep = classify(make_splitting(u @ t1, u))
+        assert not rep.is_quasi_weak_regular_type1
+        witness = rep.witnesses["is_quasi_weak_regular_type1"]
+        assert witness.check == "U^-1 V K1 >= 0"
+        assert witness.min_entry < -0.1
 
 
 def _markov_splitting(rng, n, decades):
