@@ -7,7 +7,9 @@ hypothesis holds, the conclusion must hold, and the test suites treat a
 violation as a failure rather than a data point.
 
 Each verifier is one rule of this table over the facts of its triple
-[K-L, U-V, X-Y], each computed once.  T is a single-step iteration matrix,
+[K-L, U-V, X-Y].  A splitting computes the facts of its T (spectrum, K1,
+index) and its class report once and shares them with every verifier; H's
+are computed once per call.  T is a single-step iteration matrix,
 M = K + X - A + Y U# L, B12 = U#V K#L, B13 = X#Y K#L and B23 = X#Y U#V the
 two-step products (Bij), G-II and G-I a proper G-weak regular splitting of
 type II and I.  "<=" allows ``COMPARISON_SLACK`` and needs the floor,
@@ -71,6 +73,7 @@ from .splittings import (
     Splitting,
     _check_shared_a,
     _induced_from_product,
+    _k1,
     _middle_factor,
     alternating_iteration_matrix,
     classify,
@@ -132,31 +135,23 @@ def is_semiconvergent(
     round off to just below 1) do not slip through.
     """
     t = as_square(t)
+    return _certificate(t, _spectrum(t, tol.one_tol), lambda: _k1(t, tol.rank_tol), tol)
+
+
+def _certificate(t, spectrum, k1, tol: ToleranceProfile) -> SemiconvergenceCertificate:
+    """The certificate of T from its ``spectrum`` and ``k1()``, which gives
+    K1 = (I - T)(I - T)# or None and is called only when T is not
+    numerically I."""
+    rho, g, has_one = spectrum
     n = t.shape[0]
-    rho, g, has_one = _spectrum(t, tol.one_tol)
-    imt = np.eye(n) - t
     # When T is numerically the identity, I - T is pure round-off and its
     # relative rank is meaningless; anchor at T's unit scale instead.
-    if n and float(np.max(np.abs(imt))) <= tol.rank_tol:
-        return SemiconvergenceCertificate(
-            rho=rho,
-            gamma=0.0,
-            has_eigenvalue_one=True,
-            index_of_I_minus_T=1,
-            verdict=True,
-            limit_matrix=np.eye(n),
-        )
-    imt_sharp = _group_inverse_or_none(imt, tol.rank_tol)
-    idx_ok = imt_sharp is not None
-    verdict = (rho <= 1.0 + tol.one_tol) and (g < 1.0 - tol.one_tol) and idx_ok
-    return SemiconvergenceCertificate(
-        rho=rho,
-        gamma=g,
-        has_eigenvalue_one=has_one,
-        index_of_I_minus_T=1 if idx_ok else 2,
-        verdict=verdict,
-        limit_matrix=np.eye(n) - imt @ imt_sharp if verdict else None,
-    )
+    if n and float(np.max(np.abs(np.eye(n) - t))) <= tol.rank_tol:
+        return SemiconvergenceCertificate(rho, 0.0, True, 1, True, np.eye(n))
+    k = k1()
+    verdict = (rho <= 1.0 + tol.one_tol) and (g < 1.0 - tol.one_tol) and k is not None
+    return SemiconvergenceCertificate(rho, g, has_one, 1 if k is not None else 2, verdict,
+                                      np.eye(n) - k if verdict else None)
 
 
 def power_limit_oracle(
@@ -238,17 +233,15 @@ class _Triple:
         return alternating_iteration_matrix(self.splits)
 
     @cached_property
-    def matrices(self) -> dict[str, np.ndarray]:
-        """H and each single-step iteration matrix, by name."""
-        return {"H": self.h} | {name: s.iteration_matrix for name, s in zip(_NAMES, self.splits)}
-
-    @cached_property
     def rho(self) -> dict[str, float]:
-        return {name: spectral_radius(m) for name, m in self.matrices.items()}
+        return {"H": spectral_radius(self.h)} | {
+            name: s.spectrum[0] for name, s in zip(_NAMES, self.splits)}
 
     @cached_property
     def certs(self) -> dict[str, SemiconvergenceCertificate]:
-        return {name: is_semiconvergent(m, self.tol) for name, m in self.matrices.items()}
+        return {"H": is_semiconvergent(self.h, self.tol)} | {
+            name: _certificate(s.iteration_matrix, s.spectrum, lambda: s.k1, self.tol)
+            for name, s in zip(_NAMES, self.splits)}
 
     @cached_property
     def reports(self) -> dict:
@@ -340,7 +333,7 @@ def _semiconvergence(t, family: str) -> list[str]:
     for name, s in zip(_NAMES, t.splits):
         m[f"gamma_{name}"] = t.certs[name].gamma
         # Both index variants appear across the statements; surface both.
-        m[f"index_le1_{name}"] = float(index_at_most_one(s.iteration_matrix, t.tol))
+        m[f"index_le1_{name}"] = float(s.index_at_most_one)
         m[f"index_le1_I_minus_{name}"] = float(t.certs[name].index_of_I_minus_T == 1)
     if family == "M-matrix":
         failures = [] if is_m_matrix_with_property_c(t.a, t.tol) else [
@@ -528,7 +521,7 @@ def verify_semiconvergence_theorem(
             raise ValueError("delta must lie in (0, 1)")
     t = _Triple(theorem_id, splits, delta)
     failures = [f"{name} has a singular split part"
-                for name, s in zip(_NAMES, t.splits) if not s.u_is_nonsingular]
+                for name, s in zip(_NAMES, t.splits) if not s.solver.is_nonsingular]
     conclusion = False
     if not failures:
         failures, conclusion = _SEMICONVERGENCE_RULES[theorem_id](t)

@@ -309,7 +309,7 @@ class CachedSolver:
         u = as_square(u)
         self._u = None
         d = np.diag(u)
-        if np.count_nonzero(u - np.diag(d)) == 0:
+        if np.count_nonzero(u) == np.count_nonzero(d):  # no off-diagonal entry
             ad = np.abs(d)
             cutoff = tol.rank_tol * (ad.max() if ad.size else 0.0)
             nz = ad > cutoff

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, ToleranceProfile, index_at_most_one
+from .core import index_at_most_one
 from .splittings import make_splitting
 
 __all__ = [
@@ -65,10 +65,7 @@ def random_index_one(rng: np.random.Generator, n: int, rank_r: int) -> np.ndarra
 
 
 def random_group_monotone_regular_triple(
-    rng: np.random.Generator,
-    n: int,
-    rank_r: int | None = None,
-    tol: ToleranceProfile = DEFAULT_TOL,
+    rng: np.random.Generator, n: int, rank_r: int | None = None
 ):
     """(A, [K-L, U-V, X-Y]): group monotone A with three proper G-regular splittings.
 
@@ -85,15 +82,12 @@ def random_group_monotone_regular_triple(
     splits = []
     for _ in range(3):
         d = np.diag(rng.uniform(0.2, 1.5, r))
-        splits.append(make_splitting(a, _embed(q, q_inv, [m + d, zero]), tol))
+        splits.append(make_splitting(a, _embed(q, q_inv, [m + d, zero])))
     return a, splits
 
 
 def random_proper_triple(
-    rng: np.random.Generator,
-    n: int,
-    rank_r: int | None = None,
-    tol: ToleranceProfile = DEFAULT_TOL,
+    rng: np.random.Generator, n: int, rank_r: int | None = None
 ):
     """(A, [s1, s2, s3]): generic proper splittings sharing A's rank frame.
 
@@ -109,7 +103,7 @@ def random_proper_triple(
     splits = []
     for _ in range(3):
         w = np.eye(r) + 0.25 * rng.uniform(-1.0, 1.0, (r, r))
-        splits.append(make_splitting(a, f @ w @ g, tol))
+        splits.append(make_splitting(a, f @ w @ g))
     return a, splits
 
 
@@ -165,11 +159,7 @@ def random_semiconvergence_case(rng: np.random.Generator, n: int):
     return _embed(p, p_inv, blocks), str(kind)
 
 
-def random_singular_m_matrix_triple(
-    rng: np.random.Generator,
-    n: int,
-    tol: ToleranceProfile = DEFAULT_TOL,
-):
+def random_singular_m_matrix_triple(rng: np.random.Generator, n: int):
     """(A, splits): singular M-matrix with property c plus regular diagonal splittings.
 
     A = I - B/rho(B) with B entrywise positive, so the Perron eigenvalue is
@@ -180,17 +170,13 @@ def random_singular_m_matrix_triple(
         b = rng.uniform(0.05, 1.0, (n, n))
         rho = float(np.max(np.abs(np.linalg.eigvals(b))))
         a = np.eye(n) - b / rho
-        if index_at_most_one(a, tol):
+        if index_at_most_one(a):
             break
-    splits = [make_splitting(a, alpha * np.eye(n), tol) for alpha in (2.0, 2.5, 3.0)]
+    splits = [make_splitting(a, alpha * np.eye(n)) for alpha in (2.0, 2.5, 3.0)]
     return a, splits
 
 
-def random_quasi_regular_triple(
-    rng: np.random.Generator,
-    n: int,
-    tol: ToleranceProfile = DEFAULT_TOL,
-):
+def random_quasi_regular_triple(rng: np.random.Generator, n: int):
     """(A, splits): singular A with three semiconvergent quasi-regular splittings.
 
     Block frame Q diag(A1, 0) Q^-1 with A1 inverse-positive of order n - 1.
@@ -209,5 +195,5 @@ def random_quasi_regular_triple(
     for _ in range(3):
         d = np.diag(rng.uniform(0.2, 1.5, r))
         w = random_inverse_positive(rng, 1)
-        splits.append(make_splitting(a, _embed(q, q_inv, [a1 + d, w]), tol))
+        splits.append(make_splitting(a, _embed(q, q_inv, [a1 + d, w])))
     return a, splits

@@ -26,8 +26,10 @@ the same index, and K2 = (I - V U^-1)#(I - V U^-1) gives K2 V U^-1 = X U^-1.
 
 V is stored once, as the operator sweeps multiply by: CSR when it is large
 and sparse enough for CSR to pay, else dense (see ``CSR_MIN_ORDER``).  The
-dense V, the factors U#V and VU#, A's sweep operator and the class report
-(its witnesses a read-only mapping) are formed on first use, once.
+dense V, the factors U#V and VU#, A's sweep operator, the class report (its
+witnesses a read-only mapping) and the facts of T = U#V that ``classify``
+and the verifiers share (its spectrum, K1 from the one index-1 decision on
+I - T, and index(T) <= 1) are formed on first use, once.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from .core import (
     _kept,
     _nonsingular,
     _same_range_and_null,
+    _spectrum,
     as_square,
 )
 from .errors import (
@@ -91,28 +94,32 @@ def _sweep_operator(m: np.ndarray):
     return csr_array(m)
 
 
-@dataclass(frozen=True)
+def _k1(t: np.ndarray, rank_tol: float) -> np.ndarray | None:
+    """K1 = (I - T)(I - T)#, read-only, or None when index(I - T) > 1."""
+    imt = np.eye(t.shape[0]) - t
+    imt_sharp = _group_inverse_or_none(imt, rank_tol)
+    return None if imt_sharp is None else _kept(imt @ imt_sharp)
+
+
+@dataclass(frozen=True, eq=False)
 class Splitting:
     """One splitting A = U - V with its cached solver for U.
 
     Construct via :func:`make_splitting`.  ``v_op`` is the one stored V,
-    dense or CSR by the storage rule above; the dense ``v``, the factors
-    and A's sweep operator are formed from it on first use, once.
+    dense or CSR by the storage rule above; the dense ``v``, the factors,
+    A's sweep operator and the facts of U#V are formed on first use, once.
+    Splittings compare and hash by identity: their fields are arrays.
     """
 
     a: np.ndarray
     u: np.ndarray
     solver: CachedSolver = field(repr=False)
-    v_op: object = field(repr=False, compare=False)
+    v_op: object = field(repr=False)
     tol: ToleranceProfile = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    @property
-    def u_is_nonsingular(self) -> bool:
-        return self.solver.is_nonsingular
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -133,6 +140,21 @@ class Splitting:
     def reversed_iteration_matrix(self) -> np.ndarray:
         """Companion-side factor V U#."""
         return _kept(self.solver.right_apply(self.v))
+
+    @cached_property
+    def spectrum(self) -> tuple[float, float, bool]:
+        """(rho, gamma, has_eigenvalue_one) of U#V, from one ``eigvals``."""
+        return _spectrum(self.iteration_matrix, self.tol.one_tol)
+
+    @cached_property
+    def k1(self) -> np.ndarray | None:
+        """K1 = (I - U#V)(I - U#V)#, or None when index(I - U#V) > 1."""
+        return _k1(self.iteration_matrix, self.tol.rank_tol)
+
+    @cached_property
+    def index_at_most_one(self) -> bool:
+        """index(U#V) <= 1."""
+        return _group_inverse_or_none(self.iteration_matrix, self.tol.rank_tol) is not None
 
     _report = cached_property(lambda self: _class_report(self))  # what classify hands out
 
@@ -248,16 +270,14 @@ def _class_report(s: Splitting) -> SplittingClassReport:
     plain = ((s.v, "V"), (uv, "U#V"), (vu, "VU#"))
 
     singular_w = Witness(check="U is singular", matrix="U")
-    nonsingular_w = usharp_w if s.u_is_nonsingular else singular_w
+    nonsingular_w = usharp_w if s.solver.is_nonsingular else singular_w
     quasi_w, quasi = nonsingular_w, ()
-    if s.u_is_nonsingular:
-        t = np.eye(s.n) - uv  # I - U^-1 V
-        t_sharp = _group_inverse_or_none(t, s.tol.rank_tol)
-        if t_sharp is None:
+    if s.solver.is_nonsingular:
+        if s.k1 is None:
             quasi_w = Witness(check="index(I - U^-1 V) or index(I - V U^-1) exceeds 1",
                               matrix="I - U^-1 V")
         else:
-            x = s.v @ (t @ t_sharp)  # V K1
+            x = s.v @ s.k1
             quasi = ((x, "V K1"), (s.solver.solve(x), "U^-1 V K1"),
                      (s.solver.right_apply(x), "K2 V U^-1"))
 

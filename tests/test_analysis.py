@@ -351,6 +351,37 @@ class TestSemiconvergenceVerifiers:
         assert len(middles) == 1
         assert decided.count(True) == 1
 
+    def test_single_step_facts_are_computed_once_per_splitting(self, monkeypatch):
+        # classify and three quasi verifiers on one triple: one eigvals of
+        # each U#V, one index-1 decision (one SVD) on each I - U#V and on
+        # each U#V.
+        _, splits = random_quasi_regular_triple(np.random.default_rng(5), 5)
+        seen = {"eigvals": [], "svd": []}
+
+        def spying(name):
+            real = getattr(np.linalg, name)
+
+            def wrapped(m, *args, **kwargs):
+                seen[name].append(np.array(m))
+                return real(m, *args, **kwargs)
+            return wrapped
+
+        for name in seen:
+            monkeypatch.setattr(np.linalg, name, spying(name))
+        for s in splits:
+            classify(s)
+        for theorem_id in ("quasi-three-step", "quasi-three-comparison", "quasi-two-vs-three"):
+            verify_semiconvergence_theorem(theorem_id, splits)
+
+        def count(name, m):
+            return sum(x.shape == m.shape and np.array_equal(x, m) for x in seen[name])
+
+        for s in splits:
+            t = s.iteration_matrix
+            assert count("eigvals", t) == 1
+            assert count("svd", np.eye(s.n) - t) == 1
+            assert count("svd", t) == 1
+
     def test_walk_regular_three_step(self):
         _, splits = walk_triple()
         verdict = verify_semiconvergence_theorem("regular-three-step", splits)

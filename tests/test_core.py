@@ -253,6 +253,13 @@ class TestCachedSolver:
             solver.inverse_like()[0, 0] += 1.0
         np.testing.assert_array_equal(solver.solve(b), before)
 
+    def test_off_diagonal_u_with_a_zero_diagonal_is_dense(self):
+        u = np.array([[0.0, 1.0], [1.0, 0.0]])
+        solver = CachedSolver(u)
+        assert solver.is_nonsingular
+        np.testing.assert_array_equal(solver.inverse_like(), u)
+        np.testing.assert_array_equal(solver.solve(np.array([1.0, 2.0])), [2.0, 1.0])
+
     def test_singular_mode_uses_group_inverse(self):
         solver = CachedSolver(A_EXAMPLE)
         assert not solver.is_nonsingular

@@ -6,6 +6,7 @@ stale entry would otherwise go unnoticed.
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import altsplit
 
@@ -39,3 +40,14 @@ def test_package_reexports_come_from_their_defining_module():
         else:
             homes = [m for m in MODULES if name in getattr(m, "__all__", ())]
             assert [getattr(m, name) for m in homes] == [obj], name
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "True"
+    iterations, residual = lines[1].split()
+    assert int(iterations) > 0 and float(residual) < 1e-7

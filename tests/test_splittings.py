@@ -48,7 +48,7 @@ class TestMakeSplitting:
         a, k, _, _ = example_matrices
         s = make_splitting(a, k)
         np.testing.assert_allclose(s.v, k - a)
-        assert not s.u_is_nonsingular
+        assert not s.solver.is_nonsingular
 
     def test_u_equals_a_gives_zero_v(self):
         a = RNG.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
@@ -63,7 +63,7 @@ class TestMakeSplitting:
         problem = make_laplace(21)
         s = diag_scaling_splitting(problem.A, 1.5)
         np.testing.assert_allclose(np.diag(s.u), 1.5 * np.diag(problem.A))
-        assert s.u_is_nonsingular
+        assert s.solver.is_nonsingular
 
     def test_diag_scaling_identity_diagonal(self):
         walk = make_random_walk(10)
@@ -78,6 +78,14 @@ class TestMakeSplitting:
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ZeroDiagonalError):
             diag_scaling_splitting(np.array([[0.0, 1.0], [1.0, 1.0]]), 2.0)
+
+    def test_splittings_compare_and_hash_by_identity(self):
+        a = make_random_walk(5).A
+        s1, s2 = diag_scaling_splitting(a, 2.0), diag_scaling_splitting(a, 3.0)
+        assert s1 == s1 and s1 != s2 and s1 != diag_scaling_splitting(a, 2.0)
+        assert s1 in [s2, s1] and s2 not in [s1]
+        assert len({s1, s2, s1}) == 2
+        assert SchemeConfig([s1]) == SchemeConfig([s1]) != SchemeConfig([s2])
 
 
 class TestClassify:
@@ -210,7 +218,7 @@ class TestClassifyWitnessPrecedence:
 
         u_sharp_negative = not is_nonnegative(s.solver.inverse_like())
         if known == "singular U":
-            assert not s.u_is_nonsingular
+            assert not s.solver.is_nonsingular
         elif known == "not proper":
             assert not rep.is_proper
         elif known == "negative U#":
@@ -222,7 +230,7 @@ class TestClassifyWitnessPrecedence:
         elif u_sharp_negative:
             for name in G_CLASSES:
                 assert rep.witnesses[name].check == "U# >= 0"
-        if not s.u_is_nonsingular:
+        if not s.solver.is_nonsingular:
             for name in PLAIN_CLASSES + QUASI_CLASSES:
                 assert rep.witnesses[name] == Witness(check="U is singular", matrix="U")
         elif u_sharp_negative:
@@ -340,7 +348,7 @@ class TestQuasiClassesFollowTheirDefinitions:
 
         monkeypatch.setattr(splittings, "_group_inverse_or_none", counted)
         s = _generated(random_quasi_regular_triple, 0, 0)()
-        assert s.u_is_nonsingular
+        assert s.solver.is_nonsingular
         classify(s)
         assert len(calls) == 1
 
