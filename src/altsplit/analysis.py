@@ -12,8 +12,11 @@ index) and its class report once and shares them with every verifier; H's
 are computed once per call.  T is a single-step iteration matrix,
 M = K + X - A + Y U# L, B12 = U#V K#L, B13 = X#Y K#L and B23 = X#Y U#V the
 two-step products (Bij), G-II and G-I a proper G-weak regular splitting of
-type II and I.  "<=" allows ``COMPARISON_SLACK`` and needs the floor,
-recorded under the key in [], below 1.
+type II and I.  A product induces A = B - C with B = K M# X, or
+U_first M# U_last for Bij with its middle factor U_first + U_last - A (M#
+is M^-1 when M is nonsingular); it induces none when M# or B# does not
+exist.  "<=" allows ``COMPARISON_SLACK`` and needs the floor, recorded
+under the key in [], below 1.
 
 ======================  ===============================================  ==========================
 theorem                 hypotheses checked                               conclusion [floor key]
@@ -66,7 +69,6 @@ from .errors import (
     ClassificationError,
     MissingDeltaError,
     NonsingularHypothesisError,
-    SingularIminusHError,
     UnknownTheoremError,
 )
 from .splittings import (
@@ -77,7 +79,6 @@ from .splittings import (
     _middle_factor,
     alternating_iteration_matrix,
     classify,
-    induced_splitting,
 )
 
 __all__ = [
@@ -257,10 +258,16 @@ class _Triple:
 
     @cached_property
     def induced(self) -> Splitting | None:
-        """A = B - C with B = K M^-1 X, which reproduces H; None if M is singular."""
-        if self.middle_nonsingular:
-            return _induced_from_product(self.splits, self.middle)
-        return None
+        """A = B - C with B = K M# X (K M^-1 X when M is nonsingular), which
+        reproduces H; None when M# or B# does not exist."""
+        return _induced_from_product(self.splits, self.middle, self.middle_nonsingular)
+
+    @cached_property
+    def pairs(self) -> dict[str, tuple[np.ndarray, Splitting | None]]:
+        """Each two-step product Bij and the splitting it induces, or None."""
+        pairs = {name: (self.splits[i], self.splits[j]) for name, (i, j) in _PAIRS.items()}
+        return {name: (alternating_iteration_matrix(pair), _induced_from_product(pair))
+                for name, pair in pairs.items()}
 
     @cached_property
     def induced_mismatch(self) -> float:
@@ -278,17 +285,13 @@ class _Triple:
         return None
 
 
-def _induced_type2(t, h, rho_h, rho, i_minus, label):
-    """A = B - C with B#C = ``h`` (None if ``rho_h`` >= 1 or I - h is singular)
-    and the failures met, which call rho(h), I - h and B - C as given."""
-    if rho_h >= 1.0:
-        return None, [f"{rho} >= 1, no induced splitting"]
-    try:
-        ind = induced_splitting(t.a, h, t.tol)
-    except SingularIminusHError:
-        return None, [f"{i_minus} is singular, no induced splitting"]
-    type2 = classify(ind).is_g_weak_regular_type2
-    return ind, [] if type2 else [f"induced splitting {label} is not type II"]
+def _induced_failures(ind: Splitting | None, label: str, kind: str) -> list[str]:
+    """Why the induced splitting ``label`` is missing or not of ``kind``:
+    "type II" (proper G-weak regular of type II) or "quasi-regular"."""
+    if ind is None:
+        return [f"no induced splitting {label}"]
+    verdict = {"type II": "is_g_weak_regular_type2", "quasi-regular": "is_quasi_regular"}[kind]
+    return [] if getattr(classify(ind), verdict) else [f"induced splitting {label} is not {kind}"]
 
 
 def _b_sharp_fails(b_sharp, u, tol) -> bool:
@@ -359,25 +362,19 @@ def _index(t) -> list[str]:
 # The rules.  Each returns its theorem's hypothesis failures and conclusion.
 
 def _single_vs_three(t):
-    failures = _convergence(t)
-    ind, why = _induced_type2(t, t.h, t.rho["H"], "rho(H)", "I - H", "A = B - C")
-    b_sharp = None if ind is None else ind.solver.inverse_like()
-    failures += why + [f"{name[0]} B# >= I fails" for name, s in zip(_NAMES, t.splits)
-                       if _b_sharp_fails(b_sharp, s.u, t.tol)]
+    failures = _convergence(t) + _induced_failures(t.induced, "A = B - C", "type II")
+    b_sharp = None if t.induced is None else t.induced.solver.inverse_like()
+    failures += [f"{name[0]} B# >= I fails" for name, s in zip(_NAMES, t.splits)
+                 if _b_sharp_fails(b_sharp, s.u, t.tol)]
     return failures, _no_worse_than(t, "rho", _NAMES, "min_single_rho")
 
 
 def _two_vs_three(t):
-    failures = _convergence(t)
-    ind, why = _induced_type2(t, t.h, t.rho["H"], "rho(H)", "I - H", "A = B - C")
-    b_sharp = None if ind is None else ind.solver.inverse_like()
-    failures += why
-    for name, (i, j) in _PAIRS.items():
-        hp = alternating_iteration_matrix((t.splits[i], t.splits[j]))
-        rp = t.measured[f"rho_{name}"] = spectral_radius(hp)
-        ind, why = _induced_type2(t, hp, rp, f"rho of the {name} product",
-                                  f"I minus the {name} product", name)
-        failures += why
+    failures = _convergence(t) + _induced_failures(t.induced, "A = B - C", "type II")
+    b_sharp = None if t.induced is None else t.induced.solver.inverse_like()
+    for name, (hp, ind) in t.pairs.items():
+        t.measured[f"rho_{name}"] = spectral_radius(hp)
+        failures += _induced_failures(ind, name, "type II")
         if ind is not None and _b_sharp_fails(b_sharp, ind.u, t.tol):
             failures.append(f"{name} B# >= I fails")
     return failures, _no_worse_than(t, "rho", _PAIRS, "min_pairwise_rho")
@@ -429,9 +426,10 @@ def _quasi_three_step(t):
         failures.append("index(H) > 1")
     conclusion = t.certs["H"].verdict
     if conclusion and shared:
-        # Without a nonsingular M the induced-splitting clause is
-        # unverifiable; the semiconvergence conclusion stands on its own.
-        if t.induced is None:
+        # A singular M induces a singular B, which is in no quasi class, so
+        # the induced-splitting clause is unverifiable; the semiconvergence
+        # conclusion stands on its own.
+        if not t.middle_nonsingular:
             t.measured["induced_same_quasi_class"] = float("nan")
         else:
             report = classify(t.induced)
@@ -451,17 +449,12 @@ def _quasi_comparison(t):
 
 def _quasi_two_vs_three(t):
     failures = _semiconvergence(t, "quasi-regular")
-    for name, (i, j) in _PAIRS.items():
-        pair = (t.splits[i], t.splits[j])
-        cert = is_semiconvergent(alternating_iteration_matrix(pair), t.tol)
+    for name, (hp, ind) in t.pairs.items():
+        cert = is_semiconvergent(hp, t.tol)
         t.measured[f"gamma_{name}"] = cert.gamma
         if cert.index_of_I_minus_T > 1:
             failures.append(f"index(I - {name} product) > 1")
-        ind = _induced_from_product(pair)
-        if ind is None:
-            failures.append(f"{name} middle factor is singular")
-        elif not classify(ind).is_quasi_regular:
-            failures.append(f"induced splitting {name} is not quasi-regular")
+        failures += _induced_failures(ind, name, "quasi-regular")
     return failures + _index(t), _no_worse_than(t, "gamma", _PAIRS, "min_pairwise_gamma")
 
 
@@ -531,9 +524,9 @@ def verify_semiconvergence_theorem(
 def induced_regular_splitting(splits) -> Splitting:
     """Regular splitting A = B - C with B^-1 C equal to the three-step matrix.
 
-    B is built as K (K + X - A + Y U^-1 L)^-1 X, which coincides with
-    A (I - H)^-1 whenever the latter exists and remains well defined for
-    singular A, where 1 is an eigenvalue of H.
+    B = K M^-1 X with M = K + X - A + Y U^-1 L, which equals A (I - H)^-1
+    whenever that exists and stays defined for singular A, where 1 is an
+    eigenvalue of H.
 
     Raises
     ------
@@ -547,7 +540,7 @@ def induced_regular_splitting(splits) -> Splitting:
     for name, report in t.reports.items():
         if not report.is_regular:
             raise ClassificationError(f"{name} is not a regular splitting")
-    if t.induced is None:
+    if not t.middle_nonsingular:
         raise NonsingularHypothesisError("K + X - A + Y U^-1 L is singular")
     why = t.induced_failure(regular=True)
     if why is not None:

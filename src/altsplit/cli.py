@@ -75,14 +75,16 @@ class BenchRow:
     converged: bool
 
 
-def _bench_rows(order, splits, column, rule, tol, max_iterations, b, **run_args):
-    """Rows three/two/single: each scheme runs on the first 3, 2 or 1 splittings.
+def _bench_rows(order, a, alphas, column, rule, tol, b, **run_args):
+    """Rows three/two/single: each scheme runs on the first 3, 2 or 1 splittings
+    alpha diag(A), alphas ascending, for at most 2,000,000 passes.
 
     ``column`` gives a row's rho or gamma from its splittings.  ``run`` is
     read as this module's global at each call, so a caller may swap it to
-    observe the runs.  More than three splittings is a ValueError: no
-    scheme would run the fourth.
+    observe the runs.  More than three alphas is a ValueError: no scheme
+    would run the fourth.
     """
+    splits = [diag_scaling_splitting(a, alpha) for alpha in sorted(alphas)]
     if len(splits) > 3:
         raise ValueError(f"at most three alphas, one per step of the three-step scheme; "
                          f"got {len(splits)}")
@@ -91,7 +93,7 @@ def _bench_rows(order, splits, column, rule, tol, max_iterations, b, **run_args)
     # an empty list fails in SchemeConfig rather than giving no rows.
     for scheme, k in (("three", 3), ("two", 2), ("single", 1))[-max(len(splits), 1):]:
         config = SchemeConfig(
-            splittings=splits[:k], stop_rule=rule, tolerance=tol, max_iterations=max_iterations
+            splittings=splits[:k], stop_rule=rule, tolerance=tol, max_iterations=2_000_000
         )
         report = run(config, b, **run_args)
         rows.append(
@@ -130,13 +132,11 @@ def bench_laplace(
     alphas=(1.0, 1.5, 1.75),
     tol: float = 1e-6,
     stop: str = "error",
-    max_iterations: int = 2_000_000,
 ):
     """Run the Dirichlet benchmark; returns rows three/two/single."""
     rule = _choice("stop", stop, {"error": "error_vs_exact", "residual": "residual"})
     problem = make_laplace(grid_n)
-    splits = [diag_scaling_splitting(problem.A, a) for a in sorted(alphas)]
-    return _bench_rows(problem.order, splits, _rho, rule, tol, max_iterations, problem.b,
+    return _bench_rows(problem.order, problem.A, alphas, _rho, rule, tol, problem.b,
                        exact=problem.exact)
 
 
@@ -146,16 +146,13 @@ def bench_markov(
     tol: float = 1e-7,
     stop: str = "residual",
     x0_kind: str = "e1",
-    max_iterations: int = 2_000_000,
 ):
     """Run the stationary-distribution benchmark; gamma column, blank error."""
     rule = _choice("stop", stop, {"residual": "residual", "diff": "successive_diff"})
     problem = make_random_walk(states)
     x0 = _choice("x0_kind", x0_kind,
                  {"e1": np.eye(1, states)[0], "uniform": np.full(states, 1.0 / states)})
-    splits = [diag_scaling_splitting(problem.A, a) for a in sorted(alphas)]
-    return _bench_rows(states, splits, _gamma, rule, tol, max_iterations, np.zeros(states),
-                       x0=x0)
+    return _bench_rows(states, problem.A, alphas, _gamma, rule, tol, np.zeros(states), x0=x0)
 
 
 def _print_rows(rows, value_name):

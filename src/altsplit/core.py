@@ -247,7 +247,7 @@ def _projectors(m: np.ndarray, rank_tol: float):
 
 
 def _projectors_agree(p, q, tol: ToleranceProfile) -> bool:
-    return float(np.max(np.abs(p - q))) < tol.eq_tol
+    return bool(np.all(np.abs(p - q) < tol.eq_tol))
 
 
 def same_range(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -302,7 +302,7 @@ class CachedSolver:
     with a nonsingular dense U is a backward-stable ``np.linalg.solve``,
     whose error, unlike ``inv(U) @ V``'s, does not grow with cond(U).
 
-    Instances are immutable after construction and safe to share.
+    Instances are immutable (a writeable U is copied) and safe to share.
     """
 
     def __init__(self, u, tol: ToleranceProfile = DEFAULT_TOL):
@@ -322,7 +322,7 @@ class CachedSolver:
         self._diag = None
         self.is_nonsingular = _nonsingular(u, tol.rank_tol)
         if self.is_nonsingular:
-            self._u = _kept(u.copy())
+            self._u = _kept(u.copy()) if u.flags.writeable else u
         self._inverse_like = _kept(
             np.linalg.inv(u) if self.is_nonsingular else group_inverse(u, tol)
         )

@@ -1,11 +1,12 @@
 """Splittings A = U - V: construction, classification, iteration matrices.
 
-A splitting is stored with V derived once as U - A, so the defining identity
-can never drift, and with the ``ToleranceProfile`` it was built with, which
-every decision about it reads.  Classification produces verdicts, never
-exceptions; the constructive operations (induced splittings, closed forms)
-raise when their hypotheses fail because their outputs are undefined
-otherwise.
+A splitting keeps a read-only copy of U and V derived once as U - A, so the
+identity cannot drift through U, and the ``ToleranceProfile`` it was built
+with, which every decision about it reads; A is kept by reference, so
+writing into A invalidates its splittings.  Classification produces
+verdicts, never exceptions; the public constructive operations (induced
+splittings, closed forms) raise when their hypotheses fail because their
+outputs are undefined otherwise.
 
 ``classify`` decides every product class by one rule (Berman and Plemmons,
 ch. 7): the class holds iff its family's base condition holds and its
@@ -49,9 +50,11 @@ from .core import (
     _same_range_and_null,
     _spectrum,
     as_square,
+    group_inverse,
 )
 from .errors import (
     DimensionMismatchError,
+    IndexGreaterThanOneError,
     MismatchedSplittingError,
     RangeNullConditionError,
     SingularIminusHError,
@@ -160,7 +163,7 @@ class Splitting:
 
 
 def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
-    """Build a splitting of ``a`` from the chosen ``u``; V := U - A, stored once.
+    """Build a splitting of ``a`` (kept by reference) from a read-only copy of ``u``.
 
     Raises
     ------
@@ -170,7 +173,7 @@ def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
         If U is singular and U# does not exist.
     """
     a = as_square(a)
-    u = as_square(u)
+    u = _kept(as_square(np.array(u, dtype=float)))
     if a.shape != u.shape:
         raise DimensionMismatchError(
             f"A has shape {a.shape} but U has shape {u.shape}"
@@ -404,17 +407,21 @@ def _middle_factor(splits) -> np.ndarray:
     return middle
 
 
-def _induced_from_product(splits, middle=None) -> Splitting | None:
+def _induced_from_product(splits, middle=None, nonsingular=None) -> Splitting | None:
     """Splitting A = B - C induced by a two- or three-step product.
 
-    B = U_first M^-1 U_last with M the middle factor; this equals
-    A (I - H)^-1 whenever that exists and stays defined for singular A,
-    where 1 is an eigenvalue of H.  None when M is singular.  A caller that
-    has formed M and found it nonsingular passes it as ``middle``.
+    B = U_first M# U_last with M the middle factor (``np.linalg.solve(M,
+    U_last)`` when M is nonsingular), which equals A (I - H)^-1 whenever
+    that exists; None when M# or B# does not exist.  A caller that has
+    formed M and decided whether it is nonsingular passes both.
     """
+    first, last = splits[0], splits[-1]
     if middle is None:
         middle = _middle_factor(splits)
-        if not _nonsingular(middle, splits[0].tol.rank_tol):
-            return None
-    b = splits[0].u @ np.linalg.solve(middle, splits[-1].u)
-    return make_splitting(splits[0].a, b, splits[0].tol)
+        nonsingular = _nonsingular(middle, first.tol.rank_tol)
+    try:
+        m_last = (np.linalg.solve(middle, last.u) if nonsingular
+                  else group_inverse(middle, first.tol) @ last.u)
+        return make_splitting(first.a, first.u @ m_last, first.tol)
+    except IndexGreaterThanOneError:  # M# or B# does not exist
+        return None

@@ -7,7 +7,6 @@ import altsplit.core as core
 from altsplit import (
     MissingDeltaError,
     NonsingularHypothesisError,
-    SingularIminusHError,
     ToleranceProfile,
     UnknownTheoremError,
     alternating_iteration_matrix,
@@ -235,37 +234,48 @@ class TestConvergenceVerifiers:
         ("single-vs-three", "min_single_rho", False),
         ("two-vs-three", "min_pairwise_rho", True),
     ])
-    def test_singular_i_minus_h_is_a_hypothesis_failure(self, theorem_id, floor, holds):
-        # rho(H) rounds to 0.9999999999999996, below the rho >= 1 guard,
-        # while I - H is singular because A is
+    def test_walk_triple_induced_splitting_is_not_type_ii(self, theorem_id, floor, holds):
+        # A is singular, so I - H is too, but M = K + X - A + Y U^-1 L is
+        # not: B = K M^-1 X is nonsingular, hence not proper and not of
+        # type II, whichever side of 1 rho(H) rounds to
         _, splits = walk_triple()
         verdict = verify_convergence_theorem(theorem_id, splits)
         assert not verdict.hypotheses_hold
-        assert "I - H is singular, no induced splitting" in verdict.hypothesis_failures
+        assert "induced splitting A = B - C is not type II" in verdict.hypothesis_failures
+        assert not any("no induced splitting" in f for f in verdict.hypothesis_failures)
         # the conclusion is the spectral comparison, evaluated without B#
         m = verdict.measured_quantities
         assert verdict.conclusion_holds == analysis._no_worse(m["rho_H"], m[floor]) == holds
 
-    def test_singular_pair_product_is_a_hypothesis_failure(self, monkeypatch):
-        _, splits = random_group_monotone_regular_triple(
-            np.random.default_rng(1), 4, rank_r=4
-        )
-        real = analysis.induced_splitting
-        calls = []
+    def test_pair_without_middle_group_inverse_induces_nothing(self):
+        # U1 + U2 - A = [[0, 1], [0, 0]] has index 2, so M# and B12's
+        # induced splitting do not exist
+        a = np.eye(2)
+        splits = [make_splitting(a, 2 * np.eye(2)),
+                  make_splitting(a, np.array([[-1.0, 1.0], [0.0, -1.0]])),
+                  make_splitting(a, 2 * np.eye(2))]
+        assert analysis._induced_from_product(splits[:2]) is None
+        for theorem_id, verify in (("two-vs-three", verify_convergence_theorem),
+                                   ("quasi-two-vs-three", verify_semiconvergence_theorem)):
+            failures = verify(theorem_id, splits).hypothesis_failures
+            assert "no induced splitting B12" in failures, theorem_id
+            assert "no induced splitting B13" not in failures, theorem_id
 
-        def singular_after_h(a, h, tol):
-            calls.append(h)
-            if len(calls) > 1:
-                raise SingularIminusHError("I - H is singular; no induced splitting")
-            return real(a, h, tol)
-
-        monkeypatch.setattr(analysis, "induced_splitting", singular_after_h)
-        verdict = verify_convergence_theorem("two-vs-three", splits)
-        assert len(calls) == 4
-        assert not verdict.hypotheses_hold
-        for name in ("B12", "B13", "B23"):
-            assert (f"I minus the {name} product is singular, no induced splitting"
-                    in verdict.hypothesis_failures)
+    @pytest.mark.parametrize("make", [random_singular_m_matrix_triple,
+                                      random_quasi_regular_triple])
+    def test_comparison_failures_survive_a_permutation(self, make):
+        # on singular A rho(H) = 1 exactly, so no failure text may hang on
+        # which side of 1 round-off puts it
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 9))
+            a, splits = make(rng, n)
+            p = np.eye(n)[rng.permutation(n)]
+            permuted = [make_splitting(p @ a @ p.T, p @ s.u @ p.T) for s in splits]
+            for theorem_id in ("single-vs-three", "two-vs-three"):
+                assert (verify_convergence_theorem(theorem_id, splits).hypothesis_failures
+                        == verify_convergence_theorem(theorem_id, permuted).hypothesis_failures
+                        ), (seed, theorem_id)
 
     def test_implication_never_violated(self):
         for theorem_id in (

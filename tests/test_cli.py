@@ -44,6 +44,13 @@ class TestClassifyCommand:
         assert code == 0
         assert "is_regular                   yes" in out
 
+    def test_order_zero_matrix_classifies(self, tmp_path, capsys):
+        path = tmp_path / "z.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n0 0\n")
+        code = main(["classify", "--matrix", str(path), "--diag-alpha", "1"])
+        assert code == 0
+        assert "is_regular                   yes" in capsys.readouterr().out
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
         bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1\nnope\n4\n")
@@ -134,10 +141,12 @@ class TestBenchCommand:
             assert int(fields[2]) <= 2  # 1x1 system: every scheme is direct
 
     def test_diverging_row_prints_no_warning(self):
-        # rho = 5.03: the iterates overflow, and the non-finite stop says so
+        # rho = 5.03: the iterates overflow, and the non-finite stop ends
+        # the run after 223 passes and says so
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows = cli.bench_laplace(5, alphas=[0.3], max_iterations=10_000)
+            rows = cli.bench_laplace(5, alphas=[0.3])
+        assert rows[0].iterations == 223
         assert not rows[0].converged
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 

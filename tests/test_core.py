@@ -163,6 +163,10 @@ class TestSubspacePredicates:
         assert same_range(m, 2.0 * m)
         assert same_null(m, -3.0 * m)
 
+    def test_empty_projectors_agree(self):
+        empty = np.zeros((0, 0))
+        assert same_range(empty, empty) and same_null(empty, empty)
+
     def test_different_null_spaces(self):
         assert not same_null(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
 

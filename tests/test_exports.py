@@ -1,12 +1,17 @@
-"""Public-name bookkeeping: every exported name resolves where it is declared.
+"""Public-name bookkeeping: every exported name resolves where it is declared,
+and every imported name is used.
 
 Tools that wrap the public functions walk each module's ``__all__``, so a
-stale entry would otherwise go unnoticed.
+stale entry would otherwise go unnoticed; no linter runs on the package, so
+an import left behind by a cleanup would too.
 """
+import ast
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
+
+import pytest
 
 import altsplit
 
@@ -41,6 +46,25 @@ def test_package_reexports_come_from_their_defining_module():
             homes = [m for m in MODULES if name in getattr(m, "__all__", ())]
             assert [getattr(m, name) for m in homes] == [obj], name
 
+
+
+@pytest.mark.parametrize("path", sorted(Path(altsplit.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    # used: read as a name anywhere in the module, or listed in its __all__
+    tree = ast.parse(path.read_text())
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    assert not imported - used, f"{path.name} imports {sorted(imported - used)} unused"
 
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

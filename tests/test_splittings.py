@@ -79,6 +79,16 @@ class TestMakeSplitting:
         with pytest.raises(ZeroDiagonalError):
             diag_scaling_splitting(np.array([[0.0, 1.0], [1.0, 1.0]]), 2.0)
 
+    def test_u_is_kept_as_a_read_only_copy(self):
+        a = np.array([[4.0, -1.0], [-1.0, 4.0]])
+        u = np.array([[5.0, -1.0], [0.0, 5.0]])
+        s = make_splitting(a, u)
+        u[0, 0] = 100.0
+        assert s.u[0, 0] == 5.0 and not s.u.flags.writeable
+        np.testing.assert_allclose(s.u - s.v, a)
+        np.testing.assert_allclose(s.solver.solve(s.u), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(s.solver.right_apply(s.u), np.eye(2), atol=1e-15)
+
     def test_splittings_compare_and_hash_by_identity(self):
         a = make_random_walk(5).A
         s1, s2 = diag_scaling_splitting(a, 2.0), diag_scaling_splitting(a, 3.0)
@@ -113,6 +123,10 @@ class TestClassify:
         assert rep.is_proper and rep.is_regular
         rep2 = classify(make_splitting(-a, -a))  # inverse is negative
         assert rep2.is_proper and not rep2.is_regular
+
+    def test_order_zero_splitting_is_in_every_class(self):
+        rep = classify(make_splitting(np.zeros((0, 0)), np.zeros((0, 0))))
+        assert all(rep.flags().values()) and not rep.witnesses
 
     def test_regular_implies_both_weak_types(self):
         for _ in range(10):
@@ -523,6 +537,34 @@ class TestInducedSplitting:
     def test_singular_shift_rejected(self):
         with pytest.raises(SingularIminusHError):
             induced_splitting(np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("make", [random_group_monotone_regular_triple, random_proper_triple,
+                                      random_singular_m_matrix_triple,
+                                      random_quasi_regular_triple])
+    def test_product_route_matches_the_reference(self, make):
+        # B = U_first M# U_last against A (I - H)^-1, for the triple and
+        # its pairs, wherever the latter exists; B#C = H wherever B exists
+        compared = 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            a, splits = make(rng, int(rng.integers(4, 8)))
+            for chosen in (splits, splits[:2], splits[::2], splits[1:]):
+                h = alternating_iteration_matrix(chosen)
+                b = splittings._induced_from_product(chosen)
+                if b is not None:
+                    np.testing.assert_allclose(b.iteration_matrix, h, atol=1e-9)
+                try:
+                    reference = induced_splitting(a, h).u
+                except SingularIminusHError:
+                    continue
+                compared += 1
+                scale = float(np.max(np.abs(reference)))
+                assert float(np.max(np.abs(b.u - reference))) <= 1e-12 * scale, seed
+        # I - H is singular iff H has the eigenvalue 1: never for proper
+        # splittings (a singular A makes M singular: the M# route), always
+        # for the other families, whose A is singular and U nonsingular
+        proper = make in (random_group_monotone_regular_triple, random_proper_triple)
+        assert compared == (200 if proper else 0)
 
     def test_dominates_inputs_for_both_type_triples(self):
         # B# >= K#, U#, X# entrywise for both-type splittings
