@@ -3,6 +3,8 @@
 Everything downstream treats matrices as immutable ``numpy.ndarray`` values
 in float64.  All operations are pure; U^-1 or U# is kept only inside
 :class:`CachedSolver` instances, which are created once and then read-only.
+Its :meth:`CachedSolver.correct` is the one sweep step, U#(V x + b)
+formed from the residual r = b - A x without V.
 
 Each fact about a matrix comes from one private routine, so callers that
 need several facts of one matrix compute each once:
@@ -298,16 +300,19 @@ class CachedSolver:
     * any other U: one dense matrix formed at construction,
       ``np.linalg.inv(u)`` when U is nonsingular, else the group inverse.
 
-    A vector (one sweep) is multiplied by that matrix; a matrix product
-    with a nonsingular dense U is a backward-stable ``np.linalg.solve``,
-    whose error, unlike ``inv(U) @ V``'s, does not grow with cond(U).
+    A sweep step is :meth:`correct`, one multiply-add with that matrix; a
+    matrix product with a nonsingular dense U is a backward-stable
+    ``np.linalg.solve`` with the kept U, whose error, unlike
+    ``inv(U) @ V``'s, does not grow with cond(U).
 
     Instances are immutable (a writeable U is copied) and safe to share.
     """
 
     def __init__(self, u, tol: ToleranceProfile = DEFAULT_TOL):
         u = as_square(u)
-        self._u = None
+        if u.flags.writeable:
+            u = _kept(u.copy())
+        self._u = u
         d = np.diag(u)
         if np.count_nonzero(u) == np.count_nonzero(d):  # no off-diagonal entry
             ad = np.abs(d)
@@ -321,8 +326,6 @@ class CachedSolver:
             return
         self._diag = None
         self.is_nonsingular = _nonsingular(u, tol.rank_tol)
-        if self.is_nonsingular:
-            self._u = _kept(u.copy()) if u.flags.writeable else u
         self._inverse_like = _kept(
             np.linalg.inv(u) if self.is_nonsingular else group_inverse(u, tol)
         )
@@ -330,20 +333,32 @@ class CachedSolver:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """U^-1 rhs, or U# rhs when U is singular."""
         if self._diag is None:
-            if self._u is not None and rhs.ndim == 2:
+            if self.is_nonsingular and rhs.ndim == 2:
                 return np.linalg.solve(self._u, rhs)
             return self._inverse_like @ rhs
         if rhs.ndim == 1:
             return self._diag * rhs
         return self._diag[:, None] * rhs
 
+    def correct(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """x + U^-1 r, or U#(U x + r) when U is singular.
+
+        With r = b - A x and A = U - V this is U#(V x + b) for every x,
+        the splitting's step, formed without V.
+        """
+        if not self.is_nonsingular:
+            return self.solve(self._u @ x + r)
+        if self._diag is not None:
+            return x + self._diag * r
+        return x + self._inverse_like @ r
+
     def right_apply(self, b: np.ndarray) -> np.ndarray:
         """B U^-1 (or B U#)."""
-        if self._u is not None:
+        if self._diag is not None:
+            return b * self._diag
+        if self.is_nonsingular:
             return np.linalg.solve(self._u.T, b.T).T
-        if self._diag is None:
-            return b @ self._inverse_like
-        return b * self._diag
+        return b @ self._inverse_like
 
     def inverse_like(self) -> np.ndarray:
         """U^-1 or U# as a read-only dense matrix (formed once, cached)."""

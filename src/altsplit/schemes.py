@@ -1,10 +1,12 @@
 """Iteration drivers for single-, two- and three-step alternating sweeps.
 
-One iteration means one full multi-splitting pass.  Sweeps never form the
-product iteration matrix; each pass costs one matvec with V per splitting
-plus a cached solve with U.  The matvec goes through the splitting's stored
-V, which is CSR for large sparse V and dense otherwise; ``run`` takes A's
-sweep operator, formed by the same rule, from the first splitting.  The
+One iteration means one full multi-splitting pass.  Sweeps form neither the
+product iteration matrix nor any V: each step is the residual correction
+U x' = U x + r, r = b - A x, which equals U#(V x + b) (Saad, *Iterative
+Methods for Sparse Linear Systems*, 2003, sec. 4.1).  So a pass costs one
+matvec with A's sweep operator (CSR for large sparse A, dense otherwise)
+and one cached solve per splitting.  ``run``
+hands the residual it forms for its stop rule on to the next pass.  The
 iteration matrix itself is only assembled by the diagnostics in
 :mod:`altsplit.splittings` and :mod:`altsplit.analysis`.
 
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, CachedSolver, ToleranceProfile, _nonsingular,
-                   as_square, as_vector)
+from .core import (DEFAULT_TOL, ToleranceProfile, _nonsingular, as_square,
+                   as_vector, group_inverse)
 from .errors import MissingDeltaError
 from .splittings import Splitting, _check_shared_a
 
@@ -81,10 +83,15 @@ class IterationReport:
     history: list[tuple[float, float | None]] | None = field(default=None)
 
 
-def sweep(splits, x, b):
-    """One alternating pass: x <- U_i#(V_i x + b) for each splitting in order."""
+def sweep(splits, x, b, r=None):
+    """One alternating pass: x <- U_i#(V_i x + b) for each splitting in order.
+
+    ``r``, if given, is b - A x for the ``x`` passed in.
+    """
+    a = splits[0].a_op
     for s in splits:
-        x = s.solver.solve(s.v_op @ x + b)
+        x = s.solver.correct(x, b - a @ x if r is None else r)
+        r = None
     return x
 
 
@@ -125,25 +132,30 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     history: list[tuple[float, float | None]] | None = (
         [] if config.record_history else None
     )
+    # r = b - A x, formed once a pass for the rule or history and reused by
+    # the next sweep
+    keep_residual = config.stop_rule == "residual" or history is not None
+    r = None
     converged = False
     iterations = 0
     start = time.perf_counter()
     for iterations in range(1, config.max_iterations + 1):
-        y = sweep(splits, x, b)
+        y = sweep(splits, x, b, r)
         x_new = delta * y + (1.0 - delta) * x if delta is not None else y
+        if keep_residual:
+            r = b - a @ x_new
 
         if config.stop_rule == "residual":
-            r = b - a @ x_new
+            m = r
         elif config.stop_rule == "error_vs_exact":
-            r = exact - x_new
+            m = exact - x_new
         else:
-            r = x_new - x
-        metric = math.sqrt(r @ r)  # bit for bit np.linalg.norm(r), without its dispatch
+            m = x_new - x
+        metric = math.sqrt(m @ m)  # bit for bit np.linalg.norm(m), without its dispatch
 
         if history is not None:
-            res = float(np.linalg.norm(b - a @ x_new))
             err = float(np.linalg.norm(exact - x_new)) if exact is not None else None
-            history.append((res, err))
+            history.append((float(np.linalg.norm(r)), err))
         x = x_new
         if metric < config.tolerance:
             converged = True
@@ -152,10 +164,12 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
             break
     elapsed = time.perf_counter() - start
 
+    if r is None:
+        r = b - a @ x
     return IterationReport(
         iterations=iterations,
         final_x=x,
-        final_residual=float(np.linalg.norm(b - a @ x)),
+        final_residual=float(np.linalg.norm(r)),
         final_error=(
             float(np.linalg.norm(exact - x)) if exact is not None else None
         ),
@@ -178,4 +192,4 @@ def exact_solution(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     b = as_vector(b, a.shape[0])
     if _nonsingular(a, tol.rank_tol):
         return np.linalg.solve(a, b)
-    return CachedSolver(a, tol).solve(b)
+    return group_inverse(a, tol) @ b

@@ -1,12 +1,13 @@
 """Splittings A = U - V: construction, classification, iteration matrices.
 
-A splitting keeps a read-only copy of U and V derived once as U - A, so the
-identity cannot drift through U, and the ``ToleranceProfile`` it was built
-with, which every decision about it reads; A is kept by reference, so
-writing into A invalidates its splittings.  Classification produces
-verdicts, never exceptions; the public constructive operations (induced
-splittings, closed forms) raise when their hypotheses fail because their
-outputs are undefined otherwise.
+A splitting keeps a read-only copy of U and the ``ToleranceProfile`` it
+was built with, which every decision about it reads; A is kept by
+reference, so writing into A invalidates its splittings.  V is not
+stored: a sweep step needs only A and U (``CachedSolver.correct``), and
+the dense V = U - A is formed on first use, for the diagnostics.
+Classification produces verdicts, never exceptions; the public
+constructive operations (induced splittings, closed forms) raise when
+their hypotheses fail because their outputs are undefined otherwise.
 
 ``classify`` decides every product class by one rule (Berman and Plemmons,
 ch. 7): the class holds iff its family's base condition holds and its
@@ -25,12 +26,13 @@ quasi   U nonsingular, index(I - U^-1 V) <= 1, U# >= 0   V K1
 with K1 = (I - U^-1 V)(I - U^-1 V)#.  I - V U^-1 = U (I - U^-1 V) U^-1 has
 the same index, and K2 = (I - V U^-1)#(I - V U^-1) gives K2 V U^-1 = X U^-1.
 
-V is stored once, as the operator sweeps multiply by: CSR when it is large
-and sparse enough for CSR to pay, else dense (see ``CSR_MIN_ORDER``).  The
-dense V, the factors U#V and VU#, A's sweep operator, the class report (its
-witnesses a read-only mapping) and the facts of T = U#V that ``classify``
-and the verifiers share (its spectrum, K1 from the one index-1 decision on
-I - T, and index(T) <= 1) are formed on first use, once.
+A's sweep operator, the one matrix sweeps multiply by, is CSR when it is
+large and sparse enough for CSR to pay, else dense (see
+``CSR_MIN_ORDER``).  It, the dense V, the factors U#V and VU#, the class
+report (its witnesses a read-only mapping) and the facts of T = U#V that
+``classify`` and the verifiers share (its spectrum, K1 from the one
+index-1 decision on I - T, and index(T) <= 1) are formed on first use,
+once.
 """
 from __future__ import annotations
 
@@ -75,7 +77,7 @@ __all__ = [
 ]
 
 
-# Storage rule for the sweep operators of V and A: CSR from order
+# Storage rule for A's sweep operator: CSR from order
 # CSR_MIN_ORDER on, with at most CSR_MAX_FILL of the entries nonzero.
 # Measured matvec times (2-vCPU Xeon, numpy 2.4, scipy 1.17): dense 3.3 us
 # vs CSR 6.2 us at order 100 (tridiagonal), 8.9 vs 6.9 us at order 200,
@@ -108,16 +110,15 @@ def _k1(t: np.ndarray, rank_tol: float) -> np.ndarray | None:
 class Splitting:
     """One splitting A = U - V with its cached solver for U.
 
-    Construct via :func:`make_splitting`.  ``v_op`` is the one stored V,
-    dense or CSR by the storage rule above; the dense ``v``, the factors,
-    A's sweep operator and the facts of U#V are formed on first use, once.
+    Construct via :func:`make_splitting`.  A's sweep operator (dense or CSR
+    by the storage rule above), the dense ``v = u - a``, the factors and
+    the facts of U#V are formed on first use, once.
     Splittings compare and hash by identity: their fields are arrays.
     """
 
     a: np.ndarray
     u: np.ndarray
     solver: CachedSolver = field(repr=False)
-    v_op: object = field(repr=False)
     tol: ToleranceProfile = field(repr=False)
 
     @property
@@ -126,12 +127,12 @@ class Splitting:
 
     @cached_property
     def v(self) -> np.ndarray:
-        """V as a dense matrix."""
-        return self.v_op if isinstance(self.v_op, np.ndarray) else _kept(self.v_op.toarray())
+        """V = U - A as a dense matrix."""
+        return _kept(self.u - self.a)
 
     @cached_property
     def a_op(self):
-        """A's sweep operator, for the residuals of a run."""
+        """A's sweep operator, for the residuals that sweeps and runs form."""
         return _sweep_operator(self.a)
 
     @cached_property
@@ -178,8 +179,7 @@ def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
         raise DimensionMismatchError(
             f"A has shape {a.shape} but U has shape {u.shape}"
         )
-    return Splitting(a=a, u=u, solver=CachedSolver(u, tol),
-                     v_op=_sweep_operator(_kept(u - a)), tol=tol)
+    return Splitting(a=a, u=u, solver=CachedSolver(u, tol), tol=tol)
 
 
 def diag_scaling_splitting(
@@ -330,16 +330,19 @@ def alternating_iteration_matrix(splits) -> np.ndarray:
 def _iteration_operator(splits):
     """Matrix-free alternating iteration matrix x -> U_k#(V_k(...U_1#(V_1 x))).
 
-    A ``scipy.sparse.linalg.LinearOperator`` over the sweep operators; it
-    applies the factors itself rather than through ``schemes.sweep``, so
-    it adds no sweep passes.
+    A ``scipy.sparse.linalg.LinearOperator`` over A's sweep operator: each
+    factor is ``correct(x, -(A x))``, which is U#V x, so no V is formed.
+    It applies the factors itself rather than through ``schemes.sweep``,
+    so it adds no sweep passes.
     """
     from scipy.sparse.linalg import LinearOperator
+
+    a = splits[0].a_op
 
     def matvec(x):
         x = np.ravel(x)
         for s in splits:
-            x = s.solver.solve(s.v_op @ x)
+            x = s.solver.correct(x, -(a @ x))
         return x
 
     n = splits[0].n

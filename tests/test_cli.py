@@ -166,10 +166,11 @@ class TestBenchCommand:
         main(["bench", "markov", "--states", "6", "--csv", str(p1)])
         main(["bench", "markov", "--states", "6", "--csv", str(p2)])
         capsys.readouterr()
-        strip = lambda path: [
-            [f for i, f in enumerate(row) if i != 5]
-            for row in csv.reader(open(path, newline=""))
-        ]
+
+        def strip(path):
+            with open(path, newline="") as fh:
+                return [[f for i, f in enumerate(row) if i != 5] for row in csv.reader(fh)]
+
         assert strip(p1) == strip(p2)
 
     def test_laplace_csv_has_error_column(self, tmp_path, capsys):

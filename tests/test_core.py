@@ -270,3 +270,15 @@ class TestCachedSolver:
         np.testing.assert_allclose(
             solver.inverse_like(), A_SHARP_EXPECTED, atol=1e-12
         )
+
+    @pytest.mark.parametrize("u", [A_EXAMPLE, np.eye(3) + np.triu(np.ones((3, 3))),
+                                   np.diag([2.0, 4.0, 0.0]), np.diag([2.0, 4.0, 8.0])],
+                             ids=["sharp", "inverse", "singular-diagonal", "diagonal"])
+    def test_correct_is_the_splitting_step(self, u):
+        # correct(x, b - A x) = U#(V x + b) for A = U - V at any x, also
+        # with x outside R(U)
+        a = u - RNG.uniform(-1, 1, (3, 3))
+        x, b = RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 3)
+        solver = CachedSolver(u)
+        np.testing.assert_allclose(solver.correct(x, b - a @ x),
+                                   solver.inverse_like() @ ((u - a) @ x + b), atol=1e-12)

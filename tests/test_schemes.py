@@ -15,14 +15,50 @@ from altsplit import (
     run_shifted,
     sweep,
 )
+from altsplit.generators import random_index_one, random_proper_triple
 from conftest import A_EXAMPLE, A_SHARP_EXPECTED
 
 RNG = np.random.default_rng(90125)
+PROPER_SEEDS = range(6)
 
 
 def affine_constant(splits, b):
     """Image of the zero vector under one sweep (the affine offset)."""
     return sweep(splits, np.zeros(len(b)), b)
+
+
+def reference_pass(splits, x, b):
+    """One pass of explicit U#(V x + b) steps, with the dense U# and V."""
+    for s in splits:
+        x = s.solver.inverse_like() @ (s.v @ x + b)
+    return x
+
+
+def singular_proper_case(seed, n=5):
+    """A rank-deficient proper triple, a b and an x0 whose component outside
+    R(U) = R(A) has norm sqrt(n - rank) for every U of the triple."""
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, n))
+    a, splits = random_proper_triple(rng, n, rank_r=r)
+    assert not any(s.solver.is_nonsingular for s in splits)
+    b = rng.uniform(-1, 1, n)
+    left = np.linalg.svd(a)[0]
+    x0 = left[:, :r] @ rng.uniform(-1, 1, r) + left[:, r:] @ np.ones(n - r)
+    for s in splits:
+        in_range = s.u @ np.linalg.lstsq(s.u, x0, rcond=None)[0]
+        assert np.linalg.norm(x0 - in_range) == pytest.approx(np.sqrt(n - r))
+    return a, splits, b, x0
+
+
+class CountingOperator:
+    """Stands in for a sweep operator and counts its products with a vector."""
+
+    def __init__(self, op):
+        self.op, self.calls = op, 0
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.op @ x
 
 
 class TestSweep:
@@ -65,6 +101,25 @@ class TestSweep:
         offset = x_inv @ (sx.v @ u_inv + np.eye(5))
         np.testing.assert_allclose(
             sweep(splits, x0, b), h @ x0 + offset @ b, atol=1e-11
+        )
+
+    @pytest.mark.parametrize("seed", PROPER_SEEDS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_singular_u_sweep_matches_affine_expansion(self, seed, k):
+        # x0 outside R(U): the step x + U#r would differ from U#(V x + b)
+        _, splits, b, x0 = singular_proper_case(seed)
+        splits = splits[:k]
+        h = alternating_iteration_matrix(splits)
+        offset = affine_constant(splits, b)
+        np.testing.assert_allclose(sweep(splits, x0, b), h @ x0 + offset, atol=1e-12)
+        np.testing.assert_allclose(sweep(splits, x0, b), reference_pass(splits, x0, b),
+                                   atol=1e-12)
+
+    def test_given_residual_is_the_first_correction(self, example_triple):
+        b = np.array([2.0, 0.5, 0.0])
+        x0 = RNG.uniform(-1, 1, 3)
+        np.testing.assert_array_equal(
+            sweep(example_triple, x0, b, r=b - A_EXAMPLE @ x0), sweep(example_triple, x0, b)
         )
 
 
@@ -166,6 +221,23 @@ class TestRun:
         assert err == pytest.approx(report.final_error, rel=1e-9)
         # monotone decrease is NOT asserted anywhere, only the final values
 
+    @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
+    @pytest.mark.parametrize("record_history", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_is_applied_once_per_step(self, rule, record_history, k):
+        # the residual the stop rule forms is the next pass's first
+        # correction, and the last one is the final residual
+        problem = make_laplace(6)
+        splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)][:k]
+        counting = CountingOperator(splits[0].a_op)
+        vars(splits[0])["a_op"] = counting
+        config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-8,
+                              record_history=record_history)
+        report = run(config, problem.b, exact=problem.exact)
+        assert report.converged
+        assert counting.calls == 1 + k * report.iterations
+        assert report.final_residual == np.linalg.norm(problem.b - problem.A @ report.final_x)
+
 
 class TestRunShifted:
     def test_requires_delta(self):
@@ -226,6 +298,21 @@ class TestRunShifted:
             x = delta * sweep(splits, x, b) + (1 - delta) * x
         np.testing.assert_allclose(report.final_x, x, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", PROPER_SEEDS)
+    def test_singular_u_matches_reference_steps(self, seed):
+        # residual rule: each pass starts from the residual of the last
+        a, splits, _, x0 = singular_proper_case(seed)
+        b = a @ np.random.default_rng(seed).uniform(-1, 1, a.shape[0])
+        delta = 0.7
+        config = SchemeConfig(splittings=splits, tolerance=1e-300, max_iterations=20,
+                              delta=delta)
+        report = run_shifted(config, b, x0=x0)
+        x = x0.copy()
+        for _ in range(report.iterations):
+            x = delta * reference_pass(splits, x, b) + (1 - delta) * x
+        assert report.iterations == 20
+        np.testing.assert_allclose(report.final_x, x, atol=1e-12)
+
 
 class TestExactSolution:
     def test_diagonal_division(self):
@@ -243,6 +330,22 @@ class TestExactSolution:
         np.testing.assert_allclose(
             exact_solution(A_EXAMPLE, np.zeros(3)), np.zeros(3), atol=1e-14
         )
+
+    def test_singular_a_takes_three_svds(self, monkeypatch):
+        # one for the nonsingularity test, two for A# (its rank factorization
+        # and the index-1 test on G F)
+        a = random_index_one(np.random.default_rng(5), 6, 4)
+        b = a @ np.ones(6)
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        x = exact_solution(a, b)
+        assert len(calls) == 3
+        np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
 
 class TestSchemeConfigValidation:

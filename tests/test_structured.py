@@ -1,4 +1,4 @@
-"""The structured sweep path: CSR sweep operators and the ARPACK rho."""
+"""The structured sweep path: A's CSR sweep operator and the ARPACK rho."""
 import math
 import os
 import subprocess
@@ -46,7 +46,7 @@ def closed_form_rho(grid_n, alphas):
 def is_csr(s):
     from scipy.sparse import csr_array
 
-    return isinstance(s.v_op, csr_array)
+    return isinstance(s.a_op, csr_array)
 
 
 @pytest.fixture(scope="module", params=[9, 21, 41])
@@ -60,7 +60,7 @@ class TestStorageRule:
         problem = make_laplace(21)
         s = diag_scaling_splitting(problem.A, 1.5)
         assert is_csr(s)
-        assert isinstance(s.v, np.ndarray)  # the public V is dense on demand
+        assert isinstance(s.v, np.ndarray)  # V is dense, and formed on demand
         np.testing.assert_array_equal(s.v, s.u - s.a)
         x = np.random.default_rng(3).standard_normal(problem.order)
         np.testing.assert_allclose(sweep([s], x, problem.b),
@@ -69,12 +69,12 @@ class TestStorageRule:
     def test_small_orders_stay_dense(self):
         walk = make_random_walk(CSR_MIN_ORDER - 1)
         s = diag_scaling_splitting(walk.A, 2.0)
-        assert isinstance(s.v_op, np.ndarray) and s.v is s.v_op
+        assert s.a_op is s.a
 
-    def test_dense_v_stays_dense(self):
+    def test_dense_a_stays_dense(self):
         n = CSR_MIN_ORDER
         a = np.random.default_rng(4).uniform(-1, 1, (n, n)) + n * np.eye(n)
-        assert isinstance(make_splitting(a, np.diag(np.diag(a))).v_op, np.ndarray)
+        assert make_splitting(a, np.diag(np.diag(a))).a_op is a
 
     def test_csr_residual_rule_matches_dense_iterates(self):
         problem = make_laplace(21)
@@ -133,8 +133,8 @@ def test_rho_operator_adds_no_sweep_passes(monkeypatch):
 
 
 def test_bench_keeps_no_dense_v_or_factor(monkeypatch):
-    # the sweeps and rho read V as CSR, so no splitting forms a dense
-    # order-400 matrix beyond the A and U it was built from
+    # the sweeps and rho read only A, as CSR, and the solvers of U, so no
+    # splitting forms V or a dense order-400 matrix beyond its A and U
     splits = []
 
     def keep(config, *args, **kwargs):
@@ -145,6 +145,7 @@ def test_bench_keeps_no_dense_v_or_factor(monkeypatch):
     bench_laplace(21)
     assert len(splits) == 6
     for s in splits:
+        assert "v" not in vars(s)
         held = [*vars(s).values(), *vars(s.solver).values()]
         big = [m for m in held if isinstance(m, np.ndarray) and m.shape == (400, 400)]
         assert all(m is s.a or m is s.u for m in big)
