@@ -7,16 +7,16 @@ hypothesis holds, the conclusion must hold, and the test suites treat a
 violation as a failure rather than a data point.
 
 Each verifier is one rule of this table over the facts of its triple
-[K-L, U-V, X-Y].  A splitting computes the facts of its T (spectrum, K1,
-index) and its class report once and shares them with every verifier; H's
-are computed once per call.  T is a single-step iteration matrix,
-M = K + X - A + Y U# L, B12 = U#V K#L, B13 = X#Y K#L and B23 = X#Y U#V the
-two-step products (Bij), G-II and G-I a proper G-weak regular splitting of
-type II and I.  A product induces A = B - C with B = K M# X, or
-U_first M# U_last for Bij with its middle factor U_first + U_last - A (M#
-is M^-1 when M is nonsingular); it induces none when M# or B# does not
-exist.  "<=" allows ``COMPARISON_SLACK`` and needs the floor, recorded
-under the key in [], below 1.
+[K-L, U-V, X-Y].  A's owner computes A# and A's projectors, and a splitting
+the facts of its T (spectrum, K1, index) and its class report, once for
+every verifier; H's are computed once per call.  T is a single-step
+iteration matrix, M = K + X - A + Y U# L, B12 = U#V K#L, B13 = X#Y K#L and
+B23 = X#Y U#V the two-step products (Bij), G-II and G-I a proper G-weak
+regular splitting of type II and I.  A product induces A = B - C with
+B = K M# X, or U_first M# U_last for Bij with its middle factor
+U_first + U_last - A (M# is M^-1 when M is nonsingular); it induces none
+when M# or B# does not exist.  "<=" allows ``COMPARISON_SLACK`` and needs
+the floor, recorded under the key in [], below 1.
 
 ======================  ===============================================  ==========================
 theorem                 hypotheses checked                               conclusion [floor key]
@@ -56,9 +56,7 @@ import numpy as np
 from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
-    _group_inverse_or_none,
     _nonsingular,
-    _same_range_and_null,
     _spectrum,
     as_square,
     index_at_most_one,
@@ -218,15 +216,15 @@ _PAIRS = {"B12": (0, 1), "B13": (0, 2), "B23": (1, 2)}
 
 
 class _Triple:
-    """The facts the rules share, each computed on first use and at most
-    once, under the splittings' one profile; ``measured`` collects the
-    measured quantities in recorded order."""
+    """The facts of H the rules share, each computed on first use and at
+    most once, under the profile of the splittings' owner of A; ``measured``
+    collects the measured quantities in recorded order."""
 
     def __init__(self, caller: str, splits, delta: float | None = None):
         self.splits, self.delta = tuple(splits), delta
         if len(self.splits) != 3:
             raise ValueError(f"{caller} expects exactly three splittings")
-        self.a, self.tol = _check_shared_a(self.splits), self.splits[0].tol
+        self.system = _check_shared_a(self.splits)
         self.measured: dict[str, float] = {}
 
     @cached_property
@@ -240,8 +238,8 @@ class _Triple:
 
     @cached_property
     def certs(self) -> dict[str, SemiconvergenceCertificate]:
-        return {"H": is_semiconvergent(self.h, self.tol)} | {
-            name: _certificate(s.iteration_matrix, s.spectrum, lambda: s.k1, self.tol)
+        return {"H": is_semiconvergent(self.h, self.system.tol)} | {
+            name: _certificate(s.iteration_matrix, s.spectrum, lambda: s.k1, self.system.tol)
             for name, s in zip(_NAMES, self.splits)}
 
     @cached_property
@@ -254,7 +252,7 @@ class _Triple:
 
     @cached_property
     def middle_nonsingular(self) -> bool:
-        return _nonsingular(self.middle, self.tol.rank_tol)
+        return _nonsingular(self.middle, self.system.tol.rank_tol)
 
     @cached_property
     def induced(self) -> Splitting | None:
@@ -276,11 +274,12 @@ class _Triple:
     def induced_failure(self, regular: bool) -> str | None:
         """Why the induced B fails B^-1 >= 0, C >= 0 (if ``regular``) or
         B^-1 C = H at ``eq_tol * max(1, max|H|)``; None when it passes."""
-        if not is_nonnegative(self.induced.solver.inverse_like(), self.tol):
+        tol = self.system.tol
+        if not is_nonnegative(self.induced.solver.inverse_like(), tol):
             return "induced B^-1 has negative entries"
-        if regular and not is_nonnegative(self.induced.v, self.tol):
+        if regular and not is_nonnegative(self.induced.v, tol):
             return "induced C = B - A has negative entries"
-        if not self.induced_mismatch <= self.tol.eq_tol * max(1.0, float(np.max(np.abs(self.h)))):
+        if not self.induced_mismatch <= tol.eq_tol * max(1.0, float(np.max(np.abs(self.h)))):
             return "induced splitting does not reproduce H"
         return None
 
@@ -316,15 +315,14 @@ def _no_worse_than(t, kind: str, competitors, floor_key: str) -> bool:
 
 def _convergence(t, middle: bool = True) -> list[str]:
     t.measured.update({f"rho_{name}": rho for name, rho in t.rho.items()})
-    a_sharp = _group_inverse_or_none(t.a, t.tol.rank_tol)
     failures = []
-    if a_sharp is None:
+    if t.system.a_sharp is None:
         failures.append("A is not group monotone: A has index greater than 1")
-    elif not is_nonnegative(a_sharp, t.tol):
+    elif not is_nonnegative(t.system.a_sharp, t.system.tol):
         failures.append("A is not group monotone: A# has negative entries")
     failures += [f"{name} is not a proper G-weak regular splitting of type II"
                  for name, r in t.reports.items() if not r.is_g_weak_regular_type2]
-    if middle and not _same_range_and_null(t.middle, t.a, t.tol):
+    if middle and not t.system.shares_range_and_null(t.middle):
         failures.append("K + X - A + Y U# L does not share range/null with A")
     return failures
 
@@ -339,7 +337,7 @@ def _semiconvergence(t, family: str) -> list[str]:
         m[f"index_le1_{name}"] = float(s.index_at_most_one)
         m[f"index_le1_I_minus_{name}"] = float(t.certs[name].index_of_I_minus_T == 1)
     if family == "M-matrix":
-        failures = [] if is_m_matrix_with_property_c(t.a, t.tol) else [
+        failures = [] if is_m_matrix_with_property_c(t.system.a, t.system.tol) else [
             "A is not an M-matrix with property c"]
         failures += [f"{name} is not a regular splitting"
                      for name, r in t.reports.items() if not r.is_regular]
@@ -365,7 +363,7 @@ def _single_vs_three(t):
     failures = _convergence(t) + _induced_failures(t.induced, "A = B - C", "type II")
     b_sharp = None if t.induced is None else t.induced.solver.inverse_like()
     failures += [f"{name[0]} B# >= I fails" for name, s in zip(_NAMES, t.splits)
-                 if _b_sharp_fails(b_sharp, s.u, t.tol)]
+                 if _b_sharp_fails(b_sharp, s.u, t.system.tol)]
     return failures, _no_worse_than(t, "rho", _NAMES, "min_single_rho")
 
 
@@ -375,7 +373,7 @@ def _two_vs_three(t):
     for name, (hp, ind) in t.pairs.items():
         t.measured[f"rho_{name}"] = spectral_radius(hp)
         failures += _induced_failures(ind, name, "type II")
-        if ind is not None and _b_sharp_fails(b_sharp, ind.u, t.tol):
+        if ind is not None and _b_sharp_fails(b_sharp, ind.u, t.system.tol):
             failures.append(f"{name} B# >= I fails")
     return failures, _no_worse_than(t, "rho", _PAIRS, "min_pairwise_rho")
 
@@ -390,7 +388,7 @@ def _regular_three_step(t):
 
 def _delta_shift(t):
     failures = _semiconvergence(t, "M-matrix")
-    cert = is_semiconvergent(t.delta * t.h + (1.0 - t.delta) * np.eye(t.a.shape[0]), t.tol)
+    cert = is_semiconvergent(t.delta * t.h + (1.0 - t.delta) * np.eye(t.system.n), t.system.tol)
     t.measured["gamma_H_delta"] = cert.gamma
     return failures, cert.verdict
 
@@ -406,7 +404,7 @@ def _induced_regular(t):
     t.measured["induced_matrix_mismatch"] = t.induced_mismatch
     t.measured["min_B_inverse_entry"] = float(np.min(t.induced.solver.inverse_like()))
     t.measured["min_C_entry"] = float(np.min(t.induced.v))
-    return failures, t.induced_failure(regular=False) is None and is_nonnegative(t.h, t.tol)
+    return failures, t.induced_failure(regular=False) is None and is_nonnegative(t.h, t.system.tol)
 
 
 def _quasi_three_step(t):
@@ -420,9 +418,9 @@ def _quasi_three_step(t):
     failures += [f"index({name} iteration matrix) > 1"
                  for name in _NAMES if not t.measured[f"index_le1_{name}"]]
     b12 = alternating_iteration_matrix(t.splits[:2])
-    if not index_at_most_one(np.eye(t.a.shape[0]) - b12, t.tol):
+    if not index_at_most_one(np.eye(t.system.n) - b12, t.system.tol):
         failures.append("index(I - U^-1 V K^-1 L) > 1")
-    if not index_at_most_one(t.h, t.tol):
+    if not index_at_most_one(t.h, t.system.tol):
         failures.append("index(H) > 1")
     conclusion = t.certs["H"].verdict
     if conclusion and shared:
@@ -450,7 +448,7 @@ def _quasi_comparison(t):
 def _quasi_two_vs_three(t):
     failures = _semiconvergence(t, "quasi-regular")
     for name, (hp, ind) in t.pairs.items():
-        cert = is_semiconvergent(hp, t.tol)
+        cert = is_semiconvergent(hp, t.system.tol)
         t.measured[f"gamma_{name}"] = cert.gamma
         if cert.index_of_I_minus_T > 1:
             failures.append(f"index(I - {name} product) > 1")

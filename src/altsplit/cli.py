@@ -46,6 +46,7 @@ from .problems import (
 )
 from .schemes import SchemeConfig, run
 from .splittings import (
+    SystemMatrix,
     _iteration_operator,
     alternating_iteration_matrix,
     classify,
@@ -77,14 +78,15 @@ class BenchRow:
 
 def _bench_rows(order, a, alphas, column, rule, tol, b, **run_args):
     """Rows three/two/single: each scheme runs on the first 3, 2 or 1 splittings
-    alpha diag(A), alphas ascending, for at most 2,000,000 passes.
+    alpha diag(A) of one owner of A, alphas ascending, for at most 2e6 passes.
 
     ``column`` gives a row's rho or gamma from its splittings.  ``run`` is
     read as this module's global at each call, so a caller may swap it to
     observe the runs.  More than three alphas is a ValueError: no scheme
     would run the fourth.
     """
-    splits = [diag_scaling_splitting(a, alpha) for alpha in sorted(alphas)]
+    system = SystemMatrix(a)
+    splits = [diag_scaling_splitting(system, alpha) for alpha in sorted(alphas)]
     if len(splits) > 3:
         raise ValueError(f"at most three alphas, one per step of the three-step scheme; "
                          f"got {len(splits)}")
@@ -193,7 +195,7 @@ def _parse_alphas(text):
 # ---------------------------------------------------------------------------
 
 def _cmd_classify(args) -> int:
-    a = read_matrix_market(args.matrix)
+    a = SystemMatrix(read_matrix_market(args.matrix))
     if args.u is not None:
         split = make_splitting(a, read_matrix_market(args.u))
     else:
@@ -209,13 +211,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    a = read_matrix_market(args.matrix)
-    b = read_vector(args.rhs)
-    splits = [make_splitting(a, read_matrix_market(p)) for p in args.split.split(",")]
+    a, b = read_matrix_market(args.matrix), read_vector(args.rhs)
+    system = SystemMatrix(a)
+    splits = [make_splitting(system, read_matrix_market(p)) for p in args.split.split(",")]
     if args.x0 == "zero":
         x0 = None
     elif args.x0 == "uniform":
-        x0 = np.full(a.shape[0], 1.0 / a.shape[0])
+        x0 = np.full(system.n, 1.0 / system.n)
     else:
         x0 = read_vector(args.x0)
     config = SchemeConfig(

@@ -1,4 +1,4 @@
-"""Dense real matrix kernel: rank, spectra, group inverse, subspace tests.
+"""Dense real matrix kernel: rank, spectra, group inverse, projectors.
 
 Everything downstream treats matrices as immutable ``numpy.ndarray`` values
 in float64.  All operations are pure; U^-1 or U# is kept only inside
@@ -49,8 +49,6 @@ __all__ = [
     "gamma",
     "group_inverse",
     "index_at_most_one",
-    "same_range",
-    "same_null",
     "is_nonnegative",
     "CachedSolver",
 ]
@@ -229,9 +227,7 @@ def group_inverse(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """
     x = _group_inverse_or_none(as_square(m), tol.rank_tol)
     if x is None:
-        raise IndexGreaterThanOneError(
-            "group inverse does not exist: rank(A) != rank(A^2)"
-        )
+        raise IndexGreaterThanOneError("group inverse does not exist: rank(A) != rank(A^2)")
     return x
 
 
@@ -246,34 +242,6 @@ def _projectors(m: np.ndarray, rank_tol: float):
     r = _numerical_rank(s, rank_tol)
     ur, vr = u[:, :r], vt[:r, :]
     return ur @ ur.T, np.eye(m.shape[1]) - vr.T @ vr
-
-
-def _projectors_agree(p, q, tol: ToleranceProfile) -> bool:
-    return bool(np.all(np.abs(p - q) < tol.eq_tol))
-
-
-def same_range(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """True iff the column spaces of M and N agree (projector comparison)."""
-    m, n = as_matrix(m), as_matrix(n)
-    if m.shape[0] != n.shape[0]:
-        raise DimensionMismatchError("matrices must have the same number of rows")
-    p, q = _projectors(m, tol.rank_tol)[0], _projectors(n, tol.rank_tol)[0]
-    return _projectors_agree(p, q, tol)
-
-
-def same_null(m, n, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """True iff the null spaces of M and N agree (projector comparison)."""
-    m, n = as_matrix(m), as_matrix(n)
-    if m.shape[1] != n.shape[1]:
-        raise DimensionMismatchError("matrices must have the same number of columns")
-    p, q = _projectors(m, tol.rank_tol)[1], _projectors(n, tol.rank_tol)[1]
-    return _projectors_agree(p, q, tol)
-
-
-def _same_range_and_null(m: np.ndarray, n: np.ndarray, tol: ToleranceProfile) -> bool:
-    """same_range and same_null of two same-shape matrices, one SVD each."""
-    pairs = zip(_projectors(m, tol.rank_tol), _projectors(n, tol.rank_tol))
-    return all(_projectors_agree(p, q, tol) for p, q in pairs)
 
 
 def _kept(m: np.ndarray) -> np.ndarray:

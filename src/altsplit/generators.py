@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import index_at_most_one
-from .splittings import make_splitting
+from .splittings import SystemMatrix, make_splitting
 
 __all__ = [
     "random_monomial",
@@ -49,6 +49,12 @@ def _embed(q, q_inv, blocks):
     return q @ z @ q_inv
 
 
+def _on_one_owner(a, us):
+    """(A, the splittings A = U - V of one owner of A, one for each U in ``us``)."""
+    system = SystemMatrix(a)
+    return a, [make_splitting(system, u) for u in us]
+
+
 def random_index_one(rng: np.random.Generator, n: int, rank_r: int) -> np.ndarray:
     """Index-1 matrix of prescribed rank via P diag(D, 0) P^-1.
 
@@ -78,12 +84,8 @@ def random_group_monotone_regular_triple(
     q_inv = np.linalg.inv(q)
     m = random_inverse_positive(rng, r)
     zero = np.zeros((n - r, n - r))
-    a = _embed(q, q_inv, [m, zero])
-    splits = []
-    for _ in range(3):
-        d = np.diag(rng.uniform(0.2, 1.5, r))
-        splits.append(make_splitting(a, _embed(q, q_inv, [m + d, zero])))
-    return a, splits
+    return _on_one_owner(_embed(q, q_inv, [m, zero]), [
+        _embed(q, q_inv, [m + np.diag(rng.uniform(0.2, 1.5, r)), zero]) for _ in range(3)])
 
 
 def random_proper_triple(
@@ -100,11 +102,8 @@ def random_proper_triple(
     u_svd, s_svd, vt = np.linalg.svd(a)
     f = u_svd[:, :r] * s_svd[:r]
     g = vt[:r, :]
-    splits = []
-    for _ in range(3):
-        w = np.eye(r) + 0.25 * rng.uniform(-1.0, 1.0, (r, r))
-        splits.append(make_splitting(a, f @ w @ g))
-    return a, splits
+    return _on_one_owner(a, [f @ (np.eye(r) + 0.25 * rng.uniform(-1.0, 1.0, (r, r))) @ g
+                             for _ in range(3)])
 
 
 def random_semiconvergence_case(rng: np.random.Generator, n: int):
@@ -172,8 +171,7 @@ def random_singular_m_matrix_triple(rng: np.random.Generator, n: int):
         a = np.eye(n) - b / rho
         if index_at_most_one(a):
             break
-    splits = [make_splitting(a, alpha * np.eye(n)) for alpha in (2.0, 2.5, 3.0)]
-    return a, splits
+    return _on_one_owner(a, [alpha * np.eye(n) for alpha in (2.0, 2.5, 3.0)])
 
 
 def random_quasi_regular_triple(rng: np.random.Generator, n: int):
@@ -190,10 +188,6 @@ def random_quasi_regular_triple(rng: np.random.Generator, n: int):
     q = random_monomial(rng, n)
     q_inv = np.linalg.inv(q)
     a1 = random_inverse_positive(rng, r)
-    a = _embed(q, q_inv, [a1, np.zeros((1, 1))])
-    splits = []
-    for _ in range(3):
-        d = np.diag(rng.uniform(0.2, 1.5, r))
-        w = random_inverse_positive(rng, 1)
-        splits.append(make_splitting(a, _embed(q, q_inv, [a1 + d, w])))
-    return a, splits
+    return _on_one_owner(_embed(q, q_inv, [a1, np.zeros((1, 1))]), [
+        _embed(q, q_inv, [a1 + np.diag(rng.uniform(0.2, 1.5, r)), random_inverse_positive(rng, 1)])
+        for _ in range(3)])

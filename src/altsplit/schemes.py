@@ -4,11 +4,11 @@ One iteration means one full multi-splitting pass.  Sweeps form neither the
 product iteration matrix nor any V: each step is the residual correction
 U x' = U x + r, r = b - A x, which equals U#(V x + b) (Saad, *Iterative
 Methods for Sparse Linear Systems*, 2003, sec. 4.1).  So a pass costs one
-matvec with A's sweep operator (CSR for large sparse A, dense otherwise)
-and one cached solve per splitting.  ``run``
-hands the residual it forms for its stop rule on to the next pass.  The
-iteration matrix itself is only assembled by the diagnostics in
-:mod:`altsplit.splittings` and :mod:`altsplit.analysis`.
+matvec with A's sweep operator (its owner's: CSR for large sparse A, dense
+otherwise) and one cached solve per splitting.  ``run`` hands the residual
+it forms for its stop rule on to the next pass.  The iteration matrix
+itself is only assembled by the diagnostics in :mod:`altsplit.splittings`
+and :mod:`altsplit.analysis`.
 
 A run stops at the first non-finite stop metric and reports it as not
 converged, rather than iterating on overflowed or NaN iterates.
@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, ToleranceProfile, _nonsingular, as_square,
-                   as_vector, group_inverse)
-from .errors import MissingDeltaError
-from .splittings import Splitting, _check_shared_a
+from .core import ToleranceProfile, as_vector
+from .errors import IndexGreaterThanOneError, MissingDeltaError
+from .splittings import Splitting, _check_shared_a, _system
 
 __all__ = [
     "SchemeConfig",
@@ -186,10 +185,13 @@ def run_shifted(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport
     return run(config, b, x0=x0, exact=exact)
 
 
-def exact_solution(a, b, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """A^-1 b for nonsingular A, else the group-inverse solution A# b."""
-    a = as_square(a)
-    b = as_vector(b, a.shape[0])
-    if _nonsingular(a, tol.rank_tol):
-        return np.linalg.solve(a, b)
-    return group_inverse(a, tol) @ b
+def exact_solution(a, b, tol: ToleranceProfile | None = None) -> np.ndarray:
+    """A^-1 b for nonsingular A, else the group-inverse solution A# b, from
+    ``a`` (an array or its owner; ``tol`` as in ``make_splitting``)."""
+    system = _system(a, tol)
+    b = as_vector(b, system.n)
+    if system.is_nonsingular:
+        return np.linalg.solve(system.a, b)
+    if system.a_sharp is None:
+        raise IndexGreaterThanOneError("group inverse does not exist: rank(A) != rank(A^2)")
+    return system.a_sharp @ b

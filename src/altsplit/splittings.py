@@ -1,13 +1,21 @@
-"""Splittings A = U - V: construction, classification, iteration matrices.
+"""The owner of A, and splittings A = U - V: construction, classification,
+iteration matrices.
 
-A splitting keeps a read-only copy of U and the ``ToleranceProfile`` it
-was built with, which every decision about it reads; A is kept by
-reference, so writing into A invalidates its splittings.  V is not
-stored: a sweep step needs only A and U (``CachedSolver.correct``), and
-the dense V = U - A is formed on first use, for the diagnostics.
-Classification produces verdicts, never exceptions; the public
-constructive operations (induced splittings, closed forms) raise when
-their hypotheses fail because their outputs are undefined otherwise.
+A :class:`SystemMatrix` owns A: a read-only view of the given array (writing
+into that array invalidates the owner and its splittings) and the
+``ToleranceProfile`` that every decision about A and its splittings reads.
+It forms A's sweep operator (dense or CSR, see ``CSR_MIN_ORDER``), range and
+null projectors (one SVD), nonsingularity decision and A# on first use,
+once.  Every splitting of A points to it; every builder takes A as an array
+or as its owner.  A splitting keeps a read-only copy of U and no V: a sweep
+step needs only A and U (``CachedSolver.correct``).  It forms the dense
+V = U - A, the factors U#V and VU#, its class report (the witnesses a
+read-only mapping) and the facts of T = U#V that ``classify`` and the
+verifiers share (spectrum, K1 from the one index-1 decision on I - T, and
+index(T) <= 1) on first use, once.  Classification gives verdicts, never
+exceptions; the public constructive operations (induced splittings, closed
+forms) raise when their hypotheses fail because their outputs are
+undefined otherwise.
 
 ``classify`` decides every product class by one rule (Berman and Plemmons,
 ch. 7): the class holds iff its family's base condition holds and its
@@ -25,14 +33,6 @@ quasi   U nonsingular, index(I - U^-1 V) <= 1, U# >= 0   V K1
 
 with K1 = (I - U^-1 V)(I - U^-1 V)#.  I - V U^-1 = U (I - U^-1 V) U^-1 has
 the same index, and K2 = (I - V U^-1)#(I - V U^-1) gives K2 V U^-1 = X U^-1.
-
-A's sweep operator, the one matrix sweeps multiply by, is CSR when it is
-large and sparse enough for CSR to pay, else dense (see
-``CSR_MIN_ORDER``).  It, the dense V, the factors U#V and VU#, the class
-report (its witnesses a read-only mapping) and the facts of T = U#V that
-``classify`` and the verifiers share (its spectrum, K1 from the one
-index-1 decision on I - T, and index(T) <= 1) are formed on first use,
-once.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from .core import (
     _group_inverse_or_none,
     _kept,
     _nonsingular,
-    _same_range_and_null,
+    _projectors,
     _spectrum,
     as_square,
     group_inverse,
@@ -64,6 +64,7 @@ from .errors import (
 )
 
 __all__ = [
+    "SystemMatrix",
     "Splitting",
     "Witness",
     "SplittingClassReport",
@@ -77,26 +78,67 @@ __all__ = [
 ]
 
 
-# Storage rule for A's sweep operator: CSR from order
-# CSR_MIN_ORDER on, with at most CSR_MAX_FILL of the entries nonzero.
-# Measured matvec times (2-vCPU Xeon, numpy 2.4, scipy 1.17): dense 3.3 us
-# vs CSR 6.2 us at order 100 (tridiagonal), 8.9 vs 6.9 us at order 200,
-# 30 vs 7.8 us at order 400 (5-point stencil).  At order 400, CSR still
-# wins at 40 nonzeros a row (19.5 vs 23.6 us) and loses at 80 (33.5 vs
-# 27.8 us).
+# Storage rule for A's sweep operator: CSR from order CSR_MIN_ORDER on, with
+# at most CSR_MAX_FILL of the entries nonzero.  Measured matvec times (2-vCPU
+# Xeon, numpy 2.4, scipy 1.17): dense 3.3 us vs CSR 6.2 us at order 100
+# (tridiagonal), 8.9 vs 6.9 us at order 200, 30 vs 7.8 us at order 400
+# (5-point stencil).  At order 400, CSR still wins at 40 nonzeros a row
+# (19.5 vs 23.6 us) and loses at 80 (33.5 vs 27.8 us).
 CSR_MIN_ORDER = 200
 CSR_MAX_FILL = 0.1
 
 
-def _sweep_operator(m: np.ndarray):
-    """``m`` as a ``scipy.sparse.csr_array`` when the rule above says CSR
-    pays, else ``m`` itself."""
-    n = m.shape[0]
-    if n < CSR_MIN_ORDER or np.count_nonzero(m) > CSR_MAX_FILL * n * n:
-        return m
-    from scipy.sparse import csr_array
+@dataclass(frozen=True, eq=False)
+class SystemMatrix:
+    """A, as a read-only view of the given array (no copy), and the facts of
+    A that its splittings share.  Build every splitting of one A on one owner."""
 
-    return csr_array(m)
+    a: np.ndarray
+    tol: ToleranceProfile = DEFAULT_TOL
+    n = property(lambda self: self.a.shape[0])
+
+    def __post_init__(self):
+        a = as_square(self.a)
+        object.__setattr__(self, "a", _kept(a.view()) if a.flags.writeable else a)
+
+    @cached_property
+    def a_op(self):
+        """A's sweep operator: a ``scipy.sparse.csr_array`` if the rule above says so, else A."""
+        n = self.n
+        if n < CSR_MIN_ORDER or np.count_nonzero(self.a) > CSR_MAX_FILL * n * n:
+            return self.a
+        from scipy.sparse import csr_array
+
+        return csr_array(self.a)
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(range projector, null projector) of A, read-only."""
+        return tuple(map(_kept, _projectors(self.a, self.tol.rank_tol)))
+
+    is_nonsingular = cached_property(lambda self: _nonsingular(self.a, self.tol.rank_tol))
+
+    @cached_property
+    def a_sharp(self) -> np.ndarray | None:
+        """A# (A^-1 when A is nonsingular), read-only, or None when index(A) > 1."""
+        x = _group_inverse_or_none(self.a, self.tol.rank_tol)
+        return None if x is None else _kept(x)
+
+    def shares_range_and_null(self, m) -> bool:
+        """range(M) == range(A) and null(M) == null(A): M's projectors equal
+        A's entrywise within ``eq_tol``."""
+        pairs = zip(_projectors(as_square(m), self.tol.rank_tol), self.projectors)
+        return all(bool(np.all(np.abs(p - q) < self.tol.eq_tol)) for p, q in pairs)
+
+
+def _system(a, tol: ToleranceProfile | None) -> SystemMatrix:
+    """``a`` if it is an owner, else a new owner of the array ``a``; ``tol``
+    is by default the owner's profile, or ``DEFAULT_TOL`` for an array."""
+    if not isinstance(a, SystemMatrix):
+        return SystemMatrix(a, DEFAULT_TOL if tol is None else tol)
+    if tol not in (None, a.tol):
+        raise MismatchedSplittingError("A's owner was built with another tolerance profile")
+    return a
 
 
 def _k1(t: np.ndarray, rank_tol: float) -> np.ndarray | None:
@@ -108,32 +150,26 @@ def _k1(t: np.ndarray, rank_tol: float) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class Splitting:
-    """One splitting A = U - V with its cached solver for U.
+    """One splitting A = U - V of its owner's A, with its cached solver for U.
 
-    Construct via :func:`make_splitting`.  A's sweep operator (dense or CSR
-    by the storage rule above), the dense ``v = u - a``, the factors and
-    the facts of U#V are formed on first use, once.
-    Splittings compare and hash by identity: their fields are arrays.
+    Construct via :func:`make_splitting`.  ``a``, ``n`` and ``tol`` are the
+    owner's.  The dense ``v = u - a``, the factors and the facts of U#V are
+    formed on first use, once.  Splittings compare and hash by identity.
     """
 
-    a: np.ndarray
+    system: SystemMatrix
     u: np.ndarray
     solver: CachedSolver = field(repr=False)
-    tol: ToleranceProfile = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
+    a = property(lambda self: self.system.a)
+    n = property(lambda self: self.system.n)
+    tol = property(lambda self: self.system.tol)
+    # the owner's, kept here too, so that a sweep reads it with one lookup
+    a_op = cached_property(lambda self: self.system.a_op)
 
     @cached_property
     def v(self) -> np.ndarray:
         """V = U - A as a dense matrix."""
         return _kept(self.u - self.a)
-
-    @cached_property
-    def a_op(self):
-        """A's sweep operator, for the residuals that sweeps and runs form."""
-        return _sweep_operator(self.a)
 
     @cached_property
     def iteration_matrix(self) -> np.ndarray:
@@ -163,8 +199,9 @@ class Splitting:
     _report = cached_property(lambda self: _class_report(self))  # what classify hands out
 
 
-def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
-    """Build a splitting of ``a`` (kept by reference) from a read-only copy of ``u``.
+def make_splitting(a, u, tol: ToleranceProfile | None = None) -> Splitting:
+    """Build a splitting of ``a``, an array or its owner, from a read-only
+    copy of ``u``; ``tol`` is the owner's profile, or ``DEFAULT_TOL`` for an array.
 
     Raises
     ------
@@ -172,33 +209,33 @@ def make_splitting(a, u, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
         If A and U are not square matrices of the same order.
     IndexGreaterThanOneError
         If U is singular and U# does not exist.
+    MismatchedSplittingError
+        If ``a`` is an owner built with another profile than ``tol``.
     """
-    a = as_square(a)
+    system = _system(a, tol)
     u = _kept(as_square(np.array(u, dtype=float)))
-    if a.shape != u.shape:
-        raise DimensionMismatchError(
-            f"A has shape {a.shape} but U has shape {u.shape}"
-        )
-    return Splitting(a=a, u=u, solver=CachedSolver(u, tol), tol=tol)
+    if system.a.shape != u.shape:
+        raise DimensionMismatchError(f"A has shape {system.a.shape} but U has shape {u.shape}")
+    return Splitting(system=system, u=u, solver=CachedSolver(u, system.tol))
 
 
 def diag_scaling_splitting(
-    a, alpha: float, tol: ToleranceProfile = DEFAULT_TOL
+    a, alpha: float, tol: ToleranceProfile | None = None
 ) -> Splitting:
-    """Splitting with U = alpha * diag(A).
+    """Splitting with U = alpha * diag(A), of ``a`` (an array or its owner).
 
     Raises
     ------
     ZeroDiagonalError
         If diag(A) contains a zero entry.
     """
-    a = as_square(a)
+    system = _system(a, tol)
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
-    d = np.diag(a)
+    d = np.diag(system.a)
     if np.any(d == 0.0):
         raise ZeroDiagonalError("diag(A) has a zero entry")
-    return make_splitting(a, np.diag(alpha * d), tol)
+    return make_splitting(system, np.diag(alpha * d))
 
 
 @dataclass(frozen=True)
@@ -266,7 +303,7 @@ def classify(s: Splitting) -> SplittingClassReport:
 
 def _class_report(s: Splitting) -> SplittingClassReport:
     proper_w = None
-    if not _same_range_and_null(s.u, s.a, s.tol):
+    if not s.system.shares_range_and_null(s.u):
         proper_w = Witness(check="range(U) == range(A) and null(U) == null(A)", matrix="U")
     usharp_w = _sign_witness(s.solver.inverse_like(), "U#", s.tol)
     uv, vu = s.iteration_matrix, s.reversed_iteration_matrix
@@ -300,16 +337,17 @@ def _class_report(s: Splitting) -> SplittingClassReport:
 
 
 def _check_shared_a(splits):
-    """The one A of 1 to 3 splittings, built with one profile: each A is the
-    first one's object or equal to it."""
+    """The owner of the one A of 1 to 3 splittings: each splitting's owner is
+    the first one's, or holds an equal array under an equal profile."""
     if not 1 <= len(splits) <= 3:
         raise ValueError("expected between 1 and 3 splittings")
-    a = splits[0].a
-    if any(s.a is not a and not np.array_equal(s.a, a) for s in splits[1:]):
+    system = splits[0].system
+    others = [s.system for s in splits[1:] if s.system is not system]
+    if any(o.a is not system.a and not np.array_equal(o.a, system.a) for o in others):
         raise MismatchedSplittingError("all splittings must share the same coefficient matrix")
-    if any(s.tol != splits[0].tol for s in splits[1:]):
+    if any(o.tol != system.tol for o in others):
         raise MismatchedSplittingError("all splittings must be built with one tolerance profile")
-    return a
+    return system
 
 
 def _product(factors) -> np.ndarray:
@@ -359,23 +397,24 @@ def companion_matrix(splits) -> np.ndarray:
     return _product([s.reversed_iteration_matrix for s in splits])
 
 
-def induced_splitting(a, h, tol: ToleranceProfile = DEFAULT_TOL) -> Splitting:
-    """The unique splitting A = B - C with B#C = H, where B = A (I - H)^-1.
+def induced_splitting(a, h, tol: ToleranceProfile | None = None) -> Splitting:
+    """The unique splitting A = B - C with B#C = H, where B = A (I - H)^-1,
+    of ``a`` (an array or its owner).
 
     Raises
     ------
     SingularIminusHError
         If I - H is singular at ``rank_tol``.
     """
-    a = as_square(a)
+    system = _system(a, tol)
     h = as_square(h)
-    if a.shape != h.shape:
+    if system.a.shape != h.shape:
         raise DimensionMismatchError("A and H must have the same shape")
     imh = np.eye(h.shape[0]) - h
-    if not _nonsingular(imh, tol.rank_tol):
+    if not _nonsingular(imh, system.tol.rank_tol):
         raise SingularIminusHError("I - H is singular; no induced splitting")
-    b = np.linalg.solve(imh.T, a.T).T
-    return make_splitting(a, b, tol)
+    b = np.linalg.solve(imh.T, system.a.T).T
+    return make_splitting(system, b)
 
 
 def b_sharp_closed_form(splits) -> np.ndarray:
@@ -391,13 +430,11 @@ def b_sharp_closed_form(splits) -> np.ndarray:
     """
     if len(splits) != 3:
         raise ValueError("closed form needs exactly three splittings")
-    a = _check_shared_a(splits)
+    system = _check_shared_a(splits)
     sk, _, sx = splits
     middle = _middle_factor(splits)
-    if not _same_range_and_null(middle, a, sk.tol):
-        raise RangeNullConditionError(
-            "K + X - A + Y U# L does not share range/null with A"
-        )
+    if not system.shares_range_and_null(middle):
+        raise RangeNullConditionError("K + X - A + Y U# L does not share range/null with A")
     return sx.solver.solve(sk.solver.right_apply(middle))
 
 
@@ -416,7 +453,8 @@ def _induced_from_product(splits, middle=None, nonsingular=None) -> Splitting | 
     B = U_first M# U_last with M the middle factor (``np.linalg.solve(M,
     U_last)`` when M is nonsingular), which equals A (I - H)^-1 whenever
     that exists; None when M# or B# does not exist.  A caller that has
-    formed M and decided whether it is nonsingular passes both.
+    formed M and decided whether it is nonsingular passes both.  The induced
+    splitting shares the first splitting's owner.
     """
     first, last = splits[0], splits[-1]
     if middle is None:
@@ -425,6 +463,6 @@ def _induced_from_product(splits, middle=None, nonsingular=None) -> Splitting | 
     try:
         m_last = (np.linalg.solve(middle, last.u) if nonsingular
                   else group_inverse(middle, first.tol) @ last.u)
-        return make_splitting(first.a, first.u @ m_last, first.tol)
+        return make_splitting(first.system, first.u @ m_last)
     except IndexGreaterThanOneError:  # M# or B# does not exist
         return None

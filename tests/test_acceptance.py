@@ -23,8 +23,6 @@ from altsplit import (
     make_random_walk,
     make_splitting,
     power_limit_oracle,
-    same_null,
-    same_range,
     spectral_radius,
     verify_convergence_theorem,
     verify_semiconvergence_theorem,
@@ -185,7 +183,7 @@ class TestCriterion6InducedSuite:
             a, splits = random_proper_triple(rng, n)
             sk, su, sx = splits
             middle = sk.u + sx.u - a + sx.v @ su.solver.solve(sk.v)
-            if not (same_range(middle, a) and same_null(middle, a)):
+            if not sk.system.shares_range_and_null(middle):
                 continue
             h = alternating_iteration_matrix(splits)
             if spectral_radius(h) > 0.95:

@@ -392,6 +392,29 @@ class TestSemiconvergenceVerifiers:
             assert count("svd", np.eye(s.n) - t) == 1
             assert count("svd", t) == 1
 
+    def test_facts_of_a_are_computed_once_per_owner(self, monkeypatch):
+        # classify of each splitting and three convergence verifiers on one
+        # triple: one projector SVD of A (the thin one) and one index-1
+        # decision on A (the full SVD of its rank factorization), and no
+        # other SVD of A
+        a, splits = random_group_monotone_regular_triple(np.random.default_rng(5), 5)
+        seen = []
+        svd = np.linalg.svd
+
+        def spying(m, *args, **kwargs):
+            seen.append((np.array(m), kwargs))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spying)
+        for s in splits:
+            classify(s)
+        for theorem_id in ("single-vs-three", "two-vs-three", "typeII-convergence"):
+            verify_convergence_theorem(theorem_id, splits)
+        of_a = [kwargs for m, kwargs in seen if m.shape == a.shape and np.array_equal(m, a)]
+        assert of_a.count({"full_matrices": False}) == 1
+        assert of_a.count({}) == 1
+        assert len(of_a) == 2
+
     def test_walk_regular_three_step(self):
         _, splits = walk_triple()
         verdict = verify_semiconvergence_theorem("regular-three-step", splits)

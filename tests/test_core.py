@@ -1,4 +1,4 @@
-"""Dense kernel tests: rank, spectra, group inverse, subspaces, exact_solution.
+"""Dense kernel tests: rank, spectra, group inverse, A's subspaces, exact_solution.
 
 Expected values are either trivial identities or were computed by an
 independent route (hand elimination, diagonal arithmetic, direct solves).
@@ -11,6 +11,7 @@ from altsplit import (
     DimensionMismatchError,
     IndexGreaterThanOneError,
     NotSquareError,
+    SystemMatrix,
     ToleranceProfile,
     exact_solution,
     gamma,
@@ -19,8 +20,6 @@ from altsplit import (
     is_nonnegative,
     make_splitting,
     rank,
-    same_null,
-    same_range,
     spectral_radius,
 )
 from conftest import A_EXAMPLE, A_SHARP_EXPECTED
@@ -127,7 +126,7 @@ class TestGroupInverse:
     def test_shares_range_and_null_with_input(self):
         a = random_index_one(RNG, 6, 3)
         x = group_inverse(a)
-        assert same_range(a, x) and same_null(a, x)
+        assert SystemMatrix(a).shares_range_and_null(x)
 
     def test_product_is_the_spectral_projector(self):
         a = random_index_one(RNG, 6, 4)
@@ -158,21 +157,25 @@ class TestIndexAtMostOne:
 
 
 class TestSubspacePredicates:
+    # the owner of A compares a matrix's range and null space with A's
     def test_scaling_preserves_range(self):
         m = RNG.uniform(-1, 1, (5, 5))
-        assert same_range(m, 2.0 * m)
-        assert same_null(m, -3.0 * m)
+        assert SystemMatrix(m).shares_range_and_null(2.0 * m)
+        assert SystemMatrix(m).shares_range_and_null(-3.0 * m)
 
     def test_empty_projectors_agree(self):
         empty = np.zeros((0, 0))
-        assert same_range(empty, empty) and same_null(empty, empty)
+        assert SystemMatrix(empty).shares_range_and_null(empty)
 
     def test_different_null_spaces(self):
-        assert not same_null(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert not SystemMatrix(np.eye(2)).shares_range_and_null(np.diag([1.0, 0.0]))
+        assert not SystemMatrix(np.diag([1.0, 0.0])).shares_range_and_null(np.eye(2))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            same_range(np.eye(2), np.eye(3))
+    def test_projectors_of_a_are_taken_once_and_read_only(self):
+        system = SystemMatrix(RNG.uniform(-1, 1, (4, 4)))
+        assert system.shares_range_and_null(system.a)
+        assert system.projectors is system.projectors
+        assert not any(p.flags.writeable for p in system.projectors)
 
 
 class TestIsNonnegative:

@@ -74,7 +74,9 @@ class TestStorageRule:
     def test_dense_a_stays_dense(self):
         n = CSR_MIN_ORDER
         a = np.random.default_rng(4).uniform(-1, 1, (n, n)) + n * np.eye(n)
-        assert make_splitting(a, np.diag(np.diag(a))).a_op is a
+        s = make_splitting(a, np.diag(np.diag(a)))
+        # the operator is A itself: the owner's read-only view of ``a``, no copy
+        assert s.a_op is s.a and np.shares_memory(s.a, a) and not s.a.flags.writeable
 
     def test_csr_residual_rule_matches_dense_iterates(self):
         problem = make_laplace(21)
@@ -134,7 +136,11 @@ def test_rho_operator_adds_no_sweep_passes(monkeypatch):
 
 def test_bench_keeps_no_dense_v_or_factor(monkeypatch):
     # the sweeps and rho read only A, as CSR, and the solvers of U, so no
-    # splitting forms V or a dense order-400 matrix beyond its A and U
+    # splitting forms V or a dense order-400 matrix beyond its A and U, and
+    # the owner of A holds A (a view, not a copy) and its CSR operator only:
+    # no projectors, no A#
+    from scipy.sparse import csr_array
+
     splits = []
 
     def keep(config, *args, **kwargs):
@@ -146,9 +152,12 @@ def test_bench_keeps_no_dense_v_or_factor(monkeypatch):
     assert len(splits) == 6
     for s in splits:
         assert "v" not in vars(s)
-        held = [*vars(s).values(), *vars(s.solver).values()]
+        held = [*vars(s).values(), *vars(s.solver).values(), *vars(s.system).values()]
         big = [m for m in held if isinstance(m, np.ndarray) and m.shape == (400, 400)]
         assert all(m is s.a or m is s.u for m in big)
+        assert set(vars(s.system)) == {"a", "tol", "a_op"}
+        assert isinstance(s.system.a_op, csr_array)
+        assert s.a.base is not None and not s.a.flags.writeable
 
 
 def test_dense_workloads_do_not_import_scipy_sparse():
