@@ -7,16 +7,16 @@ hypothesis holds, the conclusion must hold, and the test suites treat a
 violation as a failure rather than a data point.
 
 Each verifier is one rule of this table over the facts of its triple
-[K-L, U-V, X-Y].  A's owner computes A# and A's projectors, and a splitting
-the facts of its T (spectrum, K1, index) and its class report, once for
-every verifier; H's are computed once per call.  T is a single-step
-iteration matrix, M = K + X - A + Y U# L, B12 = U#V K#L, B13 = X#Y K#L and
-B23 = X#Y U#V the two-step products (Bij), G-II and G-I a proper G-weak
-regular splitting of type II and I.  A product induces A = B - C with
-B = K M# X, or U_first M# U_last for Bij with its middle factor
-U_first + U_last - A (M# is M^-1 when M is nonsingular); it induces none
-when M# or B# does not exist.  "<=" allows ``COMPARISON_SLACK`` and needs
-the floor, recorded under the key in [], below 1.
+[K-L, U-V, X-Y], given as a list or as one ``Alternation``.  Each fact is
+computed once per owner (of A, of a splitting, or of the triple, its Bij
+included), for every verifier; a call keeps only its measured quantities.
+T is a single-step iteration matrix, M = K + X - A + Y U# L, B12 = U#V K#L,
+B13 = X#Y K#L and B23 = X#Y U#V the two-step products (Bij), G-II and G-I
+a proper G-weak regular splitting of type II and I.  A product induces
+A = B - C with B = K M# X, or U_first M# U_last for Bij with its middle
+factor U_first + U_last - A (M# is M^-1 when M is nonsingular); it induces
+none when M# or B# does not exist.  "<=" allows ``COMPARISON_SLACK`` and
+needs the floor, recorded under the key in [], below 1.
 
 ======================  ===============================================  ==========================
 theorem                 hypotheses checked                               conclusion [floor key]
@@ -49,19 +49,14 @@ quasi-two-vs-three      as quasi-three-comparison, and each Bij has      gamma(H
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
-    _nonsingular,
-    _spectrum,
     as_square,
-    index_at_most_one,
     is_nonnegative,
-    spectral_radius,
 )
 from .errors import (
     ClassificationError,
@@ -70,17 +65,16 @@ from .errors import (
     UnknownTheoremError,
 )
 from .splittings import (
+    Alternation,
+    SemiconvergenceCertificate,
     Splitting,
-    _check_shared_a,
-    _induced_from_product,
-    _k1,
-    _middle_factor,
-    alternating_iteration_matrix,
+    SystemMatrix,
+    _Matrix,
+    _alternation,
     classify,
 )
 
 __all__ = [
-    "SemiconvergenceCertificate",
     "TheoremVerdict",
     "CONVERGENCE_THEOREMS",
     "SEMICONVERGENCE_THEOREMS",
@@ -93,23 +87,6 @@ __all__ = [
 ]
 
 COMPARISON_SLACK = 1e-10
-
-
-@dataclass(frozen=True)
-class SemiconvergenceCertificate:
-    """Spectral facts deciding whether lim T^k exists.
-
-    ``verdict`` is true iff rho(T) <= 1 (up to the eigenvalue-1 slack),
-    gamma(T) < 1 and index(I - T) <= 1; the limit matrix
-    I - (I-T)(I-T)# is attached only then.
-    """
-
-    rho: float
-    gamma: float
-    has_eigenvalue_one: bool
-    index_of_I_minus_T: int
-    verdict: bool
-    limit_matrix: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -133,24 +110,7 @@ def is_semiconvergent(
     ``one_tol`` margin so boundary eigenvalues other than 1 (whose moduli
     round off to just below 1) do not slip through.
     """
-    t = as_square(t)
-    return _certificate(t, _spectrum(t, tol.one_tol), lambda: _k1(t, tol.rank_tol), tol)
-
-
-def _certificate(t, spectrum, k1, tol: ToleranceProfile) -> SemiconvergenceCertificate:
-    """The certificate of T from its ``spectrum`` and ``k1()``, which gives
-    K1 = (I - T)(I - T)# or None and is called only when T is not
-    numerically I."""
-    rho, g, has_one = spectrum
-    n = t.shape[0]
-    # When T is numerically the identity, I - T is pure round-off and its
-    # relative rank is meaningless; anchor at T's unit scale instead.
-    if n and float(np.max(np.abs(np.eye(n) - t))) <= tol.rank_tol:
-        return SemiconvergenceCertificate(rho, 0.0, True, 1, True, np.eye(n))
-    k = k1()
-    verdict = (rho <= 1.0 + tol.one_tol) and (g < 1.0 - tol.one_tol) and k is not None
-    return SemiconvergenceCertificate(rho, g, has_one, 1 if k is not None else 2, verdict,
-                                      np.eye(n) - k if verdict else None)
+    return _Matrix(as_square(t), tol).certificate
 
 
 def power_limit_oracle(
@@ -188,23 +148,8 @@ def power_limit_oracle(
 
 
 def is_m_matrix_with_property_c(a, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """True iff A = sI - B with B >= 0, s >= rho(B) and s^-1 B semiconvergent.
-
-    Off-diagonal entries must be nonpositive.  Property c is existential in
-    s, and the minimal choice s = max(diag) can place spurious boundary
-    eigenvalues (e.g. -1) on the unit circle of s^-1 B, so s is enlarged
-    until s^-1 B has a strictly positive diagonal; the M-matrix verdict
-    itself is unchanged by any valid choice of s.
-    """
-    a = as_square(a)
-    n = a.shape[0]
-    off = a - np.diag(np.diag(a))
-    if off.size and float(off.max()) > tol.nonneg_tol:
-        return False
-    s0 = max(0.0, float(np.max(np.diag(a))) if n else 0.0)
-    s = s0 + max(1.0, s0)
-    # s^-1 B semiconvergent already requires rho(s^-1 B) <= 1, i.e. s >= rho(B).
-    return is_semiconvergent((s * np.eye(n) - a) / s, tol).verdict
+    """``SystemMatrix.is_m_matrix_with_property_c`` of a new owner of ``a``."""
+    return SystemMatrix(a, tol).is_m_matrix_with_property_c
 
 
 # ---------------------------------------------------------------------------
@@ -212,76 +157,28 @@ def is_m_matrix_with_property_c(a, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
 # ---------------------------------------------------------------------------
 
 _NAMES = ("K-L", "U-V", "X-Y")
-_PAIRS = {"B12": (0, 1), "B13": (0, 2), "B23": (1, 2)}
 
 
-class _Triple:
-    """The facts of H the rules share, each computed on first use and at
-    most once, under the profile of the splittings' owner of A; ``measured``
-    collects the measured quantities in recorded order."""
+def _named(h: Alternation):
+    """(name, splitting) for the triple [K-L, U-V, X-Y]."""
+    return zip(_NAMES, h.splits)
 
-    def __init__(self, caller: str, splits, delta: float | None = None):
-        self.splits, self.delta = tuple(splits), delta
-        if len(self.splits) != 3:
-            raise ValueError(f"{caller} expects exactly three splittings")
-        self.system = _check_shared_a(self.splits)
-        self.measured: dict[str, float] = {}
 
-    @cached_property
-    def h(self) -> np.ndarray:
-        return alternating_iteration_matrix(self.splits)
+def _induced_mismatch(h: Alternation) -> float:
+    return float(np.max(np.abs(h.induced.iteration_matrix - h.iteration_matrix)))
 
-    @cached_property
-    def rho(self) -> dict[str, float]:
-        return {"H": spectral_radius(self.h)} | {
-            name: s.spectrum[0] for name, s in zip(_NAMES, self.splits)}
 
-    @cached_property
-    def certs(self) -> dict[str, SemiconvergenceCertificate]:
-        return {"H": is_semiconvergent(self.h, self.system.tol)} | {
-            name: _certificate(s.iteration_matrix, s.spectrum, lambda: s.k1, self.system.tol)
-            for name, s in zip(_NAMES, self.splits)}
-
-    @cached_property
-    def reports(self) -> dict:
-        return {name: classify(s) for name, s in zip(_NAMES, self.splits)}
-
-    @cached_property
-    def middle(self) -> np.ndarray:
-        return _middle_factor(self.splits)
-
-    @cached_property
-    def middle_nonsingular(self) -> bool:
-        return _nonsingular(self.middle, self.system.tol.rank_tol)
-
-    @cached_property
-    def induced(self) -> Splitting | None:
-        """A = B - C with B = K M# X (K M^-1 X when M is nonsingular), which
-        reproduces H; None when M# or B# does not exist."""
-        return _induced_from_product(self.splits, self.middle, self.middle_nonsingular)
-
-    @cached_property
-    def pairs(self) -> dict[str, tuple[np.ndarray, Splitting | None]]:
-        """Each two-step product Bij and the splitting it induces, or None."""
-        pairs = {name: (self.splits[i], self.splits[j]) for name, (i, j) in _PAIRS.items()}
-        return {name: (alternating_iteration_matrix(pair), _induced_from_product(pair))
-                for name, pair in pairs.items()}
-
-    @cached_property
-    def induced_mismatch(self) -> float:
-        return float(np.max(np.abs(self.induced.iteration_matrix - self.h)))
-
-    def induced_failure(self, regular: bool) -> str | None:
-        """Why the induced B fails B^-1 >= 0, C >= 0 (if ``regular``) or
-        B^-1 C = H at ``eq_tol * max(1, max|H|)``; None when it passes."""
-        tol = self.system.tol
-        if not is_nonnegative(self.induced.solver.inverse_like(), tol):
-            return "induced B^-1 has negative entries"
-        if regular and not is_nonnegative(self.induced.v, tol):
-            return "induced C = B - A has negative entries"
-        if not self.induced_mismatch <= tol.eq_tol * max(1.0, float(np.max(np.abs(self.h)))):
-            return "induced splitting does not reproduce H"
-        return None
+def _induced_failure(h: Alternation, regular: bool) -> str | None:
+    """Why the induced B fails B^-1 >= 0, C >= 0 (if ``regular``) or
+    B^-1 C = H at ``eq_tol * max(1, max|H|)``; None when it passes."""
+    if not is_nonnegative(h.induced.solver.inverse_like(), h.tol):
+        return "induced B^-1 has negative entries"
+    if regular and not is_nonnegative(h.induced.v, h.tol):
+        return "induced C = B - A has negative entries"
+    scale = max(1.0, float(np.max(np.abs(h.iteration_matrix))))
+    if not _induced_mismatch(h) <= h.tol.eq_tol * scale:
+        return "induced splitting does not reproduce H"
+    return None
 
 
 def _induced_failures(ind: Splitting | None, label: str, kind: str) -> list[str]:
@@ -294,8 +191,9 @@ def _induced_failures(ind: Splitting | None, label: str, kind: str) -> list[str]
 
 
 def _b_sharp_fails(b_sharp, u, tol) -> bool:
-    """U B# >= I fails, for a B# that exists."""
-    return b_sharp is not None and not float(np.min(u @ b_sharp - np.eye(len(u)))) >= -tol.eq_tol
+    """U B# >= I fails, for a B# that exists; it holds on an empty matrix."""
+    return b_sharp is not None and not float(
+        np.min(u @ b_sharp - np.eye(len(u)), initial=0.0)) >= -tol.eq_tol
 
 
 def _no_worse(value: float, bound: float) -> bool:
@@ -303,167 +201,169 @@ def _no_worse(value: float, bound: float) -> bool:
     return value <= bound + COMPARISON_SLACK and bound < 1.0
 
 
-def _no_worse_than(t, kind: str, competitors, floor_key: str) -> bool:
-    """``kind`` ("rho" or "gamma") of H no worse than the least recorded for
-    the competitors, which is recorded under ``floor_key``."""
-    floor = t.measured[floor_key] = min(t.measured[f"{kind}_{name}"] for name in competitors)
-    return _no_worse(t.measured[f"{kind}_H"], floor)
+def _no_worse_than(m, kind: str, competitors, floor_key: str) -> bool:
+    """``kind`` ("rho" or "gamma") of H no worse than the least recorded in
+    ``m`` for the competitors, which is recorded under ``floor_key``."""
+    floor = m[floor_key] = min(m[f"{kind}_{name}"] for name in competitors)
+    return _no_worse(m[f"{kind}_H"], floor)
 
 
-# The hypotheses a family shares.  Each returns the failures in order and
-# records the family's measured quantities.
+# The hypotheses a family shares.  Each returns the failures of the alternation
+# h in order and records the family's measured quantities in the call's m.
 
-def _convergence(t, middle: bool = True) -> list[str]:
-    t.measured.update({f"rho_{name}": rho for name, rho in t.rho.items()})
+def _convergence(h, m, middle: bool = True) -> list[str]:
+    m.update({f"rho_{name}": t.spectrum[0] for name, t in (("H", h), *_named(h))})
     failures = []
-    if t.system.a_sharp is None:
+    if h.system.a_sharp is None:
         failures.append("A is not group monotone: A has index greater than 1")
-    elif not is_nonnegative(t.system.a_sharp, t.system.tol):
+    elif not is_nonnegative(h.system.a_sharp, h.tol):
         failures.append("A is not group monotone: A# has negative entries")
     failures += [f"{name} is not a proper G-weak regular splitting of type II"
-                 for name, r in t.reports.items() if not r.is_g_weak_regular_type2]
-    if middle and not t.system.shares_range_and_null(t.middle):
+                 for name, s in _named(h) if not classify(s).is_g_weak_regular_type2]
+    if middle and not h.middle_shares_range_and_null:
         failures.append("K + X - A + Y U# L does not share range/null with A")
     return failures
 
 
-def _semiconvergence(t, family: str) -> list[str]:
+def _semiconvergence(h, m, family: str) -> list[str]:
     """``family`` is "M-matrix", "quasi" (records only) or "quasi-regular"."""
-    m = t.measured
-    m["gamma_H"], m["rho_H"] = t.certs["H"].gamma, t.certs["H"].rho
-    for name, s in zip(_NAMES, t.splits):
-        m[f"gamma_{name}"] = t.certs[name].gamma
+    m["gamma_H"], m["rho_H"] = h.certificate.gamma, h.certificate.rho
+    for name, s in _named(h):
+        m[f"gamma_{name}"] = s.certificate.gamma
         # Both index variants appear across the statements; surface both.
         m[f"index_le1_{name}"] = float(s.index_at_most_one)
-        m[f"index_le1_I_minus_{name}"] = float(t.certs[name].index_of_I_minus_T == 1)
+        m[f"index_le1_I_minus_{name}"] = float(s.certificate.index_of_I_minus_T == 1)
     if family == "M-matrix":
-        failures = [] if is_m_matrix_with_property_c(t.system.a, t.system.tol) else [
+        failures = [] if h.system.is_m_matrix_with_property_c else [
             "A is not an M-matrix with property c"]
         failures += [f"{name} is not a regular splitting"
-                     for name, r in t.reports.items() if not r.is_regular]
-        m["middle_nonsingular"] = float(t.middle_nonsingular)
-        return failures + ([] if t.middle_nonsingular else ["K + X - A + Y U^-1 L is singular"])
-    m.update({f"semiconvergent_{name}": float(t.certs[name].verdict) for name in _NAMES})
+                     for name, s in _named(h) if not classify(s).is_regular]
+        m["middle_nonsingular"] = float(h.middle_nonsingular)
+        return failures + ([] if h.middle_nonsingular else ["K + X - A + Y U^-1 L is singular"])
+    m.update({f"semiconvergent_{name}": float(s.certificate.verdict) for name, s in _named(h)})
     if family == "quasi":
         return []
-    return [f"{name}{text}" for name in _NAMES for text, holds in (
-        (" is not a quasi-regular splitting", t.reports[name].is_quasi_regular),
-        (" iteration matrix is not semiconvergent", t.certs[name].verdict)) if not holds]
+    return [f"{name}{text}" for name, s in _named(h) for text, holds in (
+        (" is not a quasi-regular splitting", classify(s).is_quasi_regular),
+        (" iteration matrix is not semiconvergent", s.certificate.verdict)) if not holds]
 
 
-def _index(t) -> list[str]:
+def _index(h) -> list[str]:
     failures = [f"index(I - {name} iteration matrix) > 1"
-                for name in _NAMES if t.certs[name].index_of_I_minus_T > 1]
-    return failures + (["index(I - H) > 1"] if t.certs["H"].index_of_I_minus_T > 1 else [])
+                for name, s in _named(h) if s.certificate.index_of_I_minus_T > 1]
+    return failures + (["index(I - H) > 1"] if h.certificate.index_of_I_minus_T > 1 else [])
 
 
 # The rules.  Each returns its theorem's hypothesis failures and conclusion.
 
-def _single_vs_three(t):
-    failures = _convergence(t) + _induced_failures(t.induced, "A = B - C", "type II")
-    b_sharp = None if t.induced is None else t.induced.solver.inverse_like()
-    failures += [f"{name[0]} B# >= I fails" for name, s in zip(_NAMES, t.splits)
-                 if _b_sharp_fails(b_sharp, s.u, t.system.tol)]
-    return failures, _no_worse_than(t, "rho", _NAMES, "min_single_rho")
+def _single_vs_three(h, m):
+    failures = _convergence(h, m) + _induced_failures(h.induced, "A = B - C", "type II")
+    b_sharp = None if h.induced is None else h.induced.solver.inverse_like()
+    failures += [f"{name[0]} B# >= I fails" for name, s in _named(h)
+                 if _b_sharp_fails(b_sharp, s.u, h.tol)]
+    return failures, _no_worse_than(m, "rho", _NAMES, "min_single_rho")
 
 
-def _two_vs_three(t):
-    failures = _convergence(t) + _induced_failures(t.induced, "A = B - C", "type II")
-    b_sharp = None if t.induced is None else t.induced.solver.inverse_like()
-    for name, (hp, ind) in t.pairs.items():
-        t.measured[f"rho_{name}"] = spectral_radius(hp)
-        failures += _induced_failures(ind, name, "type II")
-        if ind is not None and _b_sharp_fails(b_sharp, ind.u, t.system.tol):
+def _two_vs_three(h, m):
+    failures = _convergence(h, m) + _induced_failures(h.induced, "A = B - C", "type II")
+    b_sharp = None if h.induced is None else h.induced.solver.inverse_like()
+    for name, pair in h.pairs.items():
+        m[f"rho_{name}"] = pair.spectrum[0]
+        failures += _induced_failures(pair.induced, name, "type II")
+        if pair.induced is not None and _b_sharp_fails(b_sharp, pair.induced.u, h.tol):
             failures.append(f"{name} B# >= I fails")
-    return failures, _no_worse_than(t, "rho", _PAIRS, "min_pairwise_rho")
+    return failures, _no_worse_than(m, "rho", h.pairs, "min_pairwise_rho")
 
 
-def _regular_three_step(t):
-    failures = _semiconvergence(t, "M-matrix")
-    t.measured["min_diag_H"] = float(np.min(np.diag(t.h)))
-    if t.measured["min_diag_H"] <= 0.0:
+def _regular_three_step(h, m, delta):
+    failures = _semiconvergence(h, m, "M-matrix")
+    # the minimum over an empty diagonal is inf, so diag(H) > 0 holds vacuously
+    m["min_diag_H"] = float(np.min(np.diag(h.iteration_matrix), initial=np.inf))
+    if m["min_diag_H"] <= 0.0:
         failures.append("diag(H) is not strictly positive")
-    return failures, t.certs["H"].verdict
+    return failures, h.certificate.verdict
 
 
-def _delta_shift(t):
-    failures = _semiconvergence(t, "M-matrix")
-    cert = is_semiconvergent(t.delta * t.h + (1.0 - t.delta) * np.eye(t.system.n), t.system.tol)
-    t.measured["gamma_H_delta"] = cert.gamma
+def _delta_shift(h, m, delta):
+    failures = _semiconvergence(h, m, "M-matrix")
+    cert = is_semiconvergent(delta * h.iteration_matrix + (1.0 - delta) * np.eye(h.system.n),
+                             h.tol)
+    m["gamma_H_delta"] = cert.gamma
     return failures, cert.verdict
 
 
-def _induced_regular(t):
+def _induced_regular(h, m, delta):
     # Strict regularity (C >= 0) can fail for B = K M^-1 X even under the
     # stated hypotheses (the walk benchmark is a witness), so the checkable
     # conclusion is the weak form; min(C) is surfaced for inspection.  B
     # exists only where the hypotheses hold.
-    failures = _semiconvergence(t, "M-matrix")
+    failures = _semiconvergence(h, m, "M-matrix")
     if failures:
         return failures, False
-    t.measured["induced_matrix_mismatch"] = t.induced_mismatch
-    t.measured["min_B_inverse_entry"] = float(np.min(t.induced.solver.inverse_like()))
-    t.measured["min_C_entry"] = float(np.min(t.induced.v))
-    return failures, t.induced_failure(regular=False) is None and is_nonnegative(t.h, t.system.tol)
+    m["induced_matrix_mismatch"] = _induced_mismatch(h)
+    m["min_B_inverse_entry"] = float(np.min(h.induced.solver.inverse_like()))
+    m["min_C_entry"] = float(np.min(h.induced.v))
+    return failures, _induced_failure(h, regular=False) is None and is_nonnegative(
+        h.iteration_matrix, h.tol)
 
 
-def _quasi_three_step(t):
-    failures = _semiconvergence(t, "quasi")
+def _quasi_three_step(h, m, delta):
+    failures = _semiconvergence(h, m, "quasi")
     shared = [c for c in ("is_quasi_weak_regular_type1", "is_quasi_weak_regular_type2",
-                          "is_quasi_regular") if all(getattr(r, c) for r in t.reports.values())]
+                          "is_quasi_regular") if all(getattr(classify(s), c) for s in h.splits)]
     if not shared:
         failures.append("splittings do not share a quasi class")
     failures += [f"{name} iteration matrix is not semiconvergent"
-                 for name in _NAMES if not t.certs[name].verdict]
+                 for name, s in _named(h) if not s.certificate.verdict]
     failures += [f"index({name} iteration matrix) > 1"
-                 for name in _NAMES if not t.measured[f"index_le1_{name}"]]
-    b12 = alternating_iteration_matrix(t.splits[:2])
-    if not index_at_most_one(np.eye(t.system.n) - b12, t.system.tol):
+                 for name, s in _named(h) if not s.index_at_most_one]
+    if h.pairs["B12"].k1 is None:
         failures.append("index(I - U^-1 V K^-1 L) > 1")
-    if not index_at_most_one(t.h, t.system.tol):
+    if not h.index_at_most_one:
         failures.append("index(H) > 1")
-    conclusion = t.certs["H"].verdict
+    conclusion = h.certificate.verdict
     if conclusion and shared:
         # A singular M induces a singular B, which is in no quasi class, so
         # the induced-splitting clause is unverifiable; the semiconvergence
         # conclusion stands on its own.
-        if not t.middle_nonsingular:
-            t.measured["induced_same_quasi_class"] = float("nan")
+        if not h.middle_nonsingular:
+            m["induced_same_quasi_class"] = float("nan")
         else:
-            report = classify(t.induced)
+            report = classify(h.induced)
             conclusion = any(getattr(report, c) for c in shared)
-            t.measured["induced_same_quasi_class"] = float(conclusion)
+            m["induced_same_quasi_class"] = float(conclusion)
     return failures, conclusion
 
 
-def _quasi_comparison(t):
-    failures = _semiconvergence(t, "quasi")
-    if not (t.reports["K-L"].is_quasi_regular and t.certs["K-L"].verdict):
+def _quasi_comparison(h, m, delta):
+    failures = _semiconvergence(h, m, "quasi")
+    kl = h.splits[0]
+    if not (classify(kl).is_quasi_regular and kl.certificate.verdict):
         failures.append("K-L is not a semiconvergent quasi-regular splitting")
-    failures += [f"{name} is not quasi weak regular of type I" for name in _NAMES[1:]
-                 if not t.reports[name].is_quasi_weak_regular_type1]
-    return failures + _index(t), _no_worse_than(t, "gamma", ["X-Y"], "gamma_X-Y")
+    failures += [f"{name} is not quasi weak regular of type I"
+                 for name, s in zip(_NAMES[1:], h.splits[1:])
+                 if not classify(s).is_quasi_weak_regular_type1]
+    return failures + _index(h), _no_worse_than(m, "gamma", ["X-Y"], "gamma_X-Y")
 
 
-def _quasi_two_vs_three(t):
-    failures = _semiconvergence(t, "quasi-regular")
-    for name, (hp, ind) in t.pairs.items():
-        cert = is_semiconvergent(hp, t.system.tol)
-        t.measured[f"gamma_{name}"] = cert.gamma
-        if cert.index_of_I_minus_T > 1:
+def _quasi_two_vs_three(h, m, delta):
+    failures = _semiconvergence(h, m, "quasi-regular")
+    for name, pair in h.pairs.items():
+        m[f"gamma_{name}"] = pair.certificate.gamma
+        if pair.certificate.index_of_I_minus_T > 1:
             failures.append(f"index(I - {name} product) > 1")
-        failures += _induced_failures(ind, name, "quasi-regular")
-    return failures + _index(t), _no_worse_than(t, "gamma", _PAIRS, "min_pairwise_gamma")
+        failures += _induced_failures(pair.induced, name, "quasi-regular")
+    return failures + _index(h), _no_worse_than(m, "gamma", h.pairs, "min_pairwise_gamma")
 
 
 # The theorem table of the module docstring, one rule a theorem.
 _CONVERGENCE_RULES = {
-    "typeII-convergence": lambda t: (_convergence(t, middle=False), t.rho["H"] < 1.0),
+    "typeII-convergence": lambda h, m: (_convergence(h, m, middle=False), h.spectrum[0] < 1.0),
     "single-vs-three": _single_vs_three,
-    "both-types-comparison": lambda t: (
-        _convergence(t) + [f"{name} is not a proper G-weak regular splitting of type I"
-                           for name, r in t.reports.items() if not r.is_g_weak_regular_type1],
-        _no_worse_than(t, "rho", _NAMES, "min_single_rho")),
+    "both-types-comparison": lambda h, m: (
+        _convergence(h, m) + [f"{name} is not a proper G-weak regular splitting of type I"
+                              for name, s in _named(h) if not classify(s).is_g_weak_regular_type1],
+        _no_worse_than(m, "rho", _NAMES, "min_single_rho")),
     "two-vs-three": _two_vs_three,
 }
 _SEMICONVERGENCE_RULES = {
@@ -472,9 +372,9 @@ _SEMICONVERGENCE_RULES = {
     "induced-regular": _induced_regular,
     "quasi-three-step": _quasi_three_step,
     "quasi-comparison": _quasi_comparison,
-    "quasi-three-comparison": lambda t: (
-        _semiconvergence(t, "quasi-regular") + _index(t),
-        _no_worse_than(t, "gamma", _NAMES, "min_single_gamma")),
+    "quasi-three-comparison": lambda h, m, delta: (
+        _semiconvergence(h, m, "quasi-regular") + _index(h),
+        _no_worse_than(m, "gamma", _NAMES, "min_single_gamma")),
     "quasi-two-vs-three": _quasi_two_vs_three,
 }
 CONVERGENCE_THEOREMS = tuple(_CONVERGENCE_RULES)
@@ -484,14 +384,14 @@ SEMICONVERGENCE_THEOREMS = tuple(_SEMICONVERGENCE_RULES)
 def verify_convergence_theorem(theorem_id: str, splits) -> TheoremVerdict:
     """Certify one of the index-1 convergence/comparison results.
 
-    ``theorem_id`` is one of ``CONVERGENCE_THEOREMS`` (all expect three
-    splittings of one matrix A).
+    ``theorem_id`` is one of ``CONVERGENCE_THEOREMS``; ``splits`` is three
+    splittings of one matrix A, as a list or an alternation.
     """
     if theorem_id not in CONVERGENCE_THEOREMS:
         raise UnknownTheoremError(f"unknown convergence theorem {theorem_id!r}")
-    t = _Triple(theorem_id, splits)
-    failures, conclusion = _CONVERGENCE_RULES[theorem_id](t)
-    return TheoremVerdict(theorem_id, not failures, failures, conclusion, t.measured)
+    h, m = _alternation(splits, theorem_id), {}
+    failures, conclusion = _CONVERGENCE_RULES[theorem_id](h, m)
+    return TheoremVerdict(theorem_id, not failures, failures, conclusion, m)
 
 
 def verify_semiconvergence_theorem(
@@ -510,13 +410,13 @@ def verify_semiconvergence_theorem(
             raise MissingDeltaError("delta-shift theorem needs delta")
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-    t = _Triple(theorem_id, splits, delta)
+    h, m = _alternation(splits, theorem_id), {}
     failures = [f"{name} has a singular split part"
-                for name, s in zip(_NAMES, t.splits) if not s.solver.is_nonsingular]
+                for name, s in _named(h) if not s.solver.is_nonsingular]
     conclusion = False
     if not failures:
-        failures, conclusion = _SEMICONVERGENCE_RULES[theorem_id](t)
-    return TheoremVerdict(theorem_id, not failures, failures, conclusion, t.measured)
+        failures, conclusion = _SEMICONVERGENCE_RULES[theorem_id](h, m, delta)
+    return TheoremVerdict(theorem_id, not failures, failures, conclusion, m)
 
 
 def induced_regular_splitting(splits) -> Splitting:
@@ -534,13 +434,13 @@ def induced_regular_splitting(splits) -> Splitting:
         If K + X - A + Y U^-1 L is singular, or the induced B^-1 or C has a
         negative entry, or B^-1 C does not reproduce H.
     """
-    t = _Triple("induced_regular_splitting", splits)
-    for name, report in t.reports.items():
-        if not report.is_regular:
+    h = _alternation(splits, "induced_regular_splitting")
+    for name, s in _named(h):
+        if not classify(s).is_regular:
             raise ClassificationError(f"{name} is not a regular splitting")
-    if not t.middle_nonsingular:
+    if not h.middle_nonsingular:
         raise NonsingularHypothesisError("K + X - A + Y U^-1 L is singular")
-    why = t.induced_failure(regular=True)
+    why = _induced_failure(h, regular=True)
     if why is not None:
         raise NonsingularHypothesisError(why)
-    return t.induced
+    return h.induced

@@ -46,6 +46,7 @@ from .problems import (
 )
 from .schemes import SchemeConfig, run
 from .splittings import (
+    Alternation,
     SystemMatrix,
     _iteration_operator,
     alternating_iteration_matrix,
@@ -297,8 +298,9 @@ def _check_semiconvergence(rng, n):
 
 
 def _check_quasi(rng, n):
-    quasi = random_quasi_regular_triple(rng, n)[1]
-    m_matrix = random_singular_m_matrix_triple(rng, n)[1]
+    # one owner a triple, so its three verifiers share the facts of H
+    quasi = Alternation(random_quasi_regular_triple(rng, n)[1])
+    m_matrix = Alternation(random_singular_m_matrix_triple(rng, n)[1])
     for splits, theorem_id, delta in (
         (quasi, "quasi-three-step", None), (quasi, "quasi-three-comparison", None),
         (quasi, "quasi-two-vs-three", None), (m_matrix, "regular-three-step", None),

@@ -1,21 +1,18 @@
-"""The owner of A, and splittings A = U - V: construction, classification,
-iteration matrices.
+"""The owner of A, splittings A = U - V, and the owner of their alternation.
 
 A :class:`SystemMatrix` owns A: a read-only view of the given array (writing
 into that array invalidates the owner and its splittings) and the
 ``ToleranceProfile`` that every decision about A and its splittings reads.
-It forms A's sweep operator (dense or CSR, see ``CSR_MIN_ORDER``), range and
-null projectors (one SVD), nonsingularity decision and A# on first use,
-once.  Every splitting of A points to it; every builder takes A as an array
-or as its owner.  A splitting keeps a read-only copy of U and no V: a sweep
-step needs only A and U (``CachedSolver.correct``).  It forms the dense
-V = U - A, the factors U#V and VU#, its class report (the witnesses a
-read-only mapping) and the facts of T = U#V that ``classify`` and the
-verifiers share (spectrum, K1 from the one index-1 decision on I - T, and
-index(T) <= 1) on first use, once.  Classification gives verdicts, never
-exceptions; the public constructive operations (induced splittings, closed
-forms) raise when their hypotheses fail because their outputs are
-undefined otherwise.
+A splitting of A points to it and keeps a read-only copy of U and no V: a
+sweep step needs only A and U (``CachedSolver.correct``).  An
+:class:`Alternation` owns 1 to 3 splittings of one A, first applied first.
+Each owner forms its facts on first use, once; a splitting (T = U#V) and an
+alternation (T = H) share the code of the facts of an iteration matrix T.
+Every builder takes A as an array or as its owner, and every function of a
+tuple of splittings a list or an alternation.  Classification gives
+verdicts, never exceptions; the public constructive operations (induced
+splittings, closed forms) raise when their hypotheses fail because their
+outputs are undefined otherwise.
 
 ``classify`` decides every product class by one rule (Berman and Plemmons,
 ch. 7): the class holds iff its family's base condition holds and its
@@ -66,6 +63,8 @@ from .errors import (
 __all__ = [
     "SystemMatrix",
     "Splitting",
+    "Alternation",
+    "SemiconvergenceCertificate",
     "Witness",
     "SplittingClassReport",
     "make_splitting",
@@ -124,6 +123,25 @@ class SystemMatrix:
         x = _group_inverse_or_none(self.a, self.tol.rank_tol)
         return None if x is None else _kept(x)
 
+    @cached_property
+    def is_m_matrix_with_property_c(self) -> bool:
+        """A = sI - B with B >= 0, s >= rho(B) and s^-1 B semiconvergent.
+
+        Off-diagonal entries must be nonpositive.  Property c is existential
+        in s, and the minimal choice s = max(diag) can place spurious
+        boundary eigenvalues (e.g. -1) on the unit circle of s^-1 B, so s is
+        enlarged until s^-1 B has a strictly positive diagonal; the M-matrix
+        verdict itself is unchanged by any valid choice of s.
+        """
+        a, n = self.a, self.n
+        off = a - np.diag(np.diag(a))
+        if off.size and float(off.max()) > self.tol.nonneg_tol:
+            return False
+        s0 = max(0.0, float(np.max(np.diag(a))) if n else 0.0)
+        s = s0 + max(1.0, s0)
+        # s^-1 B semiconvergent already requires rho(s^-1 B) <= 1, i.e. s >= rho(B).
+        return _Matrix((s * np.eye(n) - a) / s, self.tol).certificate.verdict
+
     def shares_range_and_null(self, m) -> bool:
         """range(M) == range(A) and null(M) == null(A): M's projectors equal
         A's entrywise within ``eq_tol``."""
@@ -141,20 +159,74 @@ def _system(a, tol: ToleranceProfile | None) -> SystemMatrix:
     return a
 
 
-def _k1(t: np.ndarray, rank_tol: float) -> np.ndarray | None:
-    """K1 = (I - T)(I - T)#, read-only, or None when index(I - T) > 1."""
-    imt = np.eye(t.shape[0]) - t
-    imt_sharp = _group_inverse_or_none(imt, rank_tol)
-    return None if imt_sharp is None else _kept(imt @ imt_sharp)
+@dataclass(frozen=True)
+class SemiconvergenceCertificate:
+    """Spectral facts deciding whether lim T^k exists.
+
+    ``verdict`` is true iff rho(T) <= 1 (up to the eigenvalue-1 slack),
+    gamma(T) < 1 and index(I - T) <= 1; the limit matrix
+    I - (I-T)(I-T)# is attached only then.
+    """
+
+    rho: float
+    gamma: float
+    has_eigenvalue_one: bool
+    index_of_I_minus_T: int
+    verdict: bool
+    limit_matrix: np.ndarray | None = None
+
+
+class _IterationFacts:
+    """The facts of the iteration matrix T = ``iteration_matrix`` under the
+    profile ``tol``, each formed on first use, once."""
+
+    @cached_property
+    def spectrum(self) -> tuple[float, float, bool]:
+        """(rho, gamma, has_eigenvalue_one) of T, from one ``eigvals``."""
+        return _spectrum(self.iteration_matrix, self.tol.one_tol)
+
+    @cached_property
+    def k1(self) -> np.ndarray | None:
+        """K1 = (I - T)(I - T)#, read-only, or None when index(I - T) > 1."""
+        imt = np.eye(self.iteration_matrix.shape[0]) - self.iteration_matrix
+        imt_sharp = _group_inverse_or_none(imt, self.tol.rank_tol)
+        return None if imt_sharp is None else _kept(imt @ imt_sharp)
+
+    @cached_property
+    def index_at_most_one(self) -> bool:
+        """index(T) <= 1."""
+        return _group_inverse_or_none(self.iteration_matrix, self.tol.rank_tol) is not None
+
+    @cached_property
+    def certificate(self) -> SemiconvergenceCertificate:
+        """Whether lim T^k exists, from the spectrum and K1 above."""
+        t, tol, (rho, g, has_one) = self.iteration_matrix, self.tol, self.spectrum
+        n = t.shape[0]
+        # When T is numerically the identity, I - T is pure round-off and its
+        # relative rank is meaningless; anchor at T's unit scale instead.
+        if n and float(np.max(np.abs(np.eye(n) - t))) <= tol.rank_tol:
+            return SemiconvergenceCertificate(rho, 0.0, True, 1, True, np.eye(n))
+        k = self.k1
+        verdict = (rho <= 1.0 + tol.one_tol) and (g < 1.0 - tol.one_tol) and k is not None
+        return SemiconvergenceCertificate(rho, g, has_one, 1 if k is not None else 2, verdict,
+                                          np.eye(n) - k if verdict else None)
 
 
 @dataclass(frozen=True, eq=False)
-class Splitting:
+class _Matrix(_IterationFacts):
+    """A bare iteration matrix T, square and float, and its facts."""
+
+    iteration_matrix: np.ndarray
+    tol: ToleranceProfile
+
+
+@dataclass(frozen=True, eq=False)
+class Splitting(_IterationFacts):
     """One splitting A = U - V of its owner's A, with its cached solver for U.
 
     Construct via :func:`make_splitting`.  ``a``, ``n`` and ``tol`` are the
-    owner's.  The dense ``v = u - a``, the factors and the facts of U#V are
-    formed on first use, once.  Splittings compare and hash by identity.
+    owner's.  The dense ``v = u - a``, the factors and the facts of T = U#V
+    are formed on first use, once.  Splittings compare and hash by identity.
     """
 
     system: SystemMatrix
@@ -180,21 +252,6 @@ class Splitting:
     def reversed_iteration_matrix(self) -> np.ndarray:
         """Companion-side factor V U#."""
         return _kept(self.solver.right_apply(self.v))
-
-    @cached_property
-    def spectrum(self) -> tuple[float, float, bool]:
-        """(rho, gamma, has_eigenvalue_one) of U#V, from one ``eigvals``."""
-        return _spectrum(self.iteration_matrix, self.tol.one_tol)
-
-    @cached_property
-    def k1(self) -> np.ndarray | None:
-        """K1 = (I - U#V)(I - U#V)#, or None when index(I - U#V) > 1."""
-        return _k1(self.iteration_matrix, self.tol.rank_tol)
-
-    @cached_property
-    def index_at_most_one(self) -> bool:
-        """index(U#V) <= 1."""
-        return _group_inverse_or_none(self.iteration_matrix, self.tol.rank_tol) is not None
 
     _report = cached_property(lambda self: _class_report(self))  # what classify hands out
 
@@ -355,14 +412,85 @@ def _product(factors) -> np.ndarray:
     return reduce(lambda h, t: t @ h, factors)
 
 
-def alternating_iteration_matrix(splits) -> np.ndarray:
-    """Iteration matrix of the alternating sweep, first splitting applied first.
+# The two-step sub-alternations of [K-L, U-V, X-Y], by the splittings they take.
+_PAIRS = {"B12": (0, 1), "B13": (0, 2), "B23": (1, 2)}
 
-    For splittings [K-L, U-V, X-Y] this is (X#Y)(U#V)(K#L); ordinary
-    inverses replace group inverses wherever U is nonsingular.
+
+@dataclass(frozen=True, eq=False)
+class Alternation(_IterationFacts):
+    """1 to 3 splittings of one A, first applied first, and the facts of
+    their alternating iteration matrix H, each formed on first use, once.
+
+    Construction runs the one shared-A check, which gives the owner of A,
+    ``system``.  Alternations compare and hash by identity.
     """
-    _check_shared_a(splits)
-    return _product([s.iteration_matrix for s in splits])
+
+    splits: tuple[Splitting, ...]
+    system: SystemMatrix = field(init=False, repr=False)
+    tol = property(lambda self: self.system.tol)
+
+    def __post_init__(self):
+        object.__setattr__(self, "splits", tuple(self.splits))
+        object.__setattr__(self, "system", _check_shared_a(self.splits))
+
+    @cached_property
+    def iteration_matrix(self) -> np.ndarray:
+        """H = (X#Y)(U#V)(K#L) for [K-L, U-V, X-Y], read-only; ordinary
+        inverses replace group inverses wherever U is nonsingular.  One
+        splitting's H is its own U#V."""
+        return _kept(_product([s.iteration_matrix for s in self.splits]))
+
+    @cached_property
+    def middle(self) -> np.ndarray:
+        """M = U1 + U2 - A for two splittings, K + X - A + Y U# L for three."""
+        if len(self.splits) == 1:
+            raise ValueError("a middle factor needs two or three splittings")
+        first, last = self.splits[0], self.splits[-1]
+        middle = first.u + last.u - first.a
+        if len(self.splits) == 3:
+            middle = middle + last.v @ self.splits[1].solver.solve(first.v)
+        return _kept(middle)
+
+    # M's nonsingularity decision, and whether M has A's range and null space
+    middle_nonsingular = cached_property(lambda self: _nonsingular(self.middle, self.tol.rank_tol))
+    middle_shares_range_and_null = cached_property(
+        lambda self: self.system.shares_range_and_null(self.middle))
+
+    @cached_property
+    def induced(self) -> Splitting | None:
+        """A = B - C with B = U_first M# U_last (M# U_last a ``solve`` when M
+        is nonsingular), which equals A (I - H)^-1 whenever that exists;
+        None when M# or B# does not exist."""
+        first, last = self.splits[0], self.splits[-1]
+        try:
+            m_last = (np.linalg.solve(self.middle, last.u) if self.middle_nonsingular
+                      else group_inverse(self.middle, self.tol) @ last.u)
+            return make_splitting(self.system, first.u @ m_last)
+        except IndexGreaterThanOneError:  # M# or B# does not exist
+            return None
+
+    @cached_property
+    def pairs(self) -> MappingProxyType[str, Alternation]:
+        """B12 = U#V K#L, B13 = X#Y K#L and B23 = X#Y U#V as alternations of
+        two of three splittings; empty for fewer splittings."""
+        pairs = {name: Alternation((self.splits[i], self.splits[j]))
+                 for name, (i, j) in _PAIRS.items()} if len(self.splits) == 3 else {}
+        return MappingProxyType(pairs)
+
+
+def _alternation(splits, caller: str | None = None) -> Alternation:
+    """``splits`` if it is an alternation, else one of the list ``splits``;
+    a ``caller`` that needs exactly three is named in the ValueError."""
+    given = splits.splits if isinstance(splits, Alternation) else tuple(splits)
+    if caller is not None and len(given) != 3:
+        raise ValueError(f"{caller} expects exactly three splittings")
+    return splits if isinstance(splits, Alternation) else Alternation(given)
+
+
+def alternating_iteration_matrix(splits) -> np.ndarray:
+    """Iteration matrix H of the alternating sweep, first splitting applied
+    first: the alternation's read-only ``iteration_matrix``."""
+    return _alternation(splits).iteration_matrix
 
 
 def _iteration_operator(splits):
@@ -393,8 +521,7 @@ def companion_matrix(splits) -> np.ndarray:
     Shares its spectral radius with the alternating iteration matrix and is
     the nonnegativity carrier in the type-II convergence arguments.
     """
-    _check_shared_a(splits)
-    return _product([s.reversed_iteration_matrix for s in splits])
+    return _product([s.reversed_iteration_matrix for s in _alternation(splits).splits])
 
 
 def induced_splitting(a, h, tol: ToleranceProfile | None = None) -> Splitting:
@@ -428,41 +555,8 @@ def b_sharp_closed_form(splits) -> np.ndarray:
     RangeNullConditionError
         If range/null of K + X - A + Y U# L differ from those of A.
     """
-    if len(splits) != 3:
-        raise ValueError("closed form needs exactly three splittings")
-    system = _check_shared_a(splits)
-    sk, _, sx = splits
-    middle = _middle_factor(splits)
-    if not system.shares_range_and_null(middle):
+    h = _alternation(splits, "b_sharp_closed_form")
+    if not h.middle_shares_range_and_null:
         raise RangeNullConditionError("K + X - A + Y U# L does not share range/null with A")
-    return sx.solver.solve(sk.solver.right_apply(middle))
-
-
-def _middle_factor(splits) -> np.ndarray:
-    """U1 + U2 - A for two splittings; K + X - A + Y U# L for three."""
-    first, last = splits[0], splits[-1]
-    middle = first.u + last.u - first.a
-    if len(splits) == 3:
-        middle = middle + last.v @ splits[1].solver.solve(first.v)
-    return middle
-
-
-def _induced_from_product(splits, middle=None, nonsingular=None) -> Splitting | None:
-    """Splitting A = B - C induced by a two- or three-step product.
-
-    B = U_first M# U_last with M the middle factor (``np.linalg.solve(M,
-    U_last)`` when M is nonsingular), which equals A (I - H)^-1 whenever
-    that exists; None when M# or B# does not exist.  A caller that has
-    formed M and decided whether it is nonsingular passes both.  The induced
-    splitting shares the first splitting's owner.
-    """
-    first, last = splits[0], splits[-1]
-    if middle is None:
-        middle = _middle_factor(splits)
-        nonsingular = _nonsingular(middle, first.tol.rank_tol)
-    try:
-        m_last = (np.linalg.solve(middle, last.u) if nonsingular
-                  else group_inverse(middle, first.tol) @ last.u)
-        return make_splitting(first.system, first.u @ m_last)
-    except IndexGreaterThanOneError:  # M# or B# does not exist
-        return None
+    sk, _, sx = h.splits
+    return sx.solver.solve(sk.solver.right_apply(h.middle))

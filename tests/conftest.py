@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked 3x3 singular example used across suites.
+"""Shared fixtures: the worked 3x3 singular example used across suites, and
+a spy on the LAPACK calls that decide the facts of a matrix.
 
 A is a rank-2 index-1 matrix whose group inverse is known exactly, with
 three proper splittings whose alternating iteration matrix has spectral
@@ -58,3 +59,30 @@ def example_matrices():
 def example_triple():
     """The three splittings [K-L, U-V, X-Y] of the worked example."""
     return [make_splitting(A_EXAMPLE, m) for m in (K_EXAMPLE, U_EXAMPLE, X_EXAMPLE)]
+
+
+class LinalgSpy:
+    """Records each call of ``np.linalg.eigvals`` and ``np.linalg.svd``: a
+    copy of the matrix passed and the keyword arguments."""
+
+    def __init__(self, monkeypatch):
+        self.seen = {"eigvals": [], "svd": []}
+        for name, calls in self.seen.items():
+            monkeypatch.setattr(np.linalg, name, self._recording(getattr(np.linalg, name), calls))
+
+    @staticmethod
+    def _recording(real, calls):
+        def wrapped(m, *args, **kwargs):
+            calls.append((np.array(m), kwargs))
+            return real(m, *args, **kwargs)
+        return wrapped
+
+    def on(self, name, m) -> list[dict]:
+        """The keyword arguments of each ``name`` call on a matrix equal to ``m``."""
+        return [kwargs for x, kwargs in self.seen[name]
+                if x.shape == np.shape(m) and np.array_equal(x, m)]
+
+
+@pytest.fixture
+def linalg_spy(monkeypatch):
+    return LinalgSpy(monkeypatch)

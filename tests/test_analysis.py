@@ -1,10 +1,14 @@
 """Semiconvergence certificates, the power oracle and the theorem verifiers."""
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 import altsplit.analysis as analysis
 import altsplit.core as core
 from altsplit import (
+    Alternation,
+    ClassificationError,
     MissingDeltaError,
     NonsingularHypothesisError,
     ToleranceProfile,
@@ -23,6 +27,7 @@ from altsplit import (
 )
 from altsplit.generators import (
     random_group_monotone_regular_triple,
+    random_proper_triple,
     random_quasi_regular_triple,
     random_semiconvergence_case,
     random_singular_m_matrix_triple,
@@ -36,6 +41,20 @@ ORACLE_TOL = ToleranceProfile(eq_tol=1e-11)
 def walk_triple(n=10, alphas=(2.0, 2.5, 3.0)):
     walk = make_random_walk(n)
     return walk, [diag_scaling_splitting(walk.A, a) for a in alphas]
+
+
+def counting_forms(monkeypatch, name):
+    """The alternations whose cached fact ``name`` is formed, one entry a formation."""
+    real, formed = getattr(Alternation, name).func, []
+
+    def forming(h):
+        formed.append(h)
+        return real(h)
+
+    fact = cached_property(forming)
+    fact.__set_name__(Alternation, name)
+    monkeypatch.setattr(Alternation, name, fact)
+    return formed
 
 
 class TestIsSemiconvergent:
@@ -254,7 +273,7 @@ class TestConvergenceVerifiers:
         splits = [make_splitting(a, 2 * np.eye(2)),
                   make_splitting(a, np.array([[-1.0, 1.0], [0.0, -1.0]])),
                   make_splitting(a, 2 * np.eye(2))]
-        assert analysis._induced_from_product(splits[:2]) is None
+        assert Alternation(splits[:2]).induced is None
         for theorem_id, verify in (("two-vs-three", verify_convergence_theorem),
                                    ("quasi-two-vs-three", verify_semiconvergence_theorem)):
             failures = verify(theorem_id, splits).hypothesis_failures
@@ -335,85 +354,78 @@ class TestSemiconvergenceVerifiers:
         with pytest.raises(error):
             verify_semiconvergence_theorem("delta-shift", [s, s, s], delta=delta)
 
-    def test_middle_factor_formed_and_decided_once(self, monkeypatch):
-        import altsplit.splittings as splittings
-
+    def test_middle_factor_formed_and_decided_once(self, monkeypatch, linalg_spy):
+        # the three M-matrix verifiers and induced_regular_splitting on one
+        # owner: one M, and one nonsingularity decision (one SVD) on it
         _, splits = walk_triple()
-        middles, decided = [], []
+        h = Alternation(splits)
+        formed = counting_forms(monkeypatch, "middle")
+        for theorem_id in analysis.SEMICONVERGENCE_THEOREMS[:3]:
+            verdict = verify_semiconvergence_theorem(theorem_id, h, delta=0.5)
+            assert verdict.hypotheses_hold and verdict.conclusion_holds, theorem_id
+        with pytest.raises(NonsingularHypothesisError, match="C = B - A"):
+            induced_regular_splitting(h)
+        assert formed == [h]
+        assert linalg_spy.on("svd", h.middle) == [{"compute_uv": False}]
 
-        def forming(real):
-            def wrapped(chosen):
-                middles.append(real(chosen))
-                return middles[-1]
-            return wrapped
-
-        def deciding(real):
-            def wrapped(m, *args, **kwargs):
-                decided.extend(m is middle for middle in middles)
-                return real(m, *args, **kwargs)
-            return wrapped
-
-        for module in (analysis, splittings):
-            monkeypatch.setattr(module, "_middle_factor", forming(module._middle_factor))
-            monkeypatch.setattr(module, "_nonsingular", deciding(module._nonsingular))
-        verdict = verify_semiconvergence_theorem("induced-regular", splits)
-        assert verdict.hypotheses_hold and verdict.conclusion_holds
-        assert len(middles) == 1
-        assert decided.count(True) == 1
-
-    def test_single_step_facts_are_computed_once_per_splitting(self, monkeypatch):
+    def test_single_step_facts_are_computed_once_per_splitting(self, linalg_spy):
         # classify and three quasi verifiers on one triple: one eigvals of
         # each U#V, one index-1 decision (one SVD) on each I - U#V and on
         # each U#V.
         _, splits = random_quasi_regular_triple(np.random.default_rng(5), 5)
-        seen = {"eigvals": [], "svd": []}
-
-        def spying(name):
-            real = getattr(np.linalg, name)
-
-            def wrapped(m, *args, **kwargs):
-                seen[name].append(np.array(m))
-                return real(m, *args, **kwargs)
-            return wrapped
-
-        for name in seen:
-            monkeypatch.setattr(np.linalg, name, spying(name))
         for s in splits:
             classify(s)
         for theorem_id in ("quasi-three-step", "quasi-three-comparison", "quasi-two-vs-three"):
             verify_semiconvergence_theorem(theorem_id, splits)
-
-        def count(name, m):
-            return sum(x.shape == m.shape and np.array_equal(x, m) for x in seen[name])
-
         for s in splits:
             t = s.iteration_matrix
-            assert count("eigvals", t) == 1
-            assert count("svd", np.eye(s.n) - t) == 1
-            assert count("svd", t) == 1
+            assert len(linalg_spy.on("eigvals", t)) == 1
+            assert len(linalg_spy.on("svd", np.eye(s.n) - t)) == 1
+            assert len(linalg_spy.on("svd", t)) == 1
 
-    def test_facts_of_a_are_computed_once_per_owner(self, monkeypatch):
+    def test_facts_of_a_are_computed_once_per_owner(self, linalg_spy):
         # classify of each splitting and three convergence verifiers on one
         # triple: one projector SVD of A (the thin one) and one index-1
         # decision on A (the full SVD of its rank factorization), and no
         # other SVD of A
         a, splits = random_group_monotone_regular_triple(np.random.default_rng(5), 5)
-        seen = []
-        svd = np.linalg.svd
-
-        def spying(m, *args, **kwargs):
-            seen.append((np.array(m), kwargs))
-            return svd(m, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spying)
         for s in splits:
             classify(s)
         for theorem_id in ("single-vs-three", "two-vs-three", "typeII-convergence"):
             verify_convergence_theorem(theorem_id, splits)
-        of_a = [kwargs for m, kwargs in seen if m.shape == a.shape and np.array_equal(m, a)]
+        of_a = linalg_spy.on("svd", a)
         assert of_a.count({"full_matrices": False}) == 1
         assert of_a.count({}) == 1
         assert len(of_a) == 2
+
+    def test_facts_of_h_are_computed_once_per_alternation(self, monkeypatch, linalg_spy):
+        # the quasi verifiers on one owner of a quasi triple, and the
+        # M-matrix verifiers and induced_regular_splitting on one owner of
+        # an M-matrix triple: H and each Bij formed once, each with one
+        # eigvals and one SVD of I - H or I - Bij; each M formed once and
+        # decided once; one property-c certificate of A
+        rng = np.random.default_rng(7)
+        quasi = Alternation(random_quasi_regular_triple(rng, 5)[1])
+        m_matrix = Alternation(random_singular_m_matrix_triple(rng, 5)[1])
+        forms = counting_forms(monkeypatch, "iteration_matrix")
+        middles = counting_forms(monkeypatch, "middle")
+        for theorem_id in ("quasi-three-step", "quasi-three-comparison", "quasi-two-vs-three"):
+            verify_semiconvergence_theorem(theorem_id, quasi)
+        for theorem_id in analysis.SEMICONVERGENCE_THEOREMS[:3]:
+            verify_semiconvergence_theorem(theorem_id, m_matrix, delta=0.5)
+        induced_regular_splitting(m_matrix)
+
+        alternations = [quasi, *quasi.pairs.values(), m_matrix]
+        assert forms == middles == alternations
+        for h in alternations:
+            t = h.iteration_matrix
+            assert len(linalg_spy.on("eigvals", t)) == 1
+            assert len(linalg_spy.on("svd", np.eye(len(t)) - t)) == 1
+            assert linalg_spy.on("svd", h.middle) == [{"compute_uv": False}]
+        a = m_matrix.system.a
+        s0 = max(0.0, float(np.max(np.diag(a))))
+        s = s0 + max(1.0, s0)  # the property-c shift
+        assert len(linalg_spy.on("eigvals", (s * np.eye(5) - a) / s)) == 1
 
     def test_walk_regular_three_step(self):
         _, splits = walk_triple()
@@ -531,6 +543,48 @@ class TestPermutationSimilarity:
                         assert gap <= 1e-12, (seed, theorem_id, key)
 
 
+ALL_THEOREMS = analysis.CONVERGENCE_THEOREMS + analysis.SEMICONVERGENCE_THEOREMS
+
+
+class TestOneAlternation:
+    @pytest.mark.parametrize("make", [random_group_monotone_regular_triple,
+                                      random_proper_triple, random_singular_m_matrix_triple,
+                                      random_quasi_regular_triple], ids=lambda f: f.__name__)
+    def test_sharing_an_alternation_changes_nothing(self, make):
+        # every verifier and induced_regular_splitting, once on one shared
+        # owner of the triple and once each on a fresh list
+        def outcomes(splits_for):
+            results = [repr(_verdicts(splits_for(), [theorem_id])[theorem_id])
+                       for theorem_id in ALL_THEOREMS]
+            try:
+                b = induced_regular_splitting(splits_for())
+            except (ClassificationError, NonsingularHypothesisError) as error:
+                return results + [f"{type(error).__name__}: {error}"]
+            return results + [repr((b.u.tolist(), b.v.tolist()))]
+
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            _, splits = make(rng, int(rng.integers(3, 7)))
+            shared = Alternation(splits)
+            assert outcomes(lambda: shared) == outcomes(lambda: list(splits)), seed
+
+    @pytest.mark.parametrize("a, us, min_diag_h", [
+        (np.zeros((0, 0)), [np.eye(0)] * 3, np.inf),
+        (np.array([[1.0]]), [[[2.0]], [[2.5]], [[3.0]]], 0.2),
+    ], ids=["order-0", "order-1"])
+    def test_every_verifier_gives_a_verdict_at_orders_0_and_1(self, a, us, min_diag_h):
+        # U B# >= I holds on an empty matrix and diag(H) > 0 vacuously, with
+        # min_diag_H the minimum over the empty set
+        verdicts = _verdicts([make_splitting(a, u) for u in us], ALL_THEOREMS)
+        for theorem_id, verdict in verdicts.items():
+            assert verdict.conclusion_holds or not verdict.hypotheses_hold, theorem_id
+        for theorem_id in ("typeII-convergence", "single-vs-three", "two-vs-three"):
+            assert verdicts[theorem_id].hypotheses_hold, theorem_id
+        three_step = verdicts["regular-three-step"]
+        assert "diag(H) is not strictly positive" not in three_step.hypothesis_failures
+        assert three_step.measured_quantities["min_diag_H"] == pytest.approx(min_diag_h)
+
+
 class TestInducedRegularSplitting:
     def test_agrees_with_the_verifier(self):
         # one check of the induced B: the function returns it exactly when
@@ -576,8 +630,6 @@ class TestInducedRegularSplitting:
         np.testing.assert_allclose(ind.v, np.zeros((4, 4)), atol=1e-10)
 
     def test_classification_hypothesis_enforced(self, example_triple):
-        from altsplit import ClassificationError
-
         with pytest.raises(ClassificationError):
             induced_regular_splitting(example_triple)
 

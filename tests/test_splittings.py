@@ -4,6 +4,7 @@ import pytest
 
 from altsplit import (
     DEFAULT_TOL,
+    Alternation,
     CachedSolver,
     DimensionMismatchError,
     MismatchedSplittingError,
@@ -423,6 +424,32 @@ class TestAlternatingIterationMatrix:
         )
 
 
+class TestAlternation:
+    def test_h_is_formed_once_and_read_only(self, example_triple):
+        h = Alternation(example_triple)
+        assert alternating_iteration_matrix(h) is h.iteration_matrix
+        assert not h.iteration_matrix.flags.writeable
+        np.testing.assert_array_equal(h.iteration_matrix, alternating_iteration_matrix(
+            list(example_triple)))
+        assert list(h.pairs) == ["B12", "B13", "B23"]
+        assert h.pairs["B13"].splits == (example_triple[0], example_triple[2])
+        assert not Alternation(example_triple[:2]).pairs
+
+    @pytest.mark.parametrize("make", [random_group_monotone_regular_triple, random_proper_triple,
+                                      random_singular_m_matrix_triple,
+                                      random_quasi_regular_triple])
+    def test_cyclic_rotations_keep_rho_and_gamma(self, make):
+        # (K, U, X), (U, X, K) and (X, K, U) give products X#Y U#V K#L,
+        # K#L X#Y U#V and U#V K#L X#Y with one nonzero spectrum
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            _, splits = make(rng, int(rng.integers(3, 8)))
+            spectra = [Alternation(splits[i:] + splits[:i]).spectrum for i in range(3)]
+            for rho, gamma, _ in spectra[1:]:
+                assert abs(rho - spectra[0][0]) <= 1e-12, seed
+                assert abs(gamma - spectra[0][1]) <= 1e-12, seed
+
+
 class TestCachedFactors:
     def test_each_factor_is_formed_once(self, example_matrices):
         a, k, _, _ = example_matrices
@@ -550,7 +577,7 @@ class TestInducedSplitting:
             a, splits = make(rng, int(rng.integers(4, 8)))
             for chosen in (splits, splits[:2], splits[::2], splits[1:]):
                 h = alternating_iteration_matrix(chosen)
-                b = splittings._induced_from_product(chosen)
+                b = Alternation(chosen).induced
                 if b is not None:
                     np.testing.assert_allclose(b.iteration_matrix, h, atol=1e-9)
                 try:

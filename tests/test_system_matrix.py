@@ -5,6 +5,7 @@ import pytest
 import altsplit.cli as cli
 from altsplit import (
     DEFAULT_TOL,
+    Alternation,
     MismatchedSplittingError,
     SchemeConfig,
     SystemMatrix,
@@ -25,7 +26,6 @@ from altsplit.generators import (
     random_quasi_regular_triple,
     random_singular_m_matrix_triple,
 )
-from altsplit.splittings import _induced_from_product
 from conftest import A_EXAMPLE, A_SHARP_EXPECTED, K_EXAMPLE, U_EXAMPLE, X_EXAMPLE
 
 LOOSE = ToleranceProfile(rank_tol=1e-6)
@@ -98,7 +98,7 @@ class TestOneOwnerAtEachSite:
     def test_induced_splittings(self):
         _, splits = random_group_monotone_regular_triple(np.random.default_rng(2), 4)
         for chosen in (splits, splits[:2]):
-            assert_one_owner([*splits, _induced_from_product(chosen)])
+            assert_one_owner([*splits, Alternation(chosen).induced])
         h = alternating_iteration_matrix(splits)
         assert_one_owner([*splits, induced_splitting(splits[0].system, h)])
 
