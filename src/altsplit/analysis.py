@@ -165,7 +165,7 @@ def _named(h: Alternation):
 
 
 def _induced_mismatch(h: Alternation) -> float:
-    return float(np.max(np.abs(h.induced.iteration_matrix - h.iteration_matrix)))
+    return float(np.max(np.abs(h.induced.iteration_matrix - h.iteration_matrix), initial=0.0))
 
 
 def _induced_failure(h: Alternation, regular: bool) -> str | None:
@@ -175,7 +175,7 @@ def _induced_failure(h: Alternation, regular: bool) -> str | None:
         return "induced B^-1 has negative entries"
     if regular and not is_nonnegative(h.induced.v, h.tol):
         return "induced C = B - A has negative entries"
-    scale = max(1.0, float(np.max(np.abs(h.iteration_matrix))))
+    scale = max(1.0, float(np.max(np.abs(h.iteration_matrix), initial=0.0)))
     if not _induced_mismatch(h) <= h.tol.eq_tol * scale:
         return "induced splitting does not reproduce H"
     return None
@@ -301,8 +301,9 @@ def _induced_regular(h, m, delta):
     if failures:
         return failures, False
     m["induced_matrix_mismatch"] = _induced_mismatch(h)
-    m["min_B_inverse_entry"] = float(np.min(h.induced.solver.inverse_like()))
-    m["min_C_entry"] = float(np.min(h.induced.v))
+    # inf over an empty matrix; min(initial=inf) would pick another signed zero
+    m["min_B_inverse_entry"], m["min_C_entry"] = (float(x.min()) if x.size else np.inf for x in (
+        h.induced.solver.inverse_like(), h.induced.v))
     return failures, _induced_failure(h, regular=False) is None and is_nonnegative(
         h.iteration_matrix, h.tol)
 

@@ -267,7 +267,9 @@ def _check_companion(rng, n):
     h = alternating_iteration_matrix(splits)
     s = companion_matrix(splits)
     gap = abs(spectral_radius(s) - spectral_radius(h))
-    mismatch = float(np.max(np.abs(s - a @ h @ group_inverse(a))))
+    # A# from the owner that holds A's factorization; exit code 4 if it is None
+    a_sharp = splits[0].system.factored.group_inverse()
+    mismatch = float(np.max(np.abs(s - a @ h @ a_sharp)))
     if gap > 1e-8 or mismatch > 1e-8:
         return f"rho gap {gap:.3e}, S - A H A# {mismatch:.3e}"
     return None

@@ -6,16 +6,15 @@ in float64.  All operations are pure; U^-1 or U# is kept only inside
 Its :meth:`CachedSolver.correct` is the one sweep step, U#(V x + b)
 formed from the residual r = b - A x without V.
 
-Each fact about a matrix comes from one private routine, so callers that
+Each fact about a matrix comes from one private owner, so callers that
 need several facts of one matrix compute each once:
 
 * ``_spectrum``: rho, gamma and the unit-eigenvalue flag from one ``eigvals``;
-* ``_group_inverse_or_none``: the one index-1 decision.  From the SVD rank
-  factorization A = F G, A# = F (G F)^-2 G exists iff
-  ``s_min(G F) > rank_tol * s_max(A)``, judged on A's scale (G F alone may
-  be a round-off scalar);
-* ``_projectors``: range and null projectors from one SVD;
-* ``_nonsingular``: the test ``s_min > rank_tol * s_max``.
+* ``_Factored``: the rank, the nonsingularity decision, the range and null
+  projectors and the group inverse, all read from one thin SVD.  It holds
+  the one index-1 decision: from the rank factorization M = F G,
+  M# = F (G F)^-2 G exists iff ``s_min(G F) > rank_tol * s_max(M)``,
+  judged on M's scale (G F alone may be a round-off scalar).
 
 The one exception to dense input is :func:`spectral_radius`, which also
 takes a matrix-free ``scipy.sparse.linalg.LinearOperator`` and then finds
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -121,17 +121,7 @@ def _numerical_rank(s: np.ndarray, rank_tol: float) -> int:
 
 def rank(m, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Numerical rank: singular values above ``rank_tol * s_max``."""
-    m = as_matrix(m)
-    if min(m.shape) == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return _numerical_rank(s, tol.rank_tol)
-
-
-def _nonsingular(m: np.ndarray, rank_tol: float, scale: float | None = None) -> bool:
-    """True iff ``s_min(m) > rank_tol * scale``; ``scale`` defaults to s_max(m)."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return s.size > 0 and bool(s[-1] > rank_tol * (s[0] if scale is None else scale))
+    return _Factored(as_matrix(m), tol.rank_tol).rank
 
 
 def _spectrum(m: np.ndarray, one_tol: float):
@@ -195,26 +185,54 @@ def gamma(m, tol: ToleranceProfile = DEFAULT_TOL) -> float:
     return _spectrum(as_square(m), tol.one_tol)[1]
 
 
-def _group_inverse_or_none(m: np.ndarray, rank_tol: float) -> np.ndarray | None:
-    """A# of a square matrix, or None when its index exceeds 1.
+def _kept(m: np.ndarray) -> np.ndarray:
+    """``m`` made read-only, for an array handed to every caller that asks."""
+    m.flags.writeable = False
+    return m
 
-    From the SVD rank factorization A = F G (F = U_r S_r, G = V_r^T),
-    ``A# = F (G F)^-2 G``; G F is invertible exactly when A has index 1,
-    decided as ``s_min(G F) > rank_tol * s_max(A)``.
-    """
-    u, s, vt = np.linalg.svd(m)
-    r = _numerical_rank(s, rank_tol)
-    if r == 0:
-        return np.zeros_like(m)
-    f, g = u[:, :r] * s[:r], vt[:r, :]
-    gf = g @ f
-    if not _nonsingular(gf, rank_tol, scale=s[0]):
-        return None
-    return f @ np.linalg.solve(gf, np.linalg.solve(gf, g))
+
+@dataclass(frozen=True, eq=False)
+class _Factored:
+    """The thin SVD M = U_r S_r V_r^T of a matrix its caller no longer
+    writes, and the facts read from it, each formed on first use, once.
+    Owners compare and hash by identity."""
+
+    m: np.ndarray
+    rank_tol: float
+
+    svd = cached_property(lambda self: np.linalg.svd(self.m, full_matrices=False))
+    rank = cached_property(lambda self: _numerical_rank(self.svd[1], self.rank_tol))
+    nonsingular = property(lambda self: self.rank == self.m.shape[0])
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(range projector, null projector) of M, read-only."""
+        u, _, vt = self.svd
+        ur, vr = u[:, :self.rank], vt[:self.rank, :]
+        return _kept(ur @ ur.T), _kept(np.eye(self.m.shape[1]) - vr.T @ vr)
+
+    @cached_property
+    def sharp(self) -> np.ndarray | None:
+        """M# of a square M, read-only, or None when its index exceeds 1, by
+        the index-1 rule above with F = U_r S_r and G = V_r^T."""
+        (u, s, vt), r = self.svd, self.rank
+        if r == 0:
+            return _kept(np.zeros_like(self.m))
+        f, g = u[:, :r] * s[:r], vt[:r, :]
+        gf = g @ f
+        if not np.linalg.svd(gf, compute_uv=False)[-1] > self.rank_tol * s[0]:
+            return None
+        return _kept(f @ np.linalg.solve(gf, np.linalg.solve(gf, g)))
+
+    def group_inverse(self) -> np.ndarray:
+        """``sharp``, raising IndexGreaterThanOneError when it is None."""
+        if self.sharp is None:
+            raise IndexGreaterThanOneError("group inverse does not exist: rank(A) != rank(A^2)")
+        return self.sharp
 
 
 def group_inverse(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Group inverse A# of an index-1 square matrix.
+    """Group inverse A# of an index-1 square matrix, as a new array.
 
     Uses the rank factorization A = F G and the closed form
     ``A# = F (G F)^-2 G``; invertibility of G F is exactly the index-1
@@ -225,29 +243,12 @@ def group_inverse(m, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     IndexGreaterThanOneError
         If ``s_min(G F) <= rank_tol * s_max(A)``, i.e. A has index above 1.
     """
-    x = _group_inverse_or_none(as_square(m), tol.rank_tol)
-    if x is None:
-        raise IndexGreaterThanOneError("group inverse does not exist: rank(A) != rank(A^2)")
-    return x
+    return _Factored(as_square(m), tol.rank_tol).group_inverse().copy()
 
 
 def index_at_most_one(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     """True iff the group inverse of M exists (the index-1 rule above)."""
-    return _group_inverse_or_none(as_square(m), tol.rank_tol) is not None
-
-
-def _projectors(m: np.ndarray, rank_tol: float):
-    """(range projector, null projector) of M from one SVD."""
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    r = _numerical_rank(s, rank_tol)
-    ur, vr = u[:, :r], vt[:r, :]
-    return ur @ ur.T, np.eye(m.shape[1]) - vr.T @ vr
-
-
-def _kept(m: np.ndarray) -> np.ndarray:
-    """``m`` made read-only, for an array handed to every caller that asks."""
-    m.flags.writeable = False
-    return m
+    return _Factored(as_square(m), tol.rank_tol).sharp is not None
 
 
 def is_nonnegative(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
@@ -266,7 +267,8 @@ class CachedSolver:
     * diagonal U: the reciprocal diagonal (group inverse of a diagonal
       matrix); the dense form is built on the first ``inverse_like()``;
     * any other U: one dense matrix formed at construction,
-      ``np.linalg.inv(u)`` when U is nonsingular, else the group inverse.
+      ``np.linalg.inv(u)`` when U is nonsingular, else the group inverse,
+      both decided by U's one factorization ``factored``.
 
     A sweep step is :meth:`correct`, one multiply-add with that matrix; a
     matrix product with a nonsingular dense U is a backward-stable
@@ -281,6 +283,8 @@ class CachedSolver:
         if u.flags.writeable:
             u = _kept(u.copy())
         self._u = u
+        # U's factorization: the dense branch reads it, and classify's proper test
+        self.factored = _Factored(u, tol.rank_tol)
         d = np.diag(u)
         if np.count_nonzero(u) == np.count_nonzero(d):  # no off-diagonal entry
             ad = np.abs(d)
@@ -293,9 +297,9 @@ class CachedSolver:
             self.is_nonsingular = bool(np.all(nz))
             return
         self._diag = None
-        self.is_nonsingular = _nonsingular(u, tol.rank_tol)
+        self.is_nonsingular = self.factored.nonsingular
         self._inverse_like = _kept(
-            np.linalg.inv(u) if self.is_nonsingular else group_inverse(u, tol)
+            np.linalg.inv(u) if self.is_nonsingular else self.factored.group_inverse()
         )
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

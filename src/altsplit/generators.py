@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import index_at_most_one
 from .splittings import SystemMatrix, make_splitting
 
 __all__ = [
@@ -49,10 +48,9 @@ def _embed(q, q_inv, blocks):
     return q @ z @ q_inv
 
 
-def _on_one_owner(a, us):
-    """(A, the splittings A = U - V of one owner of A, one for each U in ``us``)."""
-    system = SystemMatrix(a)
-    return a, [make_splitting(system, u) for u in us]
+def _on_one_owner(system, us):
+    """(A, read-only, and a splitting of its owner ``system`` for each U in ``us``)."""
+    return system.a, [make_splitting(system, u) for u in us]
 
 
 def random_index_one(rng: np.random.Generator, n: int, rank_r: int) -> np.ndarray:
@@ -84,7 +82,7 @@ def random_group_monotone_regular_triple(
     q_inv = np.linalg.inv(q)
     m = random_inverse_positive(rng, r)
     zero = np.zeros((n - r, n - r))
-    return _on_one_owner(_embed(q, q_inv, [m, zero]), [
+    return _on_one_owner(SystemMatrix(_embed(q, q_inv, [m, zero])), [
         _embed(q, q_inv, [m + np.diag(rng.uniform(0.2, 1.5, r)), zero]) for _ in range(3)])
 
 
@@ -98,11 +96,11 @@ def random_proper_triple(
     keeps the alternating iteration matrix contractive.
     """
     r = int(rank_r) if rank_r is not None else int(rng.integers(2, n + 1))
-    a = random_index_one(rng, n, r)
-    u_svd, s_svd, vt = np.linalg.svd(a)
+    system = SystemMatrix(random_index_one(rng, n, r))
+    u_svd, s_svd, vt = system.factored.svd
     f = u_svd[:, :r] * s_svd[:r]
     g = vt[:r, :]
-    return _on_one_owner(a, [f @ (np.eye(r) + 0.25 * rng.uniform(-1.0, 1.0, (r, r))) @ g
+    return _on_one_owner(system, [f @ (np.eye(r) + 0.25 * rng.uniform(-1.0, 1.0, (r, r))) @ g
                              for _ in range(3)])
 
 
@@ -168,10 +166,10 @@ def random_singular_m_matrix_triple(rng: np.random.Generator, n: int):
     while True:
         b = rng.uniform(0.05, 1.0, (n, n))
         rho = float(np.max(np.abs(np.linalg.eigvals(b))))
-        a = np.eye(n) - b / rho
-        if index_at_most_one(a):
+        system = SystemMatrix(np.eye(n) - b / rho)
+        if system.a_sharp is not None:
             break
-    return _on_one_owner(a, [alpha * np.eye(n) for alpha in (2.0, 2.5, 3.0)])
+    return _on_one_owner(system, [alpha * np.eye(n) for alpha in (2.0, 2.5, 3.0)])
 
 
 def random_quasi_regular_triple(rng: np.random.Generator, n: int):
@@ -188,6 +186,6 @@ def random_quasi_regular_triple(rng: np.random.Generator, n: int):
     q = random_monomial(rng, n)
     q_inv = np.linalg.inv(q)
     a1 = random_inverse_positive(rng, r)
-    return _on_one_owner(_embed(q, q_inv, [a1, np.zeros((1, 1))]), [
+    return _on_one_owner(SystemMatrix(_embed(q, q_inv, [a1, np.zeros((1, 1))])), [
         _embed(q, q_inv, [a1 + np.diag(rng.uniform(0.2, 1.5, r)), random_inverse_positive(rng, 1)])
         for _ in range(3)])

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ToleranceProfile, as_vector
-from .errors import IndexGreaterThanOneError, MissingDeltaError
+from .errors import MissingDeltaError
 from .splittings import Splitting, _check_shared_a, _system
 
 __all__ = [
@@ -192,6 +192,4 @@ def exact_solution(a, b, tol: ToleranceProfile | None = None) -> np.ndarray:
     b = as_vector(b, system.n)
     if system.is_nonsingular:
         return np.linalg.solve(system.a, b)
-    if system.a_sharp is None:
-        raise IndexGreaterThanOneError("group inverse does not exist: rank(A) != rank(A^2)")
-    return system.a_sharp @ b
+    return system.factored.group_inverse() @ b

@@ -43,13 +43,10 @@ from .core import (
     DEFAULT_TOL,
     CachedSolver,
     ToleranceProfile,
-    _group_inverse_or_none,
+    _Factored,
     _kept,
-    _nonsingular,
-    _projectors,
     _spectrum,
     as_square,
-    group_inverse,
 )
 from .errors import (
     DimensionMismatchError,
@@ -110,18 +107,13 @@ class SystemMatrix:
 
         return csr_array(self.a)
 
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(range projector, null projector) of A, read-only."""
-        return tuple(map(_kept, _projectors(self.a, self.tol.rank_tol)))
-
-    is_nonsingular = cached_property(lambda self: _nonsingular(self.a, self.tol.rank_tol))
-
-    @cached_property
-    def a_sharp(self) -> np.ndarray | None:
-        """A# (A^-1 when A is nonsingular), read-only, or None when index(A) > 1."""
-        x = _group_inverse_or_none(self.a, self.tol.rank_tol)
-        return None if x is None else _kept(x)
+    # A's one factorization, and the facts read from it: (range projector,
+    # null projector), the nonsingularity decision, and A# (A^-1 when A is
+    # nonsingular), read-only, or None when index(A) > 1
+    factored = cached_property(lambda self: _Factored(self.a, self.tol.rank_tol))
+    projectors = property(lambda self: self.factored.projectors)
+    is_nonsingular = property(lambda self: self.factored.nonsingular)
+    a_sharp = property(lambda self: self.factored.sharp)
 
     @cached_property
     def is_m_matrix_with_property_c(self) -> bool:
@@ -144,8 +136,10 @@ class SystemMatrix:
 
     def shares_range_and_null(self, m) -> bool:
         """range(M) == range(A) and null(M) == null(A): M's projectors equal
-        A's entrywise within ``eq_tol``."""
-        pairs = zip(_projectors(as_square(m), self.tol.rank_tol), self.projectors)
+        A's entrywise within ``eq_tol``; ``m`` is M or its factorization."""
+        if not isinstance(m, _Factored):
+            m = _Factored(as_square(m), self.tol.rank_tol)
+        pairs = zip(m.projectors, self.projectors)
         return all(bool(np.all(np.abs(p - q) < self.tol.eq_tol)) for p, q in pairs)
 
 
@@ -189,13 +183,13 @@ class _IterationFacts:
     def k1(self) -> np.ndarray | None:
         """K1 = (I - T)(I - T)#, read-only, or None when index(I - T) > 1."""
         imt = np.eye(self.iteration_matrix.shape[0]) - self.iteration_matrix
-        imt_sharp = _group_inverse_or_none(imt, self.tol.rank_tol)
+        imt_sharp = _Factored(imt, self.tol.rank_tol).sharp
         return None if imt_sharp is None else _kept(imt @ imt_sharp)
 
     @cached_property
     def index_at_most_one(self) -> bool:
         """index(T) <= 1."""
-        return _group_inverse_or_none(self.iteration_matrix, self.tol.rank_tol) is not None
+        return _Factored(self.iteration_matrix, self.tol.rank_tol).sharp is not None
 
     @cached_property
     def certificate(self) -> SemiconvergenceCertificate:
@@ -360,7 +354,7 @@ def classify(s: Splitting) -> SplittingClassReport:
 
 def _class_report(s: Splitting) -> SplittingClassReport:
     proper_w = None
-    if not s.system.shares_range_and_null(s.u):
+    if not s.system.shares_range_and_null(s.solver.factored):
         proper_w = Witness(check="range(U) == range(A) and null(U) == null(A)", matrix="U")
     usharp_w = _sign_witness(s.solver.inverse_like(), "U#", s.tol)
     uv, vu = s.iteration_matrix, s.reversed_iteration_matrix
@@ -451,10 +445,12 @@ class Alternation(_IterationFacts):
             middle = middle + last.v @ self.splits[1].solver.solve(first.v)
         return _kept(middle)
 
-    # M's nonsingularity decision, and whether M has A's range and null space
-    middle_nonsingular = cached_property(lambda self: _nonsingular(self.middle, self.tol.rank_tol))
+    # M's one factorization, its nonsingularity decision, and whether M has
+    # A's range and null space
+    middle_factored = cached_property(lambda self: _Factored(self.middle, self.tol.rank_tol))
+    middle_nonsingular = property(lambda self: self.middle_factored.nonsingular)
     middle_shares_range_and_null = cached_property(
-        lambda self: self.system.shares_range_and_null(self.middle))
+        lambda self: self.system.shares_range_and_null(self.middle_factored))
 
     @cached_property
     def induced(self) -> Splitting | None:
@@ -464,7 +460,7 @@ class Alternation(_IterationFacts):
         first, last = self.splits[0], self.splits[-1]
         try:
             m_last = (np.linalg.solve(self.middle, last.u) if self.middle_nonsingular
-                      else group_inverse(self.middle, self.tol) @ last.u)
+                      else self.middle_factored.group_inverse() @ last.u)
             return make_splitting(self.system, first.u @ m_last)
         except IndexGreaterThanOneError:  # M# or B# does not exist
             return None
@@ -538,7 +534,7 @@ def induced_splitting(a, h, tol: ToleranceProfile | None = None) -> Splitting:
     if system.a.shape != h.shape:
         raise DimensionMismatchError("A and H must have the same shape")
     imh = np.eye(h.shape[0]) - h
-    if not _nonsingular(imh, system.tol.rank_tol):
+    if not _Factored(imh, system.tol.rank_tol).nonsingular:
         raise SingularIminusHError("I - H is singular; no induced splitting")
     b = np.linalg.solve(imh.T, system.a.T).T
     return make_splitting(system, b)

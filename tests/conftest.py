@@ -82,6 +82,11 @@ class LinalgSpy:
         return [kwargs for x, kwargs in self.seen[name]
                 if x.shape == np.shape(m) and np.array_equal(x, m)]
 
+    def count(self, name, m) -> int:
+        """The number of ``name`` calls on a matrix equal to ``m``, whatever
+        their keyword arguments."""
+        return len(self.on(name, m))
+
 
 @pytest.fixture
 def linalg_spy(monkeypatch):

@@ -66,6 +66,23 @@ def test_every_imported_name_is_used(path):
             used |= set(ast.literal_eval(node.value))
     assert not imported - used, f"{path.name} imports {sorted(imported - used)} unused"
 
+
+def test_svd_is_called_at_two_sites():
+    # one thin SVD of each factored matrix (core._Factored.svd) and the
+    # index-1 test on G F (core._Factored.sharp); every other fact reads them
+    sites = []
+    for path in sorted(Path(altsplit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and ast.unparse(node).endswith("linalg.svd")) or (
+                    isinstance(node, ast.ImportFrom) and any(a.name == "svd" for a in node.names)):
+                call = calls.get(id(node))
+                sites.append((path.name, call and [ast.unparse(k) for k in call.keywords]))
+    assert sorted(sites, key=repr) == [
+        ("core.py", ["compute_uv=False"]), ("core.py", ["full_matrices=False"])]
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Library example", 1)[1]

@@ -355,17 +355,14 @@ class TestQuasiClassesFollowTheirDefinitions:
         assert min(lows) < -1e-6 and max(lows) >= -DEFAULT_TOL.nonneg_tol
 
     def test_one_index_decision_per_nonsingular_u(self, monkeypatch):
-        group_inverse_or_none, calls = splittings._group_inverse_or_none, []
-
-        def counted(m, rank_tol):
-            calls.append(m)
-            return group_inverse_or_none(m, rank_tol)
-
-        monkeypatch.setattr(splittings, "_group_inverse_or_none", counted)
+        # each read of a factorization's group inverse is an index decision
+        sharp, decided = splittings._Factored.sharp.func, []
+        monkeypatch.setattr(splittings._Factored, "sharp",
+                            property(lambda f: decided.append(f.m) or sharp(f)))
         s = _generated(random_quasi_regular_triple, 0, 0)()
         assert s.solver.is_nonsingular
         classify(s)
-        assert len(calls) == 1
+        assert len(decided) == 1
 
     def test_a_stochastic_p_never_gives_an_index_witness(self):
         # index(I - P) = 1 for every stochastic P, so with V = U P the
@@ -492,6 +489,15 @@ class TestCachedFactors:
             verify_semiconvergence_theorem(theorem_id, splits, delta=0.5)
         companion_matrix(splits)
         assert formed == []
+
+    def test_dense_singular_u_is_factored_once(self, linalg_spy):
+        # the solver's nonsingularity test and U#, and classify's proper
+        # test, all read one factorization of U
+        s = make_splitting(A_EXAMPLE, U_EXAMPLE)
+        report = classify(s)
+        assert not s.solver.is_nonsingular and report.is_proper
+        assert linalg_spy.count("svd", U_EXAMPLE) == 1
+        np.testing.assert_allclose(s.solver.inverse_like(), group_inverse(U_EXAMPLE), atol=1e-14)
 
 
 class TestCompanionMatrix:
