@@ -6,12 +6,17 @@ Markov benchmark is the reflecting n-state random walk whose stationary
 vector solves the homogeneous singular system (I - T^t) x = 0.
 
 Matrix Market files (Boisvert, Pozo and Remington, NIST IR 5935, 1996) of
-either format and symmetry are read through one (row, column, value) triple
-and one fill, and written through one emitter.  The body is tokenised once,
-and line numbers are found only when an error needs one.
+either format and symmetry are read through one scan of the body and
+written through one emitter.  The scan is one numpy pass over the body's
+ASCII bytes: a whitespace test that matches ``str.split()`` finds where
+each token starts, the tokens ``0`` and ``-0`` become +0.0 and -0.0 there,
+and only the other tokens are split apart and go through ``float()`` (or
+``int()`` for coordinate indices).  Line numbers are found only when an
+error needs one.  The writer formats only the non-zero values.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +121,75 @@ _FORMATS = ("array", "coordinate")
 _FIELDS = ("real", "integer")
 _SYMMETRIES = ("general", "symmetric")
 
+# The ASCII bytes at which str.splitlines ends a line, and the ASCII bytes at
+# which str.split() splits (a \r\n pair ends one line).  Each set is spelt out
+# only here: the regex classes, the line count and the byte tables below are
+# derived from it.  A comment line is blanks other than line breaks, "%" and
+# the rest of its line.  The patterns are compiled (and cached by re) on first
+# use, not on import.
+_LINE_BREAKS = b"\n\x0b\x0c\r\x1c\x1d\x1e"
+_BLANKS = b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "
+_BREAK_SET = re.escape(_LINE_BREAKS)
+_LINE = rb"([^%s]*)(?:\r\n|[%s])?" % (_BREAK_SET, _BREAK_SET)
+_COMMENT = rb"(?:^|(?<=[%s]))[%s]*%%[^%s]*" % (
+    _BREAK_SET, re.escape(bytes(c for c in _BLANKS if c not in _LINE_BREAKS)), _BREAK_SET)
+# bytes.translate tables that map each byte of a set to 1 and every other
+# byte to 0, so np.frombuffer(data.translate(table), bool) tests every byte
+_IS_BREAK, _IS_BLANK = (bytes(c in chars for c in range(256)) for chars in (_LINE_BREAKS, _BLANKS))
 
-def _linenos(lines):
-    """1-based numbers of the lines neither blank nor comment (as the header is)."""
-    return (k for k, line in enumerate(lines, 1) if line.lstrip()[:1] not in ("", "%"))
+
+def _size_line(data):
+    """(number, text, end) of the first line of the ASCII bytes ``data``
+    neither blank nor comment (as the header is): its 1-based number, its
+    text and the offset after its line break, or None when there is none."""
+    for number, m in enumerate(re.finditer(_LINE, data), 1):
+        if (line := m[1].decode("ascii")).lstrip()[:1] not in ("", "%"):
+            return number, line, m.end()
+    return None
+
+
+def _line_number(data, at):
+    """The 1-based number of the line that holds byte ``at`` (not a line
+    break) of the ASCII bytes ``data``, as str.splitlines counts lines."""
+    head = data[:at]
+    return 1 + sum(map(head.count, _LINE_BREAKS)) - head.count(b"\r\n")
+
+
+@dataclass(frozen=True)
+class _Tokens:
+    """The tokens of an ASCII body, as str.split() finds them."""
+
+    starts: np.ndarray  # the offset of each token
+    zero: np.ndarray  # True where the token is exactly "0" or "-0"
+    negative: np.ndarray  # True where it is "-0"
+    texts: list  # the other tokens, in order
+
+
+def _scan(body: bytes) -> _Tokens:
+    """Tokenise ``body`` in one numpy pass over its bytes.
+
+    A zero token needs no ``float()``, so only the others are split apart:
+    they are cut out, each with the blank after it, of a body that holds a
+    zero token, and a body without one is split as it is.
+    """
+    body += b"  "  # blanks after the last token
+    b = np.frombuffer(body, np.uint8)
+    space = np.empty(b.size + 1, bool)  # space[k + 1]: byte k is blank
+    space[0] = True  # and so is the byte before the first
+    space[1:] = np.frombuffer(body.translate(_IS_BLANK), bool)
+    blank = space[1:]
+    starts = np.flatnonzero(space[:-1] & ~blank)
+    lead = b[starts]
+    zero = (lead == ord("0")) & space[2:][starts]
+    negative = (lead == ord("-")) & (b[1:][starts] == ord("0")) & space[3:][starts]
+    zero |= negative
+    if zero.any():
+        kept = ~blank
+        kept[starts[zero]] = False
+        kept[starts[negative] + 1] = False
+        kept[1:] |= blank[1:] & kept[:-1]  # and the blank after each token kept
+        body = b[kept].tobytes()
+    return _Tokens(starts, zero, negative, body.decode("ascii").split())
 
 
 def _parse(convert, tokens, line_of):
@@ -133,6 +203,22 @@ def _parse(convert, tokens, line_of):
                 convert(token)
             except ValueError as exc:
                 raise MatrixMarketError(str(exc), line=line_of(k)) from None
+
+
+def _values(convert, tokens: _Tokens, line_of, column=0, step=1):
+    """``convert`` of every ``step``-th token from ``column`` into one array,
+    with ``line_of`` of an index into it.  A zero token is 0 (+0.0 or -0.0)
+    without ``convert``; the others go through ``_parse``."""
+    zero = tokens.zero[column::step]
+    texts = tokens.texts
+    if step > 1:  # this column's share of the non-zero tokens
+        at = np.cumsum(~tokens.zero)[column::step][~zero] - 1
+        texts = [texts[k] for k in at.tolist()]
+    out = np.zeros(zero.size, float if convert is float else object)
+    out[~zero] = _parse(convert, texts, lambda k: line_of(np.flatnonzero(~zero)[k]))
+    if convert is float:
+        out[tokens.negative[column::step]] = -0.0
+    return out
 
 
 def _reject(bad, line_of, message):
@@ -156,15 +242,15 @@ def read_matrix_market(path) -> np.ndarray:
     UnsupportedFieldError
         For complex/pattern fields or other symmetry variants.
     """
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if not text.isascii():
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        lines = data.decode("ascii", "surrogateescape").splitlines()
         bad = next(k for k, line in enumerate(lines, 1) if not line.isascii())
         raise MatrixMarketError("non-ASCII byte", line=bad)
-    if not lines:
+    if not data:
         raise MatrixMarketError("empty file", line=1)
-    header = lines[0].split()
+    header = re.match(_LINE, data)[1].decode("ascii").split()
     if len(header) != 5 or header[0] != "%%MatrixMarket":
         raise MatrixMarketError(
             "expected header '%%MatrixMarket matrix <format> <field> <symmetry>'",
@@ -182,9 +268,10 @@ def read_matrix_market(path) -> np.ndarray:
     symmetric = sym == "symmetric"
 
     # the first non-comment, non-blank line after the header carries the sizes
-    if (size_at := next(_linenos(lines), None)) is None:
-        raise MatrixMarketError("missing size line", line=len(lines))
-    sizes = _parse(int, lines[size_at - 1].split(), lambda k: size_at)
+    if (size_line := _size_line(data)) is None:
+        raise MatrixMarketError("missing size line", line=len(data.decode("ascii").splitlines()))
+    size_at, size_text, body_at = size_line
+    sizes = _parse(int, size_text.split(), lambda k: size_at)
     if len(sizes) != (2 if fmt == "array" else 3) or min(sizes) < 0:
         shape = "rows cols" if fmt == "array" else "rows cols nnz"
         raise MatrixMarketError(f"size line must be '{shape}', nonnegative", line=size_at)
@@ -193,20 +280,22 @@ def read_matrix_market(path) -> np.ndarray:
         raise MatrixMarketError("symmetric matrix must be square", line=size_at)
 
     def line_of(k):  # of array value or coordinate entry k, or of the size line for k = -1
-        linenos = list(_linenos(lines))  # the size line first; found only to name an error
-        per_line = [len(lines[n - 1].split()) if fmt == "array" else 1 for n in linenos[1:]]
-        return int(np.repeat(linenos, [1, *per_line])[k + 1])
+        if k < 0:
+            return size_at
+        token = k if fmt == "array" else entry[k]
+        return _line_number(data, body_at + int(tokens.starts[token]))
 
-    rest = lines[size_at:]
-    if "%" in (body := " ".join(rest)):  # drop comment lines; blank lines hold no token
-        rest = [line for line in rest if line.lstrip()[:1] != "%"]
-        body = " ".join(rest)
+    body = data[body_at:]
+    if b"%" in body:  # blank out comment lines, so every byte keeps its offset
+        body = re.sub(_COMMENT, lambda m: b" " * len(m[0]), body)
+    tokens = _scan(body)
     if fmt == "array":
-        values = _parse(float, body.split(), line_of)
-        count, want = len(values), rows * (rows + 1) // 2 if symmetric else rows * cols
-    else:
-        cells = [cell for cell in map(str.split, rest) if cell]
-        count, want = len(cells), nnz[0]
+        values = _values(float, tokens, line_of)
+        count, want = values.size, rows * (rows + 1) // 2 if symmetric else rows * cols
+    else:  # an entry is a line of tokens
+        breaks = np.flatnonzero(np.frombuffer(body.translate(_IS_BREAK), bool))
+        entry = np.flatnonzero(np.diff(np.searchsorted(breaks, tokens.starts), prepend=-1))
+        count, want = entry.size, nnz[0]
     if count != want:
         raise MatrixMarketError(f"expected {want} {fmt} values, got {count}",
                                 line=line_of(count - 1))
@@ -215,14 +304,10 @@ def read_matrix_market(path) -> np.ndarray:
     except (MemoryError, ValueError):
         raise MatrixMarketError(f"no room for {rows} x {cols} values", line=size_at) from None
 
-    if fmt == "array" and symmetric:  # the lower triangle, column by column
-        c, r = np.triu_indices(rows)
-    elif fmt == "array":
-        c, r = np.unravel_index(np.arange(want), (cols, rows))  # column-major
-    else:
-        _reject([len(cell) != 3 for cell in cells], line_of, "entry line must be 'i j value'")
-        i, j, values = (_parse(f, [cell[k] for cell in cells], line_of)
-                        for k, f in enumerate((int, int, float)))
+    if fmt == "coordinate":
+        widths = np.diff(entry, append=tokens.starts.size)
+        _reject(widths != 3, line_of, "entry line must be 'i j value'")
+        i, j, values = (_values(f, tokens, line_of, k, 3) for k, f in enumerate((int, int, float)))
         out_of_range = [not (0 < p <= rows and 0 < q <= cols) for p, q in zip(i, j)]
         _reject(out_of_range, line_of, "entry index out of range")
         r, c = np.array(i, dtype=np.intp) - 1, np.array(j, dtype=np.intp) - 1
@@ -231,10 +316,20 @@ def read_matrix_market(path) -> np.ndarray:
         _reject(~np.isin(np.arange(r.size), first), line_of, "entry position given twice")
         _reject(symmetric & (r < c), line_of, "entry above the diagonal of a symmetric matrix")
     _reject(~np.isfinite(values), line_of, "value must be finite")
+    if fmt == "array" and not symmetric:
+        out[:] = values.reshape(cols, rows).T  # column-major
+        return out
+    if fmt == "array":  # the lower triangle, column by column
+        c, r = np.triu_indices(rows)
     out[r, c] = values
     if symmetric:
         out[c, r] = values
     return out
+
+
+# The array-format line of a zero, of a negative zero and of any other value;
+# the fixed-width array pads the first two with NUL bytes.
+_ARRAY_LINES = np.array([b"0\n", b"-0\n", b"%.17g\n"])
 
 
 def write_matrix_market(path, m, fmt: str = "array") -> None:
@@ -247,15 +342,20 @@ def write_matrix_market(path, m, fmt: str = "array") -> None:
         raise ValueError(f"format must be one of {_FORMATS}")
     rows, cols = m.shape
     if fmt == "array":
-        size, line, columns = f"{rows} {cols}", "%.17g\n", [m.T.ravel()]
+        values = m.T.ravel()
+        nonzero = values != 0
+        size, entries = f"{rows} {cols}", values[nonzero]
+        # a zero is written as the "0" or "-0" that %.17g prints for it
+        lines = _ARRAY_LINES[np.where(nonzero, 2, np.signbit(values))].tobytes()
+        body = lines.translate(None, b"\0").decode("ascii")
     else:
         r, c = np.nonzero(m)
-        size, line, columns = f"{rows} {cols} {r.size}", "%d %d %.17g\n", [r + 1, c + 1, m[r, c]]
-    entries = np.column_stack(columns)
+        size, entries = f"{rows} {cols} {r.size}", np.column_stack([r + 1, c + 1, m[r, c]])
+        body = "%d %d %.17g\n" * r.size
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"%%MatrixMarket matrix {fmt} real general\n{size}\n")
         # one %-format of the whole body runs twice as fast as one per value
-        fh.write(line * len(entries) % tuple(entries.ravel().tolist()))
+        fh.write(body % tuple(entries.ravel().tolist()))
 
 
 def read_vector(path) -> np.ndarray:

@@ -96,6 +96,106 @@ def test_comment_and_blank_lines_move_only_line_numbers(path, original, draw):
         assert after.line == before.line + sum(at < before.line for at, _ in added)
 
 
+# Differential test of the body scan: a body mixing zero spellings, other
+# numbers, non-finite and junk tokens, comment and blank lines, and every
+# ASCII character at which str.split() splits, against a reference built
+# from float() of each token of each non-comment line.  ZEROS spells zero
+# every way, and non-zeros almost like it.
+ZEROS = st.sampled_from(["-0", "0", "-0", "0", "+0", "0.0", "00", "-00", "0_0", "-0e3",
+                         "07", "-07", "0.5", "-01"])
+NUMBERS = st.one_of(st.integers(-3, 3).map(str),
+                    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+JUNK = st.sampled_from(["nan", "inf", "-inf", "1e999", "x", "1x", "0x1", "0-", "--0", "%", "%0"])
+CLEAN = st.one_of(ZEROS, ZEROS, NUMBERS)
+BLANKS = st.sampled_from([" ", "\t", "\x1f", "  "])  # split within a line
+BREAKS = st.sampled_from(["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+SIDES = st.sampled_from([3, 1, 2, 4, 0])
+OTHER_LINES = st.sampled_from(["", " ", "\x1f", "% note", " \t% 1 2", "\x1f%x"])
+
+
+@st.composite
+def mixed_bodies(draw):
+    """(file text, format, rows, cols, [(line number, tokens) of each content line])."""
+    fmt = draw(st.sampled_from(["array", "coordinate"]))
+    rows, cols = draw(SIDES), draw(SIDES)
+    token = draw(st.sampled_from([CLEAN, CLEAN, st.one_of(CLEAN, JUNK)]))  # a third may hold junk
+    if fmt == "array":
+        count = rows * cols + draw(OFF_BY)
+        lines, tokens = [], [draw(token) for _ in range(max(count, 0))]
+        while tokens:
+            k = draw(st.integers(1, 3))
+            lines.append(tokens[:k])
+            tokens = tokens[k:]
+        size = f"{rows} {cols}"
+    else:  # distinct positions in range, so only the value tokens decide
+        cells = draw(st.lists(st.tuples(st.integers(1, max(rows, 1)), st.integers(1, max(cols, 1))),
+                              unique=True, min_size=min(rows * cols, 1), max_size=rows * cols))
+        lines = [[str(i), str(j), draw(token)] for i, j in cells]
+        size = f"{rows} {cols} {len(lines)}"
+    texts = [draw(BLANKS).join(line) for line in lines]
+    for other in draw(st.lists(OTHER_LINES, max_size=3)):
+        texts.insert(draw(st.integers(0, len(texts))), other)
+    text = f"%%MatrixMarket matrix {fmt} real general{draw(BREAKS)}{size}"
+    for line in texts:
+        text += draw(BREAKS) + line
+    if draw(st.booleans()):
+        text += draw(BREAKS)
+    content = [(n, line.split()) for n, line in enumerate(texts, 3)
+               if line.lstrip()[:1] not in ("", "%")]
+    return text, fmt, rows, cols, content
+
+
+def _expected(fmt, rows, cols, content):
+    """The matrix, or (message, line) of the error, from float() of each token."""
+    if fmt == "array":
+        tokens = [(token, n) for n, line in content for token in line]
+        want = rows * cols
+    else:
+        tokens = [(line[2], n) for n, line in content]
+        want = len(content)
+    for token, n in tokens:
+        try:
+            float(token)
+        except ValueError as exc:
+            return str(exc), n
+    if len(tokens) != want:
+        return f"expected {want} {fmt} values, got {len(tokens)}", tokens[-1][1] if tokens else 2
+    values = [float(token) for token, _ in tokens]
+    for v, (_, n) in zip(values, tokens):
+        if not np.isfinite(v):
+            return "value must be finite", n
+    out = np.zeros((rows, cols))
+    if fmt == "array":
+        out[:] = np.reshape(values, (cols, rows)).T
+    else:
+        for v, (_, line) in zip(values, content):
+            out[int(line[0]) - 1, int(line[1]) - 1] = v
+    return out
+
+
+@given(body=mixed_bodies())
+def test_reader_agrees_with_float_of_every_token(path, body):
+    text, *spec = body
+    expected, result = _expected(*spec), _read(path, text.encode("ascii"))
+    if isinstance(expected, np.ndarray):
+        assert isinstance(result, np.ndarray), result
+        assert result.shape == expected.shape and result.tobytes() == expected.tobytes()
+        assert result.flags.c_contiguous
+    else:
+        message, line = expected
+        assert type(result) is MatrixMarketError
+        assert (str(result), result.line) == (f"line {line}: {message}", line)
+
+
+def test_bad_token_after_ten_thousand_zero_lines_names_its_line(path):
+    zeros = "\n".join(["0", "-0"] * 5000)
+    path.write_text(f"%%MatrixMarket matrix array real general\n10001 1\n{zeros}\nx\n")
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == 10003
+    assert "could not convert string to float: 'x'" in str(err.value)
+
+
 @given(data=FILES)
 def test_classify_exits_2_on_a_rejected_file(path, data):
     if not isinstance(_read(path, data), MatrixMarketError):

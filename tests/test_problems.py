@@ -21,6 +21,11 @@ from altsplit import (
 RNG = np.random.default_rng(314)
 
 
+def _mm_text(fmt, lines):
+    """The bytes of a ``real general`` Matrix Market file: header, then ``lines``."""
+    return "".join(f"{line}\n" for line in [f"%%MatrixMarket matrix {fmt} real general", *lines]).encode()
+
+
 class TestLaplace:
     def test_order(self):
         assert make_laplace(21).A.shape == (400, 400)
@@ -110,17 +115,31 @@ class TestRandomWalk:
 
 class TestMatrixMarket:
     def test_array_round_trip(self, tmp_path):
-        m = RNG.uniform(-5, 5, (5, 5))
-        path = tmp_path / "m.mtx"
-        write_matrix_market(path, m, fmt="array")
-        np.testing.assert_array_equal(read_matrix_market(path), m)
+        # the Laplace matrix holds -0.0 entries: the file spells each as the
+        # "-0" that %.17g prints, and the read gives it back with its sign
+        for m in (RNG.uniform(-5, 5, (5, 5)), make_laplace(5).A):
+            path = tmp_path / "m.mtx"
+            write_matrix_market(path, m, fmt="array")
+            lines = ["%d %d" % m.shape, *("%.17g" % v for v in m.T.ravel())]
+            assert path.read_bytes() == _mm_text("array", lines)
+            back = read_matrix_market(path)
+            np.testing.assert_array_equal(back, m)
+            np.testing.assert_array_equal(np.signbit(back), np.signbit(m))
 
     def test_coordinate_round_trip(self, tmp_path):
         m = RNG.uniform(-1, 1, (4, 6))
         m[np.abs(m) < 0.5] = 0.0
-        path = tmp_path / "m.mtx"
-        write_matrix_market(path, m, fmt="coordinate")
-        np.testing.assert_array_equal(read_matrix_market(path), m)
+        # the coordinate format writes no zero, so each reads back as +0.0
+        for m in (m, make_laplace(5).A):
+            path = tmp_path / "m.mtx"
+            write_matrix_market(path, m, fmt="coordinate")
+            r, c = np.nonzero(m)
+            lines = ["%d %d %d" % (*m.shape, r.size),
+                     *("%d %d %.17g" % (i + 1, j + 1, m[i, j]) for i, j in zip(r, c))]
+            assert path.read_bytes() == _mm_text("coordinate", lines)
+            back = read_matrix_market(path)
+            np.testing.assert_array_equal(back, m)
+            np.testing.assert_array_equal(np.signbit(back), np.signbit(m) & (m != 0))
 
     def test_coordinate_fills_missing_with_zeros(self, tmp_path):
         path = tmp_path / "sparse.mtx"
@@ -225,14 +244,19 @@ class TestMatrixMarket:
             header, size = f"{header}\n% note\n", f"{size}\n   % indented\n"
         path.write_text("\n".join([header, size, body]))
         found = []
-        scan = altsplit.problems._linenos
 
-        def spy(lines):
-            for k in scan(lines):
-                found.append(k)
-                yield k
+        def spy(name, number_of):
+            routine = getattr(altsplit.problems, name)
 
-        monkeypatch.setattr(altsplit.problems, "_linenos", spy)
+            def wrapped(*args):
+                result = routine(*args)
+                found.append(number_of(result))
+                return result
+
+            monkeypatch.setattr(altsplit.problems, name, wrapped)
+
+        spy("_size_line", lambda line: line[0])
+        spy("_line_number", lambda number: number)
         np.testing.assert_array_equal(read_matrix_market(path), m)
         assert found == [4 if commented else 2]
 
