@@ -308,8 +308,7 @@ def read_matrix_market(path) -> np.ndarray:
         widths = np.diff(entry, append=tokens.starts.size)
         _reject(widths != 3, line_of, "entry line must be 'i j value'")
         i, j, values = (_values(f, tokens, line_of, k, 3) for k, f in enumerate((int, int, float)))
-        out_of_range = [not (0 < p <= rows and 0 < q <= cols) for p, q in zip(i, j)]
-        _reject(out_of_range, line_of, "entry index out of range")
+        _reject((i < 1) | (i > rows) | (j < 1) | (j > cols), line_of, "entry index out of range")
         r, c = np.array(i, dtype=np.intp) - 1, np.array(j, dtype=np.intp) - 1
         # one fill cannot rely on NumPy's order for repeated indices
         first = np.unique(r * cols + c, return_index=True)[1]

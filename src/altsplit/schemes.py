@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ToleranceProfile, as_vector
-from .errors import MissingDeltaError
+from .core import as_vector
 from .splittings import Splitting, _check_shared_a, _system
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "STOP_RULES",
     "sweep",
     "run",
-    "run_shifted",
     "exact_solution",
 ]
 
@@ -178,17 +176,10 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     )
 
 
-def run_shifted(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
-    """Run the delta-shifted scheme; ``config.delta`` must be set."""
-    if config.delta is None:
-        raise MissingDeltaError("run_shifted needs a config with delta set")
-    return run(config, b, x0=x0, exact=exact)
-
-
-def exact_solution(a, b, tol: ToleranceProfile | None = None) -> np.ndarray:
+def exact_solution(a, b) -> np.ndarray:
     """A^-1 b for nonsingular A, else the group-inverse solution A# b, from
-    ``a`` (an array or its owner; ``tol`` as in ``make_splitting``)."""
-    system = _system(a, tol)
+    ``a`` (an array or its owner)."""
+    system = _system(a)
     b = as_vector(b, system.n)
     if system.is_nonsingular:
         return np.linalg.solve(system.a, b)

@@ -143,14 +143,9 @@ class SystemMatrix:
         return all(bool(np.all(np.abs(p - q) < self.tol.eq_tol)) for p, q in pairs)
 
 
-def _system(a, tol: ToleranceProfile | None) -> SystemMatrix:
-    """``a`` if it is an owner, else a new owner of the array ``a``; ``tol``
-    is by default the owner's profile, or ``DEFAULT_TOL`` for an array."""
-    if not isinstance(a, SystemMatrix):
-        return SystemMatrix(a, DEFAULT_TOL if tol is None else tol)
-    if tol not in (None, a.tol):
-        raise MismatchedSplittingError("A's owner was built with another tolerance profile")
-    return a
+def _system(a) -> SystemMatrix:
+    """``a`` if it is an owner, else a new owner of the array ``a`` (``DEFAULT_TOL``)."""
+    return a if isinstance(a, SystemMatrix) else SystemMatrix(a)
 
 
 @dataclass(frozen=True)
@@ -250,9 +245,9 @@ class Splitting(_IterationFacts):
     _report = cached_property(lambda self: _class_report(self))  # what classify hands out
 
 
-def make_splitting(a, u, tol: ToleranceProfile | None = None) -> Splitting:
+def make_splitting(a, u) -> Splitting:
     """Build a splitting of ``a``, an array or its owner, from a read-only
-    copy of ``u``; ``tol`` is the owner's profile, or ``DEFAULT_TOL`` for an array.
+    copy of ``u``; every decision reads the owner's profile.
 
     Raises
     ------
@@ -260,19 +255,15 @@ def make_splitting(a, u, tol: ToleranceProfile | None = None) -> Splitting:
         If A and U are not square matrices of the same order.
     IndexGreaterThanOneError
         If U is singular and U# does not exist.
-    MismatchedSplittingError
-        If ``a`` is an owner built with another profile than ``tol``.
     """
-    system = _system(a, tol)
+    system = _system(a)
     u = _kept(as_square(np.array(u, dtype=float)))
     if system.a.shape != u.shape:
         raise DimensionMismatchError(f"A has shape {system.a.shape} but U has shape {u.shape}")
     return Splitting(system=system, u=u, solver=CachedSolver(u, system.tol))
 
 
-def diag_scaling_splitting(
-    a, alpha: float, tol: ToleranceProfile | None = None
-) -> Splitting:
+def diag_scaling_splitting(a, alpha: float) -> Splitting:
     """Splitting with U = alpha * diag(A), of ``a`` (an array or its owner).
 
     Raises
@@ -280,7 +271,7 @@ def diag_scaling_splitting(
     ZeroDiagonalError
         If diag(A) contains a zero entry.
     """
-    system = _system(a, tol)
+    system = _system(a)
     if not 0 < alpha < np.inf:
         raise ValueError("alpha must be positive and finite")
     d = np.diag(system.a)
@@ -520,7 +511,7 @@ def companion_matrix(splits) -> np.ndarray:
     return _product([s.reversed_iteration_matrix for s in _alternation(splits).splits])
 
 
-def induced_splitting(a, h, tol: ToleranceProfile | None = None) -> Splitting:
+def induced_splitting(a, h) -> Splitting:
     """The unique splitting A = B - C with B#C = H, where B = A (I - H)^-1,
     of ``a`` (an array or its owner).
 
@@ -529,7 +520,7 @@ def induced_splitting(a, h, tol: ToleranceProfile | None = None) -> Splitting:
     SingularIminusHError
         If I - H is singular at ``rank_tol``.
     """
-    system = _system(a, tol)
+    system = _system(a)
     h = as_square(h)
     if system.a.shape != h.shape:
         raise DimensionMismatchError("A and H must have the same shape")

@@ -6,6 +6,7 @@ import altsplit.splittings as splittings
 from altsplit import (
     MismatchedSplittingError,
     SchemeConfig,
+    SystemMatrix,
     ToleranceProfile,
     Witness,
     alternating_iteration_matrix,
@@ -36,7 +37,7 @@ class TestClassifyReadsTheBuildProfile:
         assert all(rep.flags().values())
 
     def test_loose_build_decides_every_class_loosely(self):
-        s = make_splitting(A_NEAR_SINGULAR, U_NEAR_SINGULAR, LOOSE)
+        s = make_splitting(SystemMatrix(A_NEAR_SINGULAR, LOOSE), U_NEAR_SINGULAR)
         rep = classify(s)
         assert rep.is_proper and not rep.is_regular
         assert all(getattr(rep, name) for name in G_CLASSES)
@@ -49,14 +50,14 @@ class TestClassifyReadsTheBuildProfile:
     def test_properness_uses_the_build_profile(self):
         # A is rank 2 only at LOOSE; U = diag(3, 2, 0) is rank 2 at both.
         u = np.diag([3.0, 2.0, 0.0])
-        assert classify(make_splitting(A_NEAR_SINGULAR, u, LOOSE)).is_proper
+        assert classify(make_splitting(SystemMatrix(A_NEAR_SINGULAR, LOOSE), u)).is_proper
         assert not classify(make_splitting(A_NEAR_SINGULAR, u)).is_proper
 
 
 def _mixed_triple():
     """Three splittings of one A, the last built with LOOSE."""
     _, splits = random_group_monotone_regular_triple(np.random.default_rng(3), 5)
-    return splits[:2] + [make_splitting(splits[2].a, splits[2].u, LOOSE)]
+    return splits[:2] + [make_splitting(SystemMatrix(splits[2].a, LOOSE), splits[2].u)]
 
 
 MIXED_PROFILE_CALLS = (
@@ -80,7 +81,8 @@ def test_splittings_built_with_two_profiles_are_refused(call):
     with pytest.raises(MismatchedSplittingError):
         call(splits)
     # profiles that differ in a slack other than rank_tol are two profiles too
-    other = make_splitting(splits[2].a, splits[2].u, ToleranceProfile(eq_tol=1e-8))
+    other = make_splitting(SystemMatrix(splits[2].a, ToleranceProfile(eq_tol=1e-8)),
+                           splits[2].u)
     with pytest.raises(MismatchedSplittingError):
         call(splits[:2] + [other])
 
@@ -100,7 +102,7 @@ class TestOneReportPerSplitting:
         assert [sum(c is s for c in computed) for s in splits] == [1, 1, 1]
 
     def test_the_report_is_kept_and_read_only(self):
-        s = make_splitting(A_NEAR_SINGULAR, U_NEAR_SINGULAR, LOOSE)
+        s = make_splitting(SystemMatrix(A_NEAR_SINGULAR, LOOSE), U_NEAR_SINGULAR)
         rep = classify(s)
         assert classify(s) is rep
         with pytest.raises(TypeError):

@@ -209,8 +209,12 @@ class TestMatrixMarket:
         ("%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1\n2 2 2\n1 1 3\n", 5),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1\n1 2 5\n", 4),
         ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n3 1 5\n", 4),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n"
+         "99999999999999999999 1 5\n", 4),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 0 1.0\n", 3),
     ], ids=["symmetric-non-square", "negative-sizes", "huge-header", "non-ascii",
-            "repeated-entry", "upper-triangle-entry", "index-out-of-range"])
+            "repeated-entry", "upper-triangle-entry", "index-out-of-range",
+            "index-beyond-int64", "index-zero"])
     def test_malformed_input_names_its_line(self, tmp_path, text, line):
         path = tmp_path / "bad.mtx"
         path.write_bytes(text.encode("utf-8"))

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from altsplit import (
-    MissingDeltaError,
     SchemeConfig,
     alternating_iteration_matrix,
     diag_scaling_splitting,
@@ -12,7 +11,6 @@ from altsplit import (
     make_random_walk,
     make_splitting,
     run,
-    run_shifted,
     sweep,
 )
 from altsplit.generators import random_index_one, random_proper_triple
@@ -239,13 +237,7 @@ class TestRun:
         assert report.final_residual == np.linalg.norm(problem.b - problem.A @ report.final_x)
 
 
-class TestRunShifted:
-    def test_requires_delta(self):
-        a = np.eye(2)
-        config = SchemeConfig(splittings=[make_splitting(a, a)])
-        with pytest.raises(MissingDeltaError):
-            run_shifted(config, np.ones(2))
-
+class TestShiftedScheme:
     def test_shifted_spectrum_is_affine_image(self):
         # sigma(H_delta) = delta sigma(H) + (1 - delta), by dense eigensolve
         a = RNG.uniform(-1, 1, (5, 5)) + 5 * np.eye(5)
@@ -274,7 +266,7 @@ class TestRunShifted:
         )
         x0 = np.zeros(10)
         x0[0] = 1.0
-        report = run_shifted(config, np.zeros(10), x0=x0)
+        report = run(config, np.zeros(10), x0=x0)
         assert report.converged
         assert np.linalg.norm(walk.A @ report.final_x) < 1e-10
         assert np.linalg.norm(report.final_x) > 1e-3  # not the trivial solution
@@ -292,7 +284,7 @@ class TestRunShifted:
             max_iterations=3,
             delta=delta,
         )
-        report = run_shifted(config, b, x0=x0)
+        report = run(config, b, x0=x0)
         x = x0.copy()
         for _ in range(3):
             x = delta * sweep(splits, x, b) + (1 - delta) * x
@@ -306,7 +298,7 @@ class TestRunShifted:
         delta = 0.7
         config = SchemeConfig(splittings=splits, tolerance=1e-300, max_iterations=20,
                               delta=delta)
-        report = run_shifted(config, b, x0=x0)
+        report = run(config, b, x0=x0)
         x = x0.copy()
         for _ in range(report.iterations):
             x = delta * reference_pass(splits, x, b) + (1 - delta) * x

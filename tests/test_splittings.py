@@ -11,6 +11,7 @@ from altsplit import (
     RangeNullConditionError,
     SchemeConfig,
     SingularIminusHError,
+    SystemMatrix,
     Witness,
     ZeroDiagonalError,
     alternating_iteration_matrix,
@@ -216,6 +217,26 @@ class TestTransposeSwapsWeakTypes:
             for family in ("g_", "", "quasi_"):
                 assert flags[f"is_{family}weak_regular_type2"]
                 assert not flags[f"is_{family}weak_regular_type1"]
+
+
+class TestPositiveScalingKeepsEveryClass:
+    # (cA) = (cU) - (cV), and every product the classes test scales by a
+    # positive factor or not at all
+    @pytest.mark.parametrize("generator", [
+        random_group_monotone_regular_triple,
+        random_proper_triple,
+        random_quasi_regular_triple,
+        random_singular_m_matrix_triple,
+    ])
+    def test_generated_triples(self, generator):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a, splits = generator(rng, int(rng.integers(4, 7)))
+            for s in splits:
+                flags = classify(s).flags()
+                assert len(flags) == 10
+                for c in (0.1, 0.25, 0.5, 2.0, 3.0, 4.0):
+                    assert classify(make_splitting(SystemMatrix(c * a), c * s.u)).flags() == flags
 
 
 class TestClassifyWitnessPrecedence:

@@ -70,13 +70,15 @@ class TestTheOwner:
 
     def test_the_owner_carries_the_profile(self):
         system = SystemMatrix(A_EXAMPLE, LOOSE)
-        s = make_splitting(system, K_EXAMPLE)
-        assert s.tol is LOOSE and make_splitting(system, K_EXAMPLE, LOOSE).tol is LOOSE
+        assert make_splitting(system, K_EXAMPLE).tol is LOOSE
         assert make_splitting(A_EXAMPLE, K_EXAMPLE).tol is DEFAULT_TOL
-        with pytest.raises(MismatchedSplittingError):
-            make_splitting(system, K_EXAMPLE, DEFAULT_TOL)
-        with pytest.raises(MismatchedSplittingError):
-            exact_solution(system, np.zeros(3), DEFAULT_TOL)
+        # the owner is the one place to choose a profile: no builder takes a second
+        for build, args in ((make_splitting, (K_EXAMPLE,)),
+                            (diag_scaling_splitting, (1.0,)),
+                            (induced_splitting, (np.zeros((3, 3)),)),
+                            (exact_solution, (np.zeros(3),))):
+            with pytest.raises(TypeError):
+                build(system, *args, tol=DEFAULT_TOL)
 
     def test_owners_of_equal_arrays_share_a(self):
         # two owners of equal arrays under one profile are one A, as two
