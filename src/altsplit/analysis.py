@@ -171,7 +171,7 @@ def _induced_mismatch(h: Alternation) -> float:
 def _induced_failure(h: Alternation, regular: bool) -> str | None:
     """Why the induced B fails B^-1 >= 0, C >= 0 (if ``regular``) or
     B^-1 C = H at ``eq_tol * max(1, max|H|)``; None when it passes."""
-    if not is_nonnegative(h.induced.solver.inverse_like(), h.tol):
+    if not is_nonnegative(h.induced.u_sharp, h.tol):
         return "induced B^-1 has negative entries"
     if regular and not is_nonnegative(h.induced.v, h.tol):
         return "induced C = B - A has negative entries"
@@ -258,7 +258,7 @@ def _index(h) -> list[str]:
 
 def _single_vs_three(h, m):
     failures = _convergence(h, m) + _induced_failures(h.induced, "A = B - C", "type II")
-    b_sharp = None if h.induced is None else h.induced.solver.inverse_like()
+    b_sharp = None if h.induced is None else h.induced.u_sharp
     failures += [f"{name[0]} B# >= I fails" for name, s in _named(h)
                  if _b_sharp_fails(b_sharp, s.u, h.tol)]
     return failures, _no_worse_than(m, "rho", _NAMES, "min_single_rho")
@@ -266,7 +266,7 @@ def _single_vs_three(h, m):
 
 def _two_vs_three(h, m):
     failures = _convergence(h, m) + _induced_failures(h.induced, "A = B - C", "type II")
-    b_sharp = None if h.induced is None else h.induced.solver.inverse_like()
+    b_sharp = None if h.induced is None else h.induced.u_sharp
     for name, pair in h.pairs.items():
         m[f"rho_{name}"] = pair.spectrum[0]
         failures += _induced_failures(pair.induced, name, "type II")
@@ -303,7 +303,7 @@ def _induced_regular(h, m, delta):
     m["induced_matrix_mismatch"] = _induced_mismatch(h)
     # inf over an empty matrix; min(initial=inf) would pick another signed zero
     m["min_B_inverse_entry"], m["min_C_entry"] = (float(x.min()) if x.size else np.inf for x in (
-        h.induced.solver.inverse_like(), h.induced.v))
+        h.induced.u_sharp, h.induced.v))
     return failures, _induced_failure(h, regular=False) is None and is_nonnegative(
         h.iteration_matrix, h.tol)
 
@@ -413,7 +413,7 @@ def verify_semiconvergence_theorem(
             raise ValueError("delta must lie in (0, 1)")
     h, m = _alternation(splits, theorem_id), {}
     failures = [f"{name} has a singular split part"
-                for name, s in _named(h) if not s.solver.is_nonsingular]
+                for name, s in _named(h) if not s.u_nonsingular]
     conclusion = False
     if not failures:
         failures, conclusion = _SEMICONVERGENCE_RULES[theorem_id](h, m, delta)

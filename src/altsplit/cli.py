@@ -1,7 +1,8 @@
 """Command-line front end: classify, solve, bench and verify.
 
 Exit codes are the machine contract: 0 success/converged, 1 no convergence,
-2 file/flag problems, 3 dimension mismatches, 4 missing group inverse.
+2 file/flag problems or too little memory, 3 dimension mismatches, 4 missing
+group inverse.
 Benchmark tables print the comparison-table columns; --csv writes
 ``order,scheme,iterations,residual,error,time_s,rho_or_gamma``.
 """
@@ -218,7 +219,7 @@ def _cmd_solve(args) -> int:
     if args.x0 == "zero":
         x0 = None
     elif args.x0 == "uniform":
-        x0 = np.full(system.n, 1.0 / system.n)
+        x0 = np.full(system.n, 1.0 / max(system.n, 1))  # order 0: the empty vector
     else:
         x0 = read_vector(args.x0)
     config = SchemeConfig(
@@ -412,9 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Exit code of each error a command can meet, first match wins.  A bad
 # flag value raises ValueError, and so does undecodable file text
-# (UnicodeDecodeError).
+# (UnicodeDecodeError); a size too large for memory raises MemoryError.
 _EXIT_CODES = (
-    ((MatrixMarketError, OSError, ValueError), 2),
+    ((MatrixMarketError, OSError, ValueError, MemoryError), 2),
     ((DimensionMismatchError, NotSquareError, MismatchedSplittingError), 3),
     (IndexGreaterThanOneError, 4),
     (AltSplitError, 2),
@@ -425,8 +426,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, AltSplitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError, AltSplitError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 

@@ -1,10 +1,8 @@
 """Dense real matrix kernel: rank, spectra, group inverse, projectors.
 
 Everything downstream treats matrices as immutable ``numpy.ndarray`` values
-in float64.  All operations are pure; U^-1 or U# is kept only inside
-:class:`CachedSolver` instances, which are created once and then read-only.
-Its :meth:`CachedSolver.correct` is the one sweep step, U#(V x + b)
-formed from the residual r = b - A x without V.
+in float64.  All operations are pure.  The owners of matrices, and the
+sweep step with U^-1 or U#, live in :mod:`altsplit.splittings`.
 
 Each fact about a matrix comes from one private owner, so callers that
 need several facts of one matrix compute each once:
@@ -21,8 +19,7 @@ takes a matrix-free ``scipy.sparse.linalg.LinearOperator`` and then finds
 the dominant eigenvalue with seeded ARPACK instead of a full ``eigvals``.
 
 The one scipy import here is ``scipy.sparse.linalg`` for ARPACK, made
-only when it is called.  :class:`CachedSolver` and the spectral routines
-run on numpy alone.
+only when it is called.  The dense spectral routines run on numpy alone.
 """
 from __future__ import annotations
 
@@ -50,7 +47,6 @@ __all__ = [
     "group_inverse",
     "index_at_most_one",
     "is_nonnegative",
-    "CachedSolver",
 ]
 
 
@@ -257,83 +253,3 @@ def is_nonnegative(m, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
     if m.size == 0:
         return True
     return float(m.min()) >= -tol.nonneg_tol
-
-
-class CachedSolver:
-    """Uniform action of U^-1 (nonsingular U) or U# (index-1 singular U).
-
-    One read-only representation of U^-1 or U# is kept:
-
-    * diagonal U: the reciprocal diagonal (group inverse of a diagonal
-      matrix); the dense form is built on the first ``inverse_like()``;
-    * any other U: one dense matrix formed at construction,
-      ``np.linalg.inv(u)`` when U is nonsingular, else the group inverse,
-      both decided by U's one factorization ``factored``.
-
-    A sweep step is :meth:`correct`, one multiply-add with that matrix; a
-    matrix product with a nonsingular dense U is a backward-stable
-    ``np.linalg.solve`` with the kept U, whose error, unlike
-    ``inv(U) @ V``'s, does not grow with cond(U).
-
-    Instances are immutable (a writeable U is copied) and safe to share.
-    """
-
-    def __init__(self, u, tol: ToleranceProfile = DEFAULT_TOL):
-        u = as_square(u)
-        if u.flags.writeable:
-            u = _kept(u.copy())
-        self._u = u
-        # U's factorization: the dense branch reads it, and classify's proper test
-        self.factored = _Factored(u, tol.rank_tol)
-        d = np.diag(u)
-        if np.count_nonzero(u) == np.count_nonzero(d):  # no off-diagonal entry
-            ad = np.abs(d)
-            cutoff = tol.rank_tol * (ad.max() if ad.size else 0.0)
-            nz = ad > cutoff
-            recip = np.zeros_like(d)
-            recip[nz] = 1.0 / d[nz]
-            self._diag = _kept(recip)
-            self._inverse_like = None
-            self.is_nonsingular = bool(np.all(nz))
-            return
-        self._diag = None
-        self.is_nonsingular = self.factored.nonsingular
-        self._inverse_like = _kept(
-            np.linalg.inv(u) if self.is_nonsingular else self.factored.group_inverse()
-        )
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """U^-1 rhs, or U# rhs when U is singular."""
-        if self._diag is None:
-            if self.is_nonsingular and rhs.ndim == 2:
-                return np.linalg.solve(self._u, rhs)
-            return self._inverse_like @ rhs
-        if rhs.ndim == 1:
-            return self._diag * rhs
-        return self._diag[:, None] * rhs
-
-    def correct(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """x + U^-1 r, or U#(U x + r) when U is singular.
-
-        With r = b - A x and A = U - V this is U#(V x + b) for every x,
-        the splitting's step, formed without V.
-        """
-        if not self.is_nonsingular:
-            return self.solve(self._u @ x + r)
-        if self._diag is not None:
-            return x + self._diag * r
-        return x + self._inverse_like @ r
-
-    def right_apply(self, b: np.ndarray) -> np.ndarray:
-        """B U^-1 (or B U#)."""
-        if self._diag is not None:
-            return b * self._diag
-        if self.is_nonsingular:
-            return np.linalg.solve(self._u.T, b.T).T
-        return b @ self._inverse_like
-
-    def inverse_like(self) -> np.ndarray:
-        """U^-1 or U# as a read-only dense matrix (formed once, cached)."""
-        if self._inverse_like is None:
-            self._inverse_like = _kept(np.diag(self._diag))
-        return self._inverse_like

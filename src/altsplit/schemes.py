@@ -3,9 +3,10 @@
 One iteration means one full multi-splitting pass.  Sweeps form neither the
 product iteration matrix nor any V: each step is the residual correction
 U x' = U x + r, r = b - A x, which equals U#(V x + b) (Saad, *Iterative
-Methods for Sparse Linear Systems*, 2003, sec. 4.1).  So a pass costs one
-matvec with A's sweep operator (its owner's: CSR for large sparse A, dense
-otherwise) and one cached solve per splitting.  ``run`` hands the residual
+Methods for Sparse Linear Systems*, 2003, sec. 4.1), the splitting's own
+``Splitting.correct``.  So a pass costs one matvec with A's sweep operator
+(``system.a_op``, its owner's: CSR for large sparse A, dense otherwise) and
+one solve with U per splitting.  ``run`` hands the residual
 it forms for its stop rule on to the next pass.  The iteration matrix
 itself is only assembled by the diagnostics in :mod:`altsplit.splittings`
 and :mod:`altsplit.analysis`.
@@ -85,9 +86,9 @@ def sweep(splits, x, b, r=None):
 
     ``r``, if given, is b - A x for the ``x`` passed in.
     """
-    a = splits[0].a_op
+    a = splits[0].system.a_op
     for s in splits:
-        x = s.solver.correct(x, b - a @ x if r is None else r)
+        x = s.correct(x, b - a @ x if r is None else r)
         r = None
     return x
 
@@ -117,7 +118,7 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     """
     splits = config.splittings
     n = splits[0].n
-    a = splits[0].a_op
+    a = splits[0].system.a_op
     b = as_vector(b, n)
     x = np.zeros(n) if x0 is None else as_vector(x0, n).copy()
     if exact is not None:

@@ -3,8 +3,9 @@
 A :class:`SystemMatrix` owns A: a read-only view of the given array (writing
 into that array invalidates the owner and its splittings) and the
 ``ToleranceProfile`` that every decision about A and its splittings reads.
-A splitting of A points to it and keeps a read-only copy of U and no V: a
-sweep step needs only A and U (``CachedSolver.correct``).  An
+A :class:`Splitting` of A points to it and owns U: a read-only copy of U,
+its factorization and U^-1 or U#, and no V, since a sweep step needs only
+A and U (:meth:`Splitting.correct`).  An
 :class:`Alternation` owns 1 to 3 splittings of one A, first applied first.
 Each owner forms its facts on first use, once; a splitting (T = U#V) and an
 alternation (T = H) share the code of the facts of an iteration matrix T.
@@ -41,7 +42,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    CachedSolver,
     ToleranceProfile,
     _Factored,
     _kept,
@@ -211,21 +211,85 @@ class _Matrix(_IterationFacts):
 
 @dataclass(frozen=True, eq=False)
 class Splitting(_IterationFacts):
-    """One splitting A = U - V of its owner's A, with its cached solver for U.
+    """One splitting A = U - V of its owner's A, and the one owner of U.
 
     Construct via :func:`make_splitting`.  ``a``, ``n`` and ``tol`` are the
-    owner's.  The dense ``v = u - a``, the factors and the facts of T = U#V
-    are formed on first use, once.  Splittings compare and hash by identity.
+    owner's.  U^-1 (nonsingular U) or U# (index-1 singular U) is kept in
+    one read-only form: a diagonal U's reciprocal diagonal, else the dense
+    ``u_sharp``, ``np.linalg.inv(u)`` or the group inverse, as U's one
+    factorization ``u_factored`` decides.  A sweep step is :meth:`correct`,
+    one multiply-add with that form; a matrix product with a nonsingular
+    dense U is ``np.linalg.solve`` with U, whose error, unlike
+    ``inv(U) @ V``'s, does not grow with cond(U).  The dense ``v = u - a``,
+    the factors and the facts of T = U#V are formed on first use, once.
+    Splittings compare and hash by identity.
     """
 
     system: SystemMatrix
     u: np.ndarray
-    solver: CachedSolver = field(repr=False)
+    # U's reciprocal diagonal (U^-1 or U#), read-only, when U has no
+    # off-diagonal entry, else None; and whether U is nonsingular
+    _recip: np.ndarray | None = field(init=False, repr=False)
+    u_nonsingular: bool = field(init=False, repr=False)
     a = property(lambda self: self.system.a)
     n = property(lambda self: self.system.n)
     tol = property(lambda self: self.system.tol)
-    # the owner's, kept here too, so that a sweep reads it with one lookup
-    a_op = cached_property(lambda self: self.system.a_op)
+    # U's factorization: a dense U's nonsingularity and U#, and classify's proper test
+    u_factored = cached_property(lambda self: _Factored(self.u, self.tol.rank_tol))
+
+    def __post_init__(self):
+        # plain attributes, not cached properties: the sweep step reads them every pass
+        d = np.diag(self.u)
+        if np.count_nonzero(self.u) == np.count_nonzero(d):  # no off-diagonal entry
+            ad = np.abs(d)
+            nz = ad > self.tol.rank_tol * (ad.max() if ad.size else 0.0)
+            recip = np.zeros_like(d)
+            recip[nz] = 1.0 / d[nz]
+            object.__setattr__(self, "_recip", _kept(recip))
+            object.__setattr__(self, "u_nonsingular", bool(np.all(nz)))
+        else:
+            object.__setattr__(self, "_recip", None)
+            object.__setattr__(self, "u_nonsingular", self.u_factored.nonsingular)
+
+    @cached_property
+    def u_sharp(self) -> np.ndarray:
+        """U^-1, or U# when U is singular, as a read-only dense matrix.
+
+        Raises IndexGreaterThanOneError when U# does not exist."""
+        if self._recip is not None:
+            return _kept(np.diag(self._recip))
+        return _kept(np.linalg.inv(self.u) if self.u_nonsingular
+                     else self.u_factored.group_inverse())
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """U^-1 rhs, or U# rhs when U is singular."""
+        if self._recip is None:
+            if self.u_nonsingular and rhs.ndim == 2:
+                return np.linalg.solve(self.u, rhs)
+            return self.u_sharp @ rhs
+        if rhs.ndim == 1:
+            return self._recip * rhs
+        return self._recip[:, None] * rhs
+
+    def correct(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """x + U^-1 r, or U#(U x + r) when U is singular.
+
+        With r = b - A x and A = U - V this is U#(V x + b) for every x,
+        the splitting's step, formed without V.
+        """
+        if not self.u_nonsingular:
+            return self.solve(self.u @ x + r)
+        if self._recip is not None:
+            return x + self._recip * r
+        return x + self.u_sharp @ r
+
+    def right_apply(self, b: np.ndarray) -> np.ndarray:
+        """B U^-1 (or B U#)."""
+        if self._recip is not None:
+            return b * self._recip
+        if self.u_nonsingular:
+            return np.linalg.solve(self.u.T, b.T).T
+        return b @ self.u_sharp
 
     @cached_property
     def v(self) -> np.ndarray:
@@ -235,19 +299,20 @@ class Splitting(_IterationFacts):
     @cached_property
     def iteration_matrix(self) -> np.ndarray:
         """Single-step iteration matrix U# V (U^-1 V when U is nonsingular)."""
-        return _kept(self.solver.solve(self.v))
+        return _kept(self.solve(self.v))
 
     @cached_property
     def reversed_iteration_matrix(self) -> np.ndarray:
         """Companion-side factor V U#."""
-        return _kept(self.solver.right_apply(self.v))
+        return _kept(self.right_apply(self.v))
 
     _report = cached_property(lambda self: _class_report(self))  # what classify hands out
 
 
 def make_splitting(a, u) -> Splitting:
     """Build a splitting of ``a``, an array or its owner, from a read-only
-    copy of ``u``; every decision reads the owner's profile.
+    copy of ``u``; every decision reads the owner's profile.  A dense U's
+    ``u_sharp`` is formed here.
 
     Raises
     ------
@@ -260,7 +325,10 @@ def make_splitting(a, u) -> Splitting:
     u = _kept(as_square(np.array(u, dtype=float)))
     if system.a.shape != u.shape:
         raise DimensionMismatchError(f"A has shape {system.a.shape} but U has shape {u.shape}")
-    return Splitting(system=system, u=u, solver=CachedSolver(u, system.tol))
+    s = Splitting(system=system, u=u)
+    if s._recip is None:
+        s.u_sharp  # formed now, so a missing U# raises here
+    return s
 
 
 def diag_scaling_splitting(a, alpha: float) -> Splitting:
@@ -345,23 +413,23 @@ def classify(s: Splitting) -> SplittingClassReport:
 
 def _class_report(s: Splitting) -> SplittingClassReport:
     proper_w = None
-    if not s.system.shares_range_and_null(s.solver.factored):
+    if not s.system.shares_range_and_null(s.u_factored):
         proper_w = Witness(check="range(U) == range(A) and null(U) == null(A)", matrix="U")
-    usharp_w = _sign_witness(s.solver.inverse_like(), "U#", s.tol)
+    usharp_w = _sign_witness(s.u_sharp, "U#", s.tol)
     uv, vu = s.iteration_matrix, s.reversed_iteration_matrix
     plain = ((s.v, "V"), (uv, "U#V"), (vu, "VU#"))
 
     singular_w = Witness(check="U is singular", matrix="U")
-    nonsingular_w = usharp_w if s.solver.is_nonsingular else singular_w
+    nonsingular_w = usharp_w if s.u_nonsingular else singular_w
     quasi_w, quasi = nonsingular_w, ()
-    if s.solver.is_nonsingular:
+    if s.u_nonsingular:
         if s.k1 is None:
             quasi_w = Witness(check="index(I - U^-1 V) or index(I - V U^-1) exceeds 1",
                               matrix="I - U^-1 V")
         else:
             x = s.v @ s.k1
-            quasi = ((x, "V K1"), (s.solver.solve(x), "U^-1 V K1"),
-                     (s.solver.right_apply(x), "K2 V U^-1"))
+            quasi = ((x, "V K1"), (s.solve(x), "U^-1 V K1"),
+                     (s.right_apply(x), "K2 V U^-1"))
 
     witnesses = {"is_proper": proper_w} if proper_w else {}
     for family, base_w, products in (
@@ -433,7 +501,7 @@ class Alternation(_IterationFacts):
         first, last = self.splits[0], self.splits[-1]
         middle = first.u + last.u - first.a
         if len(self.splits) == 3:
-            middle = middle + last.v @ self.splits[1].solver.solve(first.v)
+            middle = middle + last.v @ self.splits[1].solve(first.v)
         return _kept(middle)
 
     # M's one factorization, its nonsingularity decision, and whether M has
@@ -490,12 +558,12 @@ def _iteration_operator(splits):
     """
     from scipy.sparse.linalg import LinearOperator
 
-    a = splits[0].a_op
+    a = splits[0].system.a_op
 
     def matvec(x):
         x = np.ravel(x)
         for s in splits:
-            x = s.solver.correct(x, -(a @ x))
+            x = s.correct(x, -(a @ x))
         return x
 
     n = splits[0].n
@@ -546,4 +614,4 @@ def b_sharp_closed_form(splits) -> np.ndarray:
     if not h.middle_shares_range_and_null:
         raise RangeNullConditionError("K + X - A + Y U# L does not share range/null with A")
     sk, _, sx = h.splits
-    return sx.solver.solve(sk.solver.right_apply(h.middle))
+    return sx.solve(sk.right_apply(h.middle))

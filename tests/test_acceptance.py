@@ -182,7 +182,7 @@ class TestCriterion6InducedSuite:
             n = int(rng.integers(3, 9))
             a, splits = random_proper_triple(rng, n)
             sk, su, sx = splits
-            middle = sk.u + sx.u - a + sx.v @ su.solver.solve(sk.v)
+            middle = sk.u + sx.u - a + sx.v @ su.solve(sk.v)
             if not sk.system.shares_range_and_null(middle):
                 continue
             h = alternating_iteration_matrix(splits)

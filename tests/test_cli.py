@@ -118,6 +118,16 @@ class TestSolveCommand:
         ])
         assert code == 0
 
+    @pytest.mark.parametrize("x0", ["zero", "uniform"])
+    def test_order_zero_system_converges(self, tmp_path, capsys, x0):
+        a_path, b_path = tmp_path / "z.mtx", tmp_path / "zb.mtx"
+        a_path.write_text("%%MatrixMarket matrix array real general\n0 0\n")
+        b_path.write_text("%%MatrixMarket matrix array real general\n0 1\n")
+        code = main(["solve", "--matrix", str(a_path), "--rhs", str(b_path),
+                     "--split", str(a_path), "--x0", x0])
+        assert code == 0
+        assert "converged    True" in capsys.readouterr().out
+
     def test_index_two_split_exit_4(self, tmp_path, capsys):
         a_path = str(tmp_path / "a.mtx")
         u_path = str(tmp_path / "u.mtx")
@@ -339,3 +349,18 @@ class TestExitCodes:
         assert captured.out == ""  # refused before any seed or suite line
         if "--size" in argv:
             assert "--size must be at least" in captured.err
+
+    @pytest.mark.parametrize("name, argv", [
+        ("make_laplace", ["bench", "laplace", "--grid", "5"]),
+        ("make_random_walk", ["bench", "markov", "--states", "10"]),
+        ("random_index_one", ["verify", "--suite", "group-inverse", "--trials", "1"]),
+    ], ids=["laplace-grid", "markov-states", "verify-size"])
+    def test_memory_error_exits_2(self, monkeypatch, capsys, name, argv):
+        # a size too large for memory is a flag problem, not "no
+        # convergence"; the builder raises instead of allocating
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, name, out_of_memory)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from altsplit import (
-    CachedSolver,
     DimensionMismatchError,
     IndexGreaterThanOneError,
     NotSquareError,
@@ -217,71 +216,3 @@ class TestGenSolve:
     def test_index_two_raises(self):
         with pytest.raises(IndexGreaterThanOneError):
             exact_solution(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, 1.0])
-
-
-class TestCachedSolver:
-    def test_diagonal_fast_path_matches_dense(self):
-        d = np.diag([2.0, 4.0, 8.0])
-        b = np.array([2.0, 4.0, 8.0])
-        np.testing.assert_allclose(CachedSolver(d).solve(b), np.ones(3))
-
-    def test_right_apply_matches_explicit_inverse(self):
-        u = RNG.uniform(-1, 1, (5, 5)) + 5 * np.eye(5)
-        m = RNG.uniform(-1, 1, (5, 5))
-        solver = CachedSolver(u)
-        np.testing.assert_allclose(
-            solver.right_apply(m), m @ np.linalg.inv(u), atol=1e-10
-        )
-        np.testing.assert_allclose(
-            solver.solve(m), np.linalg.solve(u, m), atol=1e-10
-        )
-
-    def test_dense_mode_is_bitwise_numpy(self):
-        u = RNG.uniform(-1, 1, (5, 5)) + 5 * np.eye(5)
-        m = RNG.uniform(-1, 1, (5, 5))
-        solver = CachedSolver(u)
-        inv = np.linalg.inv(u)
-        for got, want in (
-            (solver.solve(m[0]), inv @ m[0]),
-            (solver.solve(m), np.linalg.solve(u, m)),
-            (solver.right_apply(m), np.linalg.solve(u.T, m.T).T),
-            (solver.inverse_like(), inv),
-        ):
-            np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("u", [A_EXAMPLE, np.eye(3) + np.triu(np.ones((3, 3))),
-                                   np.diag([2.0, 4.0, 0.0])],
-                             ids=["sharp", "inverse", "diagonal"])
-    def test_kept_matrix_is_read_only(self, u):
-        solver = CachedSolver(u)
-        b = np.array([1.0, 2.0, 3.0])
-        before = solver.solve(b)
-        with pytest.raises(ValueError):
-            solver.inverse_like()[0, 0] += 1.0
-        np.testing.assert_array_equal(solver.solve(b), before)
-
-    def test_off_diagonal_u_with_a_zero_diagonal_is_dense(self):
-        u = np.array([[0.0, 1.0], [1.0, 0.0]])
-        solver = CachedSolver(u)
-        assert solver.is_nonsingular
-        np.testing.assert_array_equal(solver.inverse_like(), u)
-        np.testing.assert_array_equal(solver.solve(np.array([1.0, 2.0])), [2.0, 1.0])
-
-    def test_singular_mode_uses_group_inverse(self):
-        solver = CachedSolver(A_EXAMPLE)
-        assert not solver.is_nonsingular
-        np.testing.assert_allclose(
-            solver.inverse_like(), A_SHARP_EXPECTED, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("u", [A_EXAMPLE, np.eye(3) + np.triu(np.ones((3, 3))),
-                                   np.diag([2.0, 4.0, 0.0]), np.diag([2.0, 4.0, 8.0])],
-                             ids=["sharp", "inverse", "singular-diagonal", "diagonal"])
-    def test_correct_is_the_splitting_step(self, u):
-        # correct(x, b - A x) = U#(V x + b) for A = U - V at any x, also
-        # with x outside R(U)
-        a = u - RNG.uniform(-1, 1, (3, 3))
-        x, b = RNG.uniform(-1, 1, 3), RNG.uniform(-1, 1, 3)
-        solver = CachedSolver(u)
-        np.testing.assert_allclose(solver.correct(x, b - a @ x),
-                                   solver.inverse_like() @ ((u - a) @ x + b), atol=1e-12)

@@ -2,9 +2,9 @@
 
 scipy is imported only where it is called: ``scipy.sparse`` for CSR
 operators from order 200 and ``scipy.sparse.linalg`` for ARPACK ``rho``.
-:class:`CachedSolver` runs on numpy alone, so the walk-chain table,
-``classify``, ``verify``, ``exact_solution`` and every solve below order 200
-must start and finish without scipy.  In-process tests cannot see this,
+:class:`Splitting`'s solves with U run on numpy alone, so the walk-chain
+table, ``classify``, ``verify``, ``exact_solution`` and every solve below
+order 200 must start and finish without scipy.  In-process tests cannot see this,
 because other tests have already imported scipy.
 """
 import os
@@ -87,7 +87,7 @@ def test_dense_paths_load_no_scipy(tmp_path):
     run_fresh(f"""
         paths = {paths!r}
         import numpy as np
-        from altsplit import CachedSolver, exact_solution, read_matrix_market
+        from altsplit import exact_solution, make_splitting, read_matrix_market
         from altsplit.cli import main
 
         def quiet(argv):
@@ -102,9 +102,9 @@ def test_dense_paths_load_no_scipy(tmp_path):
         b = np.arange(6.0)
         assert np.allclose(a @ exact_solution(a, b), b)
         check("exact_solution")
-        solver = CachedSolver(a)
-        assert solver.is_nonsingular
-        assert np.allclose(solver.solve(b), np.linalg.solve(a, b))
-        assert np.allclose(solver.right_apply(a), np.eye(6))
-        check("CachedSolver with dense U")
+        s = make_splitting(a, a)
+        assert s.u_nonsingular
+        assert np.allclose(s.solve(b), np.linalg.solve(a, b))
+        assert np.allclose(s.right_apply(a), np.eye(6))
+        check("splitting with dense U")
     """)

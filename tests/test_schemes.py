@@ -28,7 +28,7 @@ def affine_constant(splits, b):
 def reference_pass(splits, x, b):
     """One pass of explicit U#(V x + b) steps, with the dense U# and V."""
     for s in splits:
-        x = s.solver.inverse_like() @ (s.v @ x + b)
+        x = s.u_sharp @ (s.v @ x + b)
     return x
 
 
@@ -38,7 +38,7 @@ def singular_proper_case(seed, n=5):
     rng = np.random.default_rng(seed)
     r = int(rng.integers(2, n))
     a, splits = random_proper_triple(rng, n, rank_r=r)
-    assert not any(s.solver.is_nonsingular for s in splits)
+    assert not any(s.u_nonsingular for s in splits)
     b = rng.uniform(-1, 1, n)
     left = np.linalg.svd(a)[0]
     x0 = left[:, :r] @ rng.uniform(-1, 1, r) + left[:, r:] @ np.ones(n - r)
@@ -73,9 +73,9 @@ class TestSweep:
         b = np.array([2.0, 0.5, 0.0])
         x0 = RNG.uniform(-1, 1, 3)
         sk, su, sx = example_triple
-        k_sharp = sk.solver.inverse_like()
-        u_sharp = su.solver.inverse_like()
-        x_sharp = sx.solver.inverse_like()
+        k_sharp = sk.u_sharp
+        u_sharp = su.u_sharp
+        x_sharp = sx.u_sharp
         h = alternating_iteration_matrix(example_triple)
         offset = x_sharp @ (
             sx.v @ u_sharp @ su.v @ k_sharp + sx.v @ u_sharp + np.eye(3)
@@ -93,8 +93,8 @@ class TestSweep:
         b = RNG.uniform(-1, 1, 5)
         x0 = RNG.uniform(-1, 1, 5)
         su, sx = splits
-        u_inv = su.solver.inverse_like()
-        x_inv = sx.solver.inverse_like()
+        u_inv = su.u_sharp
+        x_inv = sx.u_sharp
         h = x_inv @ sx.v @ u_inv @ su.v
         offset = x_inv @ (sx.v @ u_inv + np.eye(5))
         np.testing.assert_allclose(
@@ -227,8 +227,8 @@ class TestRun:
         # correction, and the last one is the final residual
         problem = make_laplace(6)
         splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)][:k]
-        counting = CountingOperator(splits[0].a_op)
-        vars(splits[0])["a_op"] = counting
+        counting = CountingOperator(splits[0].system.a_op)
+        vars(splits[0].system)["a_op"] = counting
         config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-8,
                               record_history=record_history)
         report = run(config, problem.b, exact=problem.exact)

@@ -5,12 +5,12 @@ import pytest
 from altsplit import (
     DEFAULT_TOL,
     Alternation,
-    CachedSolver,
     DimensionMismatchError,
     MismatchedSplittingError,
     RangeNullConditionError,
     SchemeConfig,
     SingularIminusHError,
+    Splitting,
     SystemMatrix,
     Witness,
     ZeroDiagonalError,
@@ -40,7 +40,7 @@ from altsplit.generators import (
     random_quasi_regular_triple,
     random_singular_m_matrix_triple,
 )
-from conftest import A_EXAMPLE, K_EXAMPLE, U_EXAMPLE, X_EXAMPLE
+from conftest import A_EXAMPLE, A_SHARP_EXPECTED, K_EXAMPLE, U_EXAMPLE, X_EXAMPLE
 
 RNG = np.random.default_rng(811)
 
@@ -50,7 +50,7 @@ class TestMakeSplitting:
         a, k, _, _ = example_matrices
         s = make_splitting(a, k)
         np.testing.assert_allclose(s.v, k - a)
-        assert not s.solver.is_nonsingular
+        assert not s.u_nonsingular
 
     def test_u_equals_a_gives_zero_v(self):
         a = RNG.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
@@ -65,7 +65,7 @@ class TestMakeSplitting:
         problem = make_laplace(21)
         s = diag_scaling_splitting(problem.A, 1.5)
         np.testing.assert_allclose(np.diag(s.u), 1.5 * np.diag(problem.A))
-        assert s.solver.is_nonsingular
+        assert s.u_nonsingular
 
     def test_diag_scaling_identity_diagonal(self):
         walk = make_random_walk(10)
@@ -88,8 +88,8 @@ class TestMakeSplitting:
         u[0, 0] = 100.0
         assert s.u[0, 0] == 5.0 and not s.u.flags.writeable
         np.testing.assert_allclose(s.u - s.v, a)
-        np.testing.assert_allclose(s.solver.solve(s.u), np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(s.solver.right_apply(s.u), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(s.solve(s.u), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(s.right_apply(s.u), np.eye(2), atol=1e-15)
 
     def test_splittings_compare_and_hash_by_identity(self):
         a = make_random_walk(5).A
@@ -252,9 +252,9 @@ class TestClassifyWitnessPrecedence:
             assert holds == (name not in rep.witnesses), name
         assert set(rep.witnesses) <= set(flags)
 
-        u_sharp_negative = not is_nonnegative(s.solver.inverse_like())
+        u_sharp_negative = not is_nonnegative(s.u_sharp)
         if known == "singular U":
-            assert not s.solver.is_nonsingular
+            assert not s.u_nonsingular
         elif known == "not proper":
             assert not rep.is_proper
         elif known == "negative U#":
@@ -266,7 +266,7 @@ class TestClassifyWitnessPrecedence:
         elif u_sharp_negative:
             for name in G_CLASSES:
                 assert rep.witnesses[name].check == "U# >= 0"
-        if not s.solver.is_nonsingular:
+        if not s.u_nonsingular:
             for name in PLAIN_CLASSES + QUASI_CLASSES:
                 assert rep.witnesses[name] == Witness(check="U is singular", matrix="U")
         elif u_sharp_negative:
@@ -381,7 +381,7 @@ class TestQuasiClassesFollowTheirDefinitions:
         monkeypatch.setattr(splittings._Factored, "sharp",
                             property(lambda f: decided.append(f.m) or sharp(f)))
         s = _generated(random_quasi_regular_triple, 0, 0)()
-        assert s.solver.is_nonsingular
+        assert s.u_nonsingular
         classify(s)
         assert len(decided) == 1
 
@@ -468,15 +468,88 @@ class TestAlternation:
                 assert abs(gamma - spectra[0][1]) <= 1e-12, seed
 
 
+SOLVE_RNG = np.random.default_rng(20240817)
+
+
+class TestSolvesWithU:
+    def test_diagonal_fast_path_matches_dense(self):
+        d = np.diag([2.0, 4.0, 8.0])
+        b = np.array([2.0, 4.0, 8.0])
+        np.testing.assert_allclose(make_splitting(d, d).solve(b), np.ones(3))
+
+    def test_right_apply_matches_explicit_inverse(self):
+        u = SOLVE_RNG.uniform(-1, 1, (5, 5)) + 5 * np.eye(5)
+        m = SOLVE_RNG.uniform(-1, 1, (5, 5))
+        s = make_splitting(u, u)
+        np.testing.assert_allclose(
+            s.right_apply(m), m @ np.linalg.inv(u), atol=1e-10
+        )
+        np.testing.assert_allclose(
+            s.solve(m), np.linalg.solve(u, m), atol=1e-10
+        )
+
+    def test_dense_mode_is_bitwise_numpy(self):
+        u = SOLVE_RNG.uniform(-1, 1, (5, 5)) + 5 * np.eye(5)
+        m = SOLVE_RNG.uniform(-1, 1, (5, 5))
+        s = make_splitting(u, u)
+        inv = np.linalg.inv(u)
+        for got, want in (
+            (s.solve(m[0]), inv @ m[0]),
+            (s.solve(m), np.linalg.solve(u, m)),
+            (s.right_apply(m), np.linalg.solve(u.T, m.T).T),
+            (s.u_sharp, inv),
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("u", [A_EXAMPLE, np.eye(3) + np.triu(np.ones((3, 3))),
+                                   np.diag([2.0, 4.0, 0.0])],
+                             ids=["sharp", "inverse", "diagonal"])
+    def test_kept_matrix_is_read_only(self, u):
+        s = make_splitting(u, u)
+        b = np.array([1.0, 2.0, 3.0])
+        before = s.solve(b)
+        with pytest.raises(ValueError):
+            s.u_sharp[0, 0] += 1.0
+        np.testing.assert_array_equal(s.solve(b), before)
+
+    def test_off_diagonal_u_with_a_zero_diagonal_is_dense(self):
+        u = np.array([[0.0, 1.0], [1.0, 0.0]])
+        s = make_splitting(u, u)
+        assert s.u_nonsingular
+        np.testing.assert_array_equal(s.u_sharp, u)
+        np.testing.assert_array_equal(s.solve(np.array([1.0, 2.0])), [2.0, 1.0])
+
+    def test_singular_mode_uses_group_inverse(self):
+        s = make_splitting(A_EXAMPLE, A_EXAMPLE)
+        assert not s.u_nonsingular
+        np.testing.assert_allclose(
+            s.u_sharp, A_SHARP_EXPECTED, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("u", [A_EXAMPLE, np.eye(3) + np.triu(np.ones((3, 3))),
+                                   np.diag([2.0, 4.0, 0.0]), np.diag([2.0, 4.0, 8.0])],
+                             ids=["sharp", "inverse", "singular-diagonal", "diagonal"])
+    def test_correct_is_the_splitting_step(self, u):
+        # correct(x, b - A x) = U#(V x + b) for A = U - V at any x, also
+        # with x outside R(U)
+        a = u - SOLVE_RNG.uniform(-1, 1, (3, 3))
+        x, b = SOLVE_RNG.uniform(-1, 1, 3), SOLVE_RNG.uniform(-1, 1, 3)
+        s = make_splitting(a, u)
+        np.testing.assert_allclose(s.correct(x, b - a @ x),
+                                   s.u_sharp @ ((u - a) @ x + b), atol=1e-12)
+
+
 class TestCachedFactors:
     def test_each_factor_is_formed_once(self, example_matrices):
         a, k, _, _ = example_matrices
         s = make_splitting(a, k)
-        for name in ("v", "iteration_matrix", "reversed_iteration_matrix", "a_op"):
+        for name in ("v", "iteration_matrix", "reversed_iteration_matrix", "u_sharp",
+                     "u_factored"):
             assert getattr(s, name) is getattr(s, name), name
-        np.testing.assert_array_equal(s.iteration_matrix, s.solver.solve(k - a))
+        assert s.system.a_op is s.system.a_op
+        np.testing.assert_array_equal(s.iteration_matrix, s.solve(k - a))
         np.testing.assert_array_equal(s.reversed_iteration_matrix,
-                                      s.solver.right_apply(k - a))
+                                      s.right_apply(k - a))
 
     def test_factors_are_read_only(self, example_triple):
         h = alternating_iteration_matrix(example_triple[:1])
@@ -490,7 +563,7 @@ class TestCachedFactors:
         _, splits = make(np.random.default_rng(5), 5)
         for s in splits:
             s.iteration_matrix, s.reversed_iteration_matrix
-        v_of = {id(s.solver): s.v for s in splits}
+        v_of = {id(s): s.v for s in splits}
         formed = []
 
         def spy(method):
@@ -500,8 +573,8 @@ class TestCachedFactors:
                 return method(self, m)
             return wrapped
 
-        monkeypatch.setattr(CachedSolver, "solve", spy(CachedSolver.solve))
-        monkeypatch.setattr(CachedSolver, "right_apply", spy(CachedSolver.right_apply))
+        monkeypatch.setattr(Splitting, "solve", spy(Splitting.solve))
+        monkeypatch.setattr(Splitting, "right_apply", spy(Splitting.right_apply))
         for s in splits:
             classify(s)
         for theorem_id in CONVERGENCE_THEOREMS:
@@ -512,13 +585,13 @@ class TestCachedFactors:
         assert formed == []
 
     def test_dense_singular_u_is_factored_once(self, linalg_spy):
-        # the solver's nonsingularity test and U#, and classify's proper
+        # the splitting's nonsingularity test of U and U#, and classify's proper
         # test, all read one factorization of U
         s = make_splitting(A_EXAMPLE, U_EXAMPLE)
         report = classify(s)
-        assert not s.solver.is_nonsingular and report.is_proper
+        assert not s.u_nonsingular and report.is_proper
         assert linalg_spy.count("svd", U_EXAMPLE) == 1
-        np.testing.assert_allclose(s.solver.inverse_like(), group_inverse(U_EXAMPLE), atol=1e-14)
+        np.testing.assert_allclose(s.u_sharp, group_inverse(U_EXAMPLE), atol=1e-14)
 
 
 class TestCompanionMatrix:
@@ -559,7 +632,7 @@ class TestProperSplittingIdentities:
         # AA# = UU#, I - U#V nonsingular, A# = (I - U#V)^-1 U#
         a_sharp = group_inverse(A_EXAMPLE)
         for s in example_triple:
-            u_sharp = s.solver.inverse_like()
+            u_sharp = s.u_sharp
             np.testing.assert_allclose(
                 A_EXAMPLE @ a_sharp, s.u @ u_sharp, atol=1e-12
             )
@@ -625,9 +698,9 @@ class TestInducedSplitting:
         for _ in range(5):
             _, splits = random_group_monotone_regular_triple(RNG, 6)
             h = alternating_iteration_matrix(splits)
-            b_sharp = induced_splitting(splits[0].a, h).solver.inverse_like()
+            b_sharp = induced_splitting(splits[0].a, h).u_sharp
             for s in splits:
-                assert float(np.min(b_sharp - s.solver.inverse_like())) > -1e-10
+                assert float(np.min(b_sharp - s.u_sharp)) > -1e-10
 
 
 class TestBSharpClosedForm:
@@ -636,7 +709,7 @@ class TestBSharpClosedForm:
         ind = induced_splitting(A_EXAMPLE, h)
         np.testing.assert_allclose(
             b_sharp_closed_form(example_triple),
-            ind.solver.inverse_like(),
+            ind.u_sharp,
             atol=1e-12,
         )
 
@@ -658,9 +731,9 @@ class TestBSharpClosedForm:
             except RangeNullConditionError:
                 continue
             hits += 1
-            k_sharp = sk.solver.inverse_like()
-            u_sharp = su.solver.inverse_like()
-            x_sharp = sx.solver.inverse_like()
+            k_sharp = sk.u_sharp
+            u_sharp = su.u_sharp
+            x_sharp = sx.u_sharp
             expanded = (
                 k_sharp
                 + x_sharp @ sk.v @ k_sharp

@@ -46,7 +46,7 @@ def closed_form_rho(grid_n, alphas):
 def is_csr(s):
     from scipy.sparse import csr_array
 
-    return isinstance(s.a_op, csr_array)
+    return isinstance(s.system.a_op, csr_array)
 
 
 @pytest.fixture(scope="module", params=[9, 21, 41])
@@ -64,19 +64,19 @@ class TestStorageRule:
         np.testing.assert_array_equal(s.v, s.u - s.a)
         x = np.random.default_rng(3).standard_normal(problem.order)
         np.testing.assert_allclose(sweep([s], x, problem.b),
-                                   s.solver.solve(s.v @ x + problem.b), atol=1e-13)
+                                   s.solve(s.v @ x + problem.b), atol=1e-13)
 
     def test_small_orders_stay_dense(self):
         walk = make_random_walk(CSR_MIN_ORDER - 1)
         s = diag_scaling_splitting(walk.A, 2.0)
-        assert s.a_op is s.a
+        assert s.system.a_op is s.a
 
     def test_dense_a_stays_dense(self):
         n = CSR_MIN_ORDER
         a = np.random.default_rng(4).uniform(-1, 1, (n, n)) + n * np.eye(n)
         s = make_splitting(a, np.diag(np.diag(a)))
         # the operator is A itself: the owner's read-only view of ``a``, no copy
-        assert s.a_op is s.a and np.shares_memory(s.a, a) and not s.a.flags.writeable
+        assert s.system.a_op is s.a and np.shares_memory(s.a, a) and not s.a.flags.writeable
 
     def test_csr_residual_rule_matches_dense_iterates(self):
         problem = make_laplace(21)
@@ -86,7 +86,7 @@ class TestStorageRule:
         x = np.zeros(problem.order)
         for _ in range(report.iterations):
             for s in splits:
-                x = s.solver.solve(s.v @ x + problem.b)
+                x = s.solve(s.v @ x + problem.b)
         np.testing.assert_allclose(report.final_x, x, atol=1e-12)
         assert report.final_residual == pytest.approx(
             np.linalg.norm(problem.b - problem.A @ x), rel=1e-9)
@@ -135,10 +135,10 @@ def test_rho_operator_adds_no_sweep_passes(monkeypatch):
 
 
 def test_bench_keeps_no_dense_v_or_factor(monkeypatch):
-    # the sweeps and rho read only A, as CSR, and the solvers of U, so no
-    # splitting forms V or a dense order-400 matrix beyond its A and U, and
-    # the owner of A holds A (a view, not a copy) and its CSR operator only:
-    # no projectors, no A#
+    # the sweeps and rho read only A, as CSR, and the reciprocal diagonals
+    # of U, so no splitting forms V, a dense U# or an SVD of U, or a dense
+    # order-400 matrix beyond its A and U, and the owner of A holds A (a
+    # view, not a copy) and its CSR operator only: no projectors, no A#
     from scipy.sparse import csr_array
 
     splits = []
@@ -151,13 +151,30 @@ def test_bench_keeps_no_dense_v_or_factor(monkeypatch):
     bench_laplace(21)
     assert len(splits) == 6
     for s in splits:
-        assert "v" not in vars(s)
-        held = [*vars(s).values(), *vars(s.solver).values(), *vars(s.system).values()]
+        assert not {"v", "u_sharp", "u_factored"} & set(vars(s))
+        held = [*vars(s).values(), *vars(s.system).values()]
         big = [m for m in held if isinstance(m, np.ndarray) and m.shape == (400, 400)]
         assert all(m is s.a or m is s.u for m in big)
         assert set(vars(s.system)) == {"a", "tol", "a_op"}
         assert isinstance(s.system.a_op, csr_array)
         assert s.a.base is not None and not s.a.flags.writeable
+
+
+def test_dense_u_keeps_only_u_and_its_inverse():
+    # a dense nonsingular U: sweeps read U^-1, so until V or a factor of
+    # T = U^-1 V is asked for, the splitting holds no order-n array but
+    # U and U^-1
+    n = 8
+    a = np.random.default_rng(5).uniform(-1, 1, (n, n)) + n * np.eye(n)
+    s = make_splitting(a, np.tril(a))
+    config = SchemeConfig(splittings=[s], tolerance=1e-10)
+    assert run(config, np.ones(n)).converged
+    held = [m for m in vars(s).values() if isinstance(m, np.ndarray) and n in m.shape]
+    assert len(held) == 2 and all(m is s.u or m is s.u_sharp for m in held)
+    assert s.u_nonsingular and s._recip is None
+    assert not {"v", "iteration_matrix", "reversed_iteration_matrix"} & set(vars(s))
+    s.iteration_matrix
+    assert {"v", "iteration_matrix"} <= set(vars(s))
 
 
 def test_dense_workloads_do_not_import_scipy_sparse():
