@@ -1,135 +1,25 @@
-"""Alternating matrix-splitting iterations for dense linear systems.
+"""Alternating matrix-splitting iterations for real linear systems.
 
 Single-, two- and three-step alternating schemes built on splittings
 A = U - V, with group-inverse support for index-1 singular systems,
 splitting classification, convergence and semiconvergence diagnostics,
-and benchmark problem generators.
+and benchmark problem generators.  The diagnostics work on dense arrays;
+the sweeps apply A as a CSR operator when A is large and sparse.
+
+Each public name is declared once, in its module's ``__all__``; the
+package exports exactly those of the six library modules below.
+:mod:`altsplit.generators` and :mod:`altsplit.cli` stay submodules.
 """
 
-from .analysis import (
-    TheoremVerdict,
-    induced_regular_splitting,
-    is_m_matrix_with_property_c,
-    is_semiconvergent,
-    power_limit_oracle,
-    verify_convergence_theorem,
-    verify_semiconvergence_theorem,
-)
-from .core import (
-    DEFAULT_TOL,
-    ToleranceProfile,
-    gamma,
-    group_inverse,
-    index_at_most_one,
-    is_nonnegative,
-    rank,
-    spectral_radius,
-)
-from .errors import (
-    AltSplitError,
-    ClassificationError,
-    DimensionMismatchError,
-    IndexGreaterThanOneError,
-    MatrixMarketError,
-    MismatchedSplittingError,
-    MissingDeltaError,
-    NonsingularHypothesisError,
-    NotSquareError,
-    RangeNullConditionError,
-    SingularIminusHError,
-    UnknownTheoremError,
-    UnsupportedFieldError,
-    ZeroDiagonalError,
-)
-from .problems import (
-    LaplaceProblem,
-    RandomWalkProblem,
-    make_laplace,
-    make_random_walk,
-    read_matrix_market,
-    read_vector,
-    write_matrix_market,
-    write_vector,
-)
-from .schemes import (
-    IterationReport,
-    SchemeConfig,
-    exact_solution,
-    run,
-    sweep,
-)
-from .splittings import (
-    Alternation,
-    SemiconvergenceCertificate,
-    Splitting,
-    SplittingClassReport,
-    SystemMatrix,
-    Witness,
-    alternating_iteration_matrix,
-    b_sharp_closed_form,
-    classify,
-    companion_matrix,
-    diag_scaling_splitting,
-    induced_splitting,
-    make_splitting,
-)
+from . import analysis, core, errors, problems, schemes, splittings
+from .analysis import *
+from .core import *
+from .errors import *
+from .problems import *
+from .schemes import *
+from .splittings import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AltSplitError",
-    "Alternation",
-    "ClassificationError",
-    "DEFAULT_TOL",
-    "DimensionMismatchError",
-    "IndexGreaterThanOneError",
-    "IterationReport",
-    "LaplaceProblem",
-    "MatrixMarketError",
-    "MismatchedSplittingError",
-    "MissingDeltaError",
-    "NonsingularHypothesisError",
-    "NotSquareError",
-    "RandomWalkProblem",
-    "RangeNullConditionError",
-    "SchemeConfig",
-    "SemiconvergenceCertificate",
-    "SingularIminusHError",
-    "Splitting",
-    "SplittingClassReport",
-    "SystemMatrix",
-    "TheoremVerdict",
-    "ToleranceProfile",
-    "UnknownTheoremError",
-    "UnsupportedFieldError",
-    "Witness",
-    "ZeroDiagonalError",
-    "alternating_iteration_matrix",
-    "b_sharp_closed_form",
-    "classify",
-    "companion_matrix",
-    "diag_scaling_splitting",
-    "exact_solution",
-    "gamma",
-    "group_inverse",
-    "index_at_most_one",
-    "induced_regular_splitting",
-    "induced_splitting",
-    "is_m_matrix_with_property_c",
-    "is_nonnegative",
-    "is_semiconvergent",
-    "make_laplace",
-    "make_random_walk",
-    "make_splitting",
-    "power_limit_oracle",
-    "rank",
-    "read_matrix_market",
-    "read_vector",
-    "run",
-    "spectral_radius",
-    "sweep",
-    "verify_convergence_theorem",
-    "verify_semiconvergence_theorem",
-    "write_matrix_market",
-    "write_vector",
-]
+__all__ = [*analysis.__all__, *core.__all__, *errors.__all__,
+           *problems.__all__, *schemes.__all__, *splittings.__all__]

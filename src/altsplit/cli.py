@@ -411,22 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exit code of each error a command can meet, first match wins.  A bad
-# flag value raises ValueError, and so does undecodable file text
-# (UnicodeDecodeError); a size too large for memory raises MemoryError.
+# Exit code of each error a command can meet, first match wins; main
+# catches exactly these kinds.  A bad flag value raises ValueError, and so
+# does undecodable file text (UnicodeDecodeError); a size too large for
+# memory raises MemoryError.
 _EXIT_CODES = (
     ((MatrixMarketError, OSError, ValueError, MemoryError), 2),
     ((DimensionMismatchError, NotSquareError, MismatchedSplittingError), 3),
-    (IndexGreaterThanOneError, 4),
-    (AltSplitError, 2),
+    ((IndexGreaterThanOneError,), 4),
+    ((AltSplitError,), 2),
 )
+_HANDLED = tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, MemoryError, AltSplitError) as exc:
+    except _HANDLED as exc:
         # a bare MemoryError has no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -38,9 +38,6 @@ from .errors import (
 __all__ = [
     "ToleranceProfile",
     "DEFAULT_TOL",
-    "as_matrix",
-    "as_square",
-    "as_vector",
     "rank",
     "spectral_radius",
     "gamma",

@@ -1,5 +1,22 @@
 """Exception types raised across the package."""
 
+__all__ = [
+    "AltSplitError",
+    "NotSquareError",
+    "DimensionMismatchError",
+    "IndexGreaterThanOneError",
+    "MismatchedSplittingError",
+    "SingularIminusHError",
+    "RangeNullConditionError",
+    "ZeroDiagonalError",
+    "UnknownTheoremError",
+    "MissingDeltaError",
+    "NonsingularHypothesisError",
+    "ClassificationError",
+    "MatrixMarketError",
+    "UnsupportedFieldError",
+]
+
 
 class AltSplitError(Exception):
     """Base class for all altsplit errors."""

@@ -55,8 +55,6 @@ class SchemeConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "splittings", tuple(self.splittings))
-        if not 1 <= len(self.splittings) <= 3:
-            raise ValueError("between 1 and 3 splittings required")
         if self.stop_rule not in STOP_RULES:
             raise ValueError(f"stop_rule must be one of {STOP_RULES}")
         if not 0 < self.tolerance < math.inf:

@@ -364,3 +364,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, name, out_of_memory)
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: MemoryError\n"
+
+    @pytest.mark.parametrize("kind, expected", [
+        (kind, code) for kinds, code in cli._EXIT_CODES for kind in kinds
+    ], ids=lambda value: getattr(value, "__name__", str(value)))
+    def test_every_listed_kind_is_caught_with_its_code(self, monkeypatch, capsys, kind,
+                                                        expected):
+        def failing(args):
+            raise kind("boom")
+
+        monkeypatch.setattr(cli, "_cmd_verify", failing)
+        assert main(["verify", "--suite", "companion"]) == expected
+        assert capsys.readouterr().err == "error: boom\n"
