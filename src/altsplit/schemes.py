@@ -4,15 +4,27 @@ One iteration means one full multi-splitting pass.  Sweeps form neither the
 product iteration matrix nor any V: each step is the residual correction
 U x' = U x + r, r = b - A x, which equals U#(V x + b) (Saad, *Iterative
 Methods for Sparse Linear Systems*, 2003, sec. 4.1), the splitting's own
-``Splitting.correct``.  So a pass costs one matvec with A's sweep operator
-(``system.a_op``, its owner's: CSR for large sparse A, dense otherwise) and
-one solve with U per splitting.  ``run`` hands the residual
-it forms for its stop rule on to the next pass.  The iteration matrix
-itself is only assembled by the diagnostics in :mod:`altsplit.splittings`
-and :mod:`altsplit.analysis`.
+``Splitting.correct``.  A pass takes one of two forms:
+
+* matrix-free: one matvec with A's sweep operator (``system.matvec``, its
+  owner's: CSR for large sparse A, dense otherwise) and one solve with U
+  per splitting, k products with A;
+* formed: x + P r, one product with the pass matrix P, and one with A.
+
+The first n passes of a run on an order-n A are matrix-free.  Then the run
+forms P, when its alternation has one (A applied dense, 2 or 3 splittings,
+every U nonsingular), inside its timed span, and its later passes are
+formed: forming P costs fewer flops than the n passes before it, so a run
+too short to repay P never forms it.  A run of m passes thus applies A
+exactly 1 + k*m times, or 1 + k*n + (m - n) times when it forms P.
+
+``run`` hands the residual it forms for its stop rule on to the next pass.
+The iteration matrix itself is only assembled by the diagnostics in
+:mod:`altsplit.splittings` and :mod:`altsplit.analysis`.
 
 A run stops at the first non-finite stop metric and reports it as not
-converged, rather than iterating on overflowed or NaN iterates.
+converged (status ``non_finite``), rather than iterating on overflowed or
+NaN iterates.
 """
 from __future__ import annotations
 
@@ -24,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import as_vector
-from .splittings import Splitting, _check_shared_a, _system
+from .splittings import Alternation, Splitting, _check_shared_a, _system
 
 __all__ = [
     "SchemeConfig",
@@ -68,25 +80,39 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Outcome of a scheme run; mirrors the benchmark table columns."""
+    """Outcome of a scheme run; mirrors the benchmark table columns.
+
+    ``status`` says why the run stopped: ``converged`` (the stop metric fell
+    below the tolerance), ``max_iterations`` or ``non_finite`` (the stop
+    metric turned inf or NaN).
+    """
 
     iterations: int
     final_x: np.ndarray
     final_residual: float
     final_error: float | None
     elapsed_seconds: float
-    converged: bool
+    status: str
     history: list[tuple[float, float | None]] | None = field(default=None)
+    converged = property(lambda self: self.status == "converged")
 
 
 def sweep(splits, x, b, r=None):
     """One alternating pass: x <- U_i#(V_i x + b) for each splitting in order.
 
-    ``r``, if given, is b - A x for the ``x`` passed in.
+    ``splits`` is a sequence of splittings, whose pass is matrix-free, or an
+    alternation, whose pass is x + P r when it has a pass matrix P, formed
+    on first use.  ``r``, if given, is b - A x for the ``x`` passed in.
     """
-    a = splits[0].system.a_op
+    if isinstance(splits, Alternation):
+        matvec, p = splits.system.matvec, splits.pass_matrix
+        if p is not None:
+            return x + p.dot(b - matvec(x) if r is None else r)
+        splits = splits.splits
+    else:
+        matvec = splits[0].system.matvec
     for s in splits:
-        x = s.correct(x, b - a @ x if r is None else r)
+        x = s.correct(x, b - matvec(x) if r is None else r)
         r = None
     return x
 
@@ -110,13 +136,13 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     Returns
     -------
     IterationReport
-        ``converged`` is False when max_iterations is exhausted or the stop
-        metric turns non-finite (the run stops at that pass); both are
-        outcomes, not exceptions.
+        ``status`` is ``max_iterations`` when max_iterations is exhausted
+        and ``non_finite`` when the stop metric turns non-finite (the run
+        stops at that pass); both are outcomes, not exceptions.
     """
-    splits = config.splittings
-    n = splits[0].n
-    a = splits[0].system.a_op
+    alternation = Alternation(config.splittings)
+    n = alternation.system.n
+    matvec = alternation.system.matvec
     b = as_vector(b, n)
     x = np.zeros(n) if x0 is None else as_vector(x0, n).copy()
     if exact is not None:
@@ -132,14 +158,16 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     # the next sweep
     keep_residual = config.stop_rule == "residual" or history is not None
     r = None
-    converged = False
+    status = "max_iterations"
     iterations = 0
+    splits = alternation.splits
     start = time.perf_counter()
     for iterations in range(1, config.max_iterations + 1):
-        y = sweep(splits, x, b, r)
+        # matrix-free for n passes, which cost more flops than forming P
+        y = sweep(alternation if iterations > n else splits, x, b, r)
         x_new = delta * y + (1.0 - delta) * x if delta is not None else y
         if keep_residual:
-            r = b - a @ x_new
+            r = b - matvec(x_new)
 
         if config.stop_rule == "residual":
             m = r
@@ -147,21 +175,22 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
             m = exact - x_new
         else:
             m = x_new - x
-        metric = math.sqrt(m @ m)  # bit for bit np.linalg.norm(m), without its dispatch
+        metric = math.sqrt(m.dot(m))  # bit for bit np.linalg.norm(m), without its dispatch
 
         if history is not None:
             err = float(np.linalg.norm(exact - x_new)) if exact is not None else None
             history.append((float(np.linalg.norm(r)), err))
         x = x_new
         if metric < config.tolerance:
-            converged = True
+            status = "converged"
             break
         if not math.isfinite(metric):
+            status = "non_finite"
             break
     elapsed = time.perf_counter() - start
 
     if r is None:
-        r = b - a @ x
+        r = b - matvec(x)
     return IterationReport(
         iterations=iterations,
         final_x=x,
@@ -170,7 +199,7 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
             float(np.linalg.norm(exact - x)) if exact is not None else None
         ),
         elapsed_seconds=elapsed,
-        converged=converged,
+        status=status,
         history=history,
     )
 

@@ -79,7 +79,9 @@ __all__ = [
 # Xeon, numpy 2.4, scipy 1.17): dense 3.3 us vs CSR 6.2 us at order 100
 # (tridiagonal), 8.9 vs 6.9 us at order 200, 30 vs 7.8 us at order 400
 # (5-point stencil).  At order 400, CSR still wins at 40 nonzeros a row
-# (19.5 vs 23.6 us) and loses at 80 (33.5 vs 27.8 us).
+# (19.5 vs 23.6 us) and loses at 80 (33.5 vs 27.8 us).  Only an A applied
+# dense gives its alternations a pass matrix (``Alternation.pass_matrix``):
+# a dense P would undo the CSR saving, n^2 entries against A's nonzeros.
 CSR_MIN_ORDER = 200
 CSR_MAX_FILL = 0.1
 
@@ -98,14 +100,19 @@ class SystemMatrix:
         object.__setattr__(self, "a", _kept(a.view()) if a.flags.writeable else a)
 
     @cached_property
-    def a_op(self):
-        """A's sweep operator: a ``scipy.sparse.csr_array`` if the rule above says so, else A."""
+    def matvec(self):
+        """x -> A x with A's sweep operator: the ``@`` of a
+        ``scipy.sparse.csr_array`` if the rule above says so, else A's bound
+        ``ndarray.dot`` (bit for bit ``@`` without its ufunc dispatch)."""
         n = self.n
         if n < CSR_MIN_ORDER or np.count_nonzero(self.a) > CSR_MAX_FILL * n * n:
-            return self.a
+            return self.a.dot
         from scipy.sparse import csr_array
 
-        return csr_array(self.a)
+        return csr_array(self.a).__matmul__
+
+    # the sweep operator itself: A, or its CSR copy
+    a_op = property(lambda self: self.matvec.__self__)
 
     # A's one factorization, and the facts read from it: (range projector,
     # null projector), the nonsingularity decision, and A# (A^-1 when A is
@@ -275,13 +282,14 @@ class Splitting(_IterationFacts):
         """x + U^-1 r, or U#(U x + r) when U is singular.
 
         With r = b - A x and A = U - V this is U#(V x + b) for every x,
-        the splitting's step, formed without V.
+        the splitting's step, formed without V.  ``x`` and ``r`` are vectors
+        or blocks of column vectors.
         """
         if not self.u_nonsingular:
-            return self.solve(self.u @ x + r)
+            return self.solve(self.u.dot(x) + r)
         if self._recip is not None:
-            return x + self._recip * r
-        return x + self.u_sharp @ r
+            return x + (self._recip * r if r.ndim == 1 else self._recip[:, None] * r)
+        return x + self.u_sharp.dot(r)
 
     def right_apply(self, b: np.ndarray) -> np.ndarray:
         """B U^-1 (or B U#)."""
@@ -474,8 +482,12 @@ class Alternation(_IterationFacts):
     """1 to 3 splittings of one A, first applied first, and the facts of
     their alternating iteration matrix H, each formed on first use, once.
 
-    Construction runs the one shared-A check, which gives the owner of A,
-    ``system``.  Alternations compare and hash by identity.
+    One pass of the splittings' steps is x <- x + P (b - A x) for the pass
+    matrix P, with H = I - P A, and P = B^-1 = (I - H) A^-1 of the induced
+    splitting when A is nonsingular.  ``pass_matrix`` is P where a pass is
+    cheaper as one product with it; ``schemes.run`` forms it only after its
+    first n passes.  Construction runs the one shared-A check, which gives
+    the owner of A, ``system``.  Alternations compare and hash by identity.
     """
 
     splits: tuple[Splitting, ...]
@@ -492,6 +504,30 @@ class Alternation(_IterationFacts):
         inverses replace group inverses wherever U is nonsingular.  One
         splitting's H is its own U#V."""
         return _kept(_product([s.iteration_matrix for s in self.splits]))
+
+    @cached_property
+    def pass_matrix(self) -> np.ndarray | None:
+        """P, read-only, for 2 or 3 splittings whose every U is nonsingular,
+        of an A applied dense (``system.a_op is system.a``); else None.
+
+        Then each step is x + U^-1 r, and column j of P is the pass from
+        x = 0 with b = e_j, taken as one block through the splittings' own
+        ``correct``: it forms no V and no factor of H.  One splitting's step
+        is already one multiply-add, a singular U steps by U#(U x + r), and
+        the dense P of an A applied as CSR would outweigh it (at order 400,
+        30 us a dense product against 7.8 us), so none has P.
+        Forming P costs k - 1 products of A with an n x n block, and one of
+        U^-1 for each dense U: fewer flops than n matrix-free passes.
+        """
+        splits, system = self.splits, self.system
+        if (len(splits) == 1 or system.a_op is not system.a
+                or not all(s.u_nonsingular for s in splits)):
+            return None
+        a, eye = system.a, np.eye(system.n)
+        p = splits[0].correct(np.zeros_like(eye), eye)
+        for s in splits[1:]:
+            p = s.correct(p, eye - a.dot(p))
+        return _kept(p)
 
     @cached_property
     def middle(self) -> np.ndarray:
@@ -558,12 +594,12 @@ def _iteration_operator(splits):
     """
     from scipy.sparse.linalg import LinearOperator
 
-    a = splits[0].system.a_op
+    apply_a = splits[0].system.matvec
 
     def matvec(x):
         x = np.ravel(x)
         for s in splits:
-            x = s.correct(x, -(a @ x))
+            x = s.correct(x, -apply_a(x))
         return x
 
     n = splits[0].n

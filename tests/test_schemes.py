@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
+import altsplit.schemes
 from altsplit import (
+    Alternation,
     SchemeConfig,
     alternating_iteration_matrix,
     diag_scaling_splitting,
@@ -48,15 +50,30 @@ def singular_proper_case(seed, n=5):
     return a, splits, b, x0
 
 
-class CountingOperator:
-    """Stands in for a sweep operator and counts its products with a vector."""
+class CountingProduct:
+    """Stands in for the owner's bound product with A (``__self__`` is the
+    sweep operator, as for a bound method) and counts its calls."""
 
-    def __init__(self, op):
-        self.op, self.calls = op, 0
+    def __init__(self, matvec):
+        self.matvec, self.__self__, self.calls = matvec, matvec.__self__, 0
 
-    def __matmul__(self, x):
+    def __call__(self, x):
         self.calls += 1
-        return self.op @ x
+        return self.matvec(x)
+
+
+@pytest.fixture
+def matrix_free(monkeypatch):
+    """Every alternation lacks a pass matrix, so each pass steps through its splittings."""
+    monkeypatch.setattr(Alternation, "pass_matrix", None)
+
+
+LAPLACE_4 = make_laplace(4)
+PASS_SPLITS = {
+    "diagonal": [diag_scaling_splitting(LAPLACE_4.A, a) for a in (1.0, 1.5, 1.75)],
+    "dense": [make_splitting(LAPLACE_4.A, u) for u in
+              (np.tril(LAPLACE_4.A), np.triu(LAPLACE_4.A), 1.5 * np.tril(LAPLACE_4.A))],
+}
 
 
 class TestSweep:
@@ -185,21 +202,50 @@ class TestRun:
         )
         report = run(config, np.ones(2), x0=np.zeros(2))
         assert not report.converged and report.iterations == 5
+        assert report.status == "max_iterations"
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_max_iterations_on_the_formed_pass(self, k):
+        # passes past the order of A are formed
+        problem = make_laplace(5)
+        splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)][:k]
+        assert Alternation(splits).pass_matrix is not None
+        passes = problem.order + 5
+        config = SchemeConfig(splittings=splits, tolerance=1e-16, max_iterations=passes)
+        report = run(config, problem.b)
+        assert report.status == "max_iterations" and report.iterations == passes
+        assert not report.converged
 
     def test_non_finite_metric_stops_the_run(self):
         # alpha = 0.3 gives rho(H) = 5.03: the error norm overflows to inf
         # near pass 220, and the run must stop there, not run on NaN
+        self._overflows(1)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_non_finite_metric_stops_the_formed_pass(self, k):
+        # rho(H) = 5.03^k: the run overflows sooner, past its matrix-free passes
+        self._overflows(k)
+
+    @staticmethod
+    def _overflows(k):
         problem = make_laplace(5)
         config = SchemeConfig(
-            splittings=[diag_scaling_splitting(problem.A, 0.3)],
+            splittings=[diag_scaling_splitting(problem.A, 0.3)] * k,
             stop_rule="error_vs_exact",
             max_iterations=10_000,
         )
+        assert (Alternation(config.splittings).pass_matrix is None) == (k == 1)
         with np.errstate(over="ignore", invalid="ignore"):
             report = run(config, problem.b, exact=problem.exact)
-        assert not report.converged
-        assert report.iterations < 300
+        assert report.status == "non_finite" and not report.converged
+        assert problem.order < report.iterations < 300
         assert not np.isfinite(report.final_error)
+
+    def test_converged_is_the_status(self):
+        problem = make_laplace(5)
+        splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5)]
+        report = run(SchemeConfig(splittings=splits, tolerance=1e-8), problem.b)
+        assert report.status == "converged" and report.converged
 
     def test_history_records_residual_and_error(self):
         a = RNG.uniform(-1, 1, (4, 4)) + 4 * np.eye(4)
@@ -222,19 +268,120 @@ class TestRun:
     @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
     @pytest.mark.parametrize("record_history", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_a_is_applied_once_per_step(self, rule, record_history, k):
+    def test_a_is_applied_once_per_step(self, rule, record_history, k, matrix_free):
         # the residual the stop rule forms is the next pass's first
         # correction, and the last one is the final residual
+        self._count_products(rule, record_history, k)
+
+    @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
+    @pytest.mark.parametrize("record_history", [False, True])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_is_applied_once_per_formed_pass(self, rule, record_history, k):
+        # the first n passes apply A k times each; forming P reads A but is
+        # no product with a vector, and each later pass applies A once
+        self._count_products(rule, record_history, k, formed=True)
+
+    @staticmethod
+    def _count_products(rule, record_history, k, formed=False):
         problem = make_laplace(6)
         splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)][:k]
-        counting = CountingOperator(splits[0].system.a_op)
-        vars(splits[0].system)["a_op"] = counting
+        assert (Alternation(splits).pass_matrix is not None) == formed
+        system = splits[0].system
+        counting = CountingProduct(system.matvec)
+        vars(system)["matvec"] = counting
         config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-8,
                               record_history=record_history)
         report = run(config, problem.b, exact=problem.exact)
-        assert report.converged
-        assert counting.calls == 1 + k * report.iterations
+        assert report.converged and report.iterations > problem.order
+        free = problem.order if formed else report.iterations
+        assert counting.calls == 1 + k * free + (report.iterations - free)
         assert report.final_residual == np.linalg.norm(problem.b - problem.A @ report.final_x)
+
+
+def _run_passes(splits, rule, delta, record_history, passes):
+    config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-300,
+                          max_iterations=passes, delta=delta, record_history=record_history)
+    x0 = np.linspace(-1.0, 1.0, LAPLACE_4.order)
+    return run(config, LAPLACE_4.b, x0=x0, exact=LAPLACE_4.exact)
+
+
+class TestPassForms:
+    """Runs past n passes, formed by x + P r, against the matrix-free list of steps."""
+
+    @pytest.mark.parametrize("u_kind", list(PASS_SPLITS))
+    @pytest.mark.parametrize("record_history", [False, True])
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_formed_and_matrix_free_runs_agree(self, k, rule, delta, record_history, u_kind,
+                                               monkeypatch):
+        splits = PASS_SPLITS[u_kind][:k]
+        assert Alternation(splits).pass_matrix is not None
+        passes = range(LAPLACE_4.order + 1, LAPLACE_4.order + 6)
+        formed = [_run_passes(splits, rule, delta, record_history, p) for p in passes]
+        monkeypatch.setattr(Alternation, "pass_matrix", None)
+        for p, got in zip(passes, formed):
+            want = _run_passes(splits, rule, delta, record_history, p)
+            assert (got.iterations, got.status) == (want.iterations, want.status) == (
+                p, "max_iterations")
+            np.testing.assert_allclose(got.final_x, want.final_x, rtol=0, atol=1e-12)
+            assert got.final_residual == pytest.approx(want.final_residual, rel=0, abs=1e-12)
+            assert got.final_error == pytest.approx(want.final_error, rel=0, abs=1e-12)
+            if record_history:
+                np.testing.assert_allclose(np.array(got.history), np.array(want.history),
+                                           rtol=0, atol=1e-12)
+            else:
+                assert got.history is want.history is None
+
+    @pytest.mark.parametrize("u_kind", list(PASS_SPLITS))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_p_is_formed_only_after_n_passes(self, k, u_kind, monkeypatch):
+        # a run too short to repay forming P never forms it
+        formed = []
+        original = Alternation.pass_matrix
+
+        def spy(self):
+            formed.append(None)
+            return original.func(self)
+
+        monkeypatch.setattr(Alternation, "pass_matrix", property(spy))
+        splits = PASS_SPLITS[u_kind][:k]
+        assert _run_passes(splits, "residual", None, False, LAPLACE_4.order).iterations == (
+            LAPLACE_4.order)
+        assert not formed
+        _run_passes(splits, "residual", None, False, LAPLACE_4.order + 1)
+        assert formed
+
+    @pytest.mark.parametrize("k, form", [(1, "matrix_free"), (2, "matrix_free"),
+                                         (3, "matrix_free"), (2, "formed"), (3, "formed")])
+    def test_sweep_is_called_once_per_pass(self, k, form, monkeypatch):
+        # the benchmark counts passes as calls to schemes.sweep
+        if form == "matrix_free":
+            monkeypatch.setattr(Alternation, "pass_matrix", None)
+        calls = []
+        original = altsplit.schemes.sweep
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(altsplit.schemes, "sweep", counting)
+        splits = PASS_SPLITS["diagonal"][:k]
+        report = run(SchemeConfig(splittings=splits, tolerance=1e-8), LAPLACE_4.b)
+        assert report.converged and report.iterations > LAPLACE_4.order
+        assert len(calls) == report.iterations
+
+    def test_formed_run_leaves_no_new_array_on_a_splitting(self):
+        # P comes from the splittings' own steps, so no V, U#V or other
+        # factor is kept on a splitting by the run
+        splits = [make_splitting(s.system, s.u) for s in PASS_SPLITS["dense"]]
+        before = [dict(vars(s)) for s in splits]
+        report = run(SchemeConfig(splittings=splits, tolerance=1e-8), LAPLACE_4.b)
+        assert report.converged and report.iterations > LAPLACE_4.order
+        for s, held in zip(splits, before):
+            assert vars(s).keys() == held.keys()
+            assert all(vars(s)[name] is value for name, value in held.items())
+        assert Alternation(splits).pass_matrix is not None
 
 
 class TestShiftedScheme:

@@ -453,6 +453,41 @@ class TestAlternation:
         assert h.pairs["B13"].splits == (example_triple[0], example_triple[2])
         assert not Alternation(example_triple[:2]).pairs
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pass_matrix_gives_h(self, k):
+        # one pass is x + P (b - A x), so H = I - P A, also for a singular A
+        walk = make_random_walk(30)
+        h = Alternation([diag_scaling_splitting(walk.A, a) for a in (2.0, 2.5, 3.0)][:k])
+        assert not h.pass_matrix.flags.writeable
+        np.testing.assert_allclose(np.eye(30) - h.pass_matrix @ walk.A, h.iteration_matrix,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pass_matrix_is_the_induced_b_inverse(self, seed, k):
+        # P = (I - H) A^-1 = B^-1 for nonsingular A and dense nonsingular U
+        _, splits = random_group_monotone_regular_triple(np.random.default_rng(seed), 6, 6)
+        h = Alternation(splits[:k])
+        assert all(s._recip is None and s.u_nonsingular for s in h.splits)
+        np.testing.assert_allclose(h.pass_matrix, h.induced.u_sharp, rtol=0, atol=1e-10)
+
+    def test_pass_matrix_only_for_dense_a_and_nonsingular_u(self, example_triple):
+        walk = make_random_walk(10)
+        splits = [diag_scaling_splitting(walk.A, a) for a in (2.0, 2.5, 3.0)]
+        assert Alternation(splits[:2]).pass_matrix is not None
+        assert Alternation(splits[:1]).pass_matrix is None  # one step is one multiply-add
+        assert not example_triple[0].u_nonsingular
+        assert Alternation(example_triple).pass_matrix is None  # a singular U
+        n = splittings.CSR_MIN_ORDER
+        big = make_random_walk(n)  # applied as CSR
+        assert Alternation([diag_scaling_splitting(big.A, a) for a in (2.0, 2.5)]
+                           ).pass_matrix is None
+        full = np.random.default_rng(0).uniform(-1, 1, (n, n)) + n * np.eye(n)  # applied dense
+        h = Alternation([diag_scaling_splitting(full, a) for a in (1.0, 1.5)])
+        assert h.system.a_op is h.system.a
+        np.testing.assert_allclose(np.eye(n) - h.pass_matrix @ full, h.iteration_matrix,
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("make", [random_group_monotone_regular_triple, random_proper_triple,
                                       random_singular_m_matrix_triple,
                                       random_quasi_regular_triple])
@@ -537,6 +572,18 @@ class TestSolvesWithU:
         s = make_splitting(a, u)
         np.testing.assert_allclose(s.correct(x, b - a @ x),
                                    s.u_sharp @ ((u - a) @ x + b), atol=1e-12)
+
+    @pytest.mark.parametrize("cols", [3, 4])
+    @pytest.mark.parametrize("u", [A_EXAMPLE, np.eye(3) + np.triu(np.ones((3, 3))),
+                                   np.diag([2.0, 4.0, 0.0]), np.diag([2.0, 4.0, 8.0])],
+                             ids=["sharp", "inverse", "singular-diagonal", "diagonal"])
+    def test_correct_on_a_block_is_correct_on_each_column(self, u, cols):
+        # a diagonal U scales the rows of the block, not its columns
+        a = u - SOLVE_RNG.uniform(-1, 1, (3, 3))
+        x, r = SOLVE_RNG.uniform(-1, 1, (3, cols)), SOLVE_RNG.uniform(-1, 1, (3, cols))
+        s = make_splitting(a, u)
+        by_column = np.column_stack([s.correct(x[:, j], r[:, j]) for j in range(cols)])
+        np.testing.assert_allclose(s.correct(x, r), by_column, rtol=0, atol=1e-14)
 
 
 class TestCachedFactors:

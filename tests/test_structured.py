@@ -138,7 +138,8 @@ def test_bench_keeps_no_dense_v_or_factor(monkeypatch):
     # the sweeps and rho read only A, as CSR, and the reciprocal diagonals
     # of U, so no splitting forms V, a dense U# or an SVD of U, or a dense
     # order-400 matrix beyond its A and U, and the owner of A holds A (a
-    # view, not a copy) and its CSR operator only: no projectors, no A#
+    # view, not a copy) and its CSR operator's bound product only: no
+    # projectors, no A#
     from scipy.sparse import csr_array
 
     splits = []
@@ -155,7 +156,7 @@ def test_bench_keeps_no_dense_v_or_factor(monkeypatch):
         held = [*vars(s).values(), *vars(s.system).values()]
         big = [m for m in held if isinstance(m, np.ndarray) and m.shape == (400, 400)]
         assert all(m is s.a or m is s.u for m in big)
-        assert set(vars(s.system)) == {"a", "tol", "a_op"}
+        assert set(vars(s.system)) == {"a", "tol", "matvec"}
         assert isinstance(s.system.a_op, csr_array)
         assert s.a.base is not None and not s.a.flags.writeable
 
