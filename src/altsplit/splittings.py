@@ -143,10 +143,13 @@ class SystemMatrix:
 
     def shares_range_and_null(self, m) -> bool:
         """range(M) == range(A) and null(M) == null(A): M's projectors equal
-        A's entrywise within ``eq_tol``; ``m`` is M or its factorization."""
-        if not isinstance(m, _Factored):
-            m = _Factored(as_square(m), self.tol.rank_tol)
-        pairs = zip(m.projectors, self.projectors)
+        A's entrywise within ``eq_tol``; ``m`` is M, its factorization or
+        its (range, null) projector pair."""
+        if not isinstance(m, tuple):
+            if not isinstance(m, _Factored):
+                m = _Factored(as_square(m), self.tol.rank_tol)
+            m = m.projectors
+        pairs = zip(m, self.projectors)
         return all(bool(np.all(np.abs(p - q) < self.tol.eq_tol)) for p, q in pairs)
 
 
@@ -420,8 +423,13 @@ def classify(s: Splitting) -> SplittingClassReport:
 
 
 def _class_report(s: Splitting) -> SplittingClassReport:
+    if s._recip is None:
+        u = s.u_factored
+    else:  # a diagonal U's range and null space are spanned by unit vectors
+        nonzero = (s._recip != 0.0).astype(float)
+        u = (np.diag(nonzero), np.diag(1.0 - nonzero))
     proper_w = None
-    if not s.system.shares_range_and_null(s.u_factored):
+    if not s.system.shares_range_and_null(u):
         proper_w = Witness(check="range(U) == range(A) and null(U) == null(A)", matrix="U")
     usharp_w = _sign_witness(s.u_sharp, "U#", s.tol)
     uv, vu = s.iteration_matrix, s.reversed_iteration_matrix
@@ -485,8 +493,8 @@ class Alternation(_IterationFacts):
     One pass of the splittings' steps is x <- x + P (b - A x) for the pass
     matrix P, with H = I - P A, and P = B^-1 = (I - H) A^-1 of the induced
     splitting when A is nonsingular.  ``pass_matrix`` is P where a pass is
-    cheaper as one product with it; ``schemes.run`` forms it only after its
-    first n passes.  Construction runs the one shared-A check, which gives
+    cheaper as one product; ``schemes.run`` forms it only after its first
+    n passes, and from it the matrix of its formed pass.  Construction runs the one shared-A check, which gives
     the owner of A, ``system``.  Alternations compare and hash by identity.
     """
 
@@ -507,26 +515,30 @@ class Alternation(_IterationFacts):
 
     @cached_property
     def pass_matrix(self) -> np.ndarray | None:
-        """P, read-only, for 2 or 3 splittings whose every U is nonsingular,
+        """P, read-only, for 1 to 3 splittings whose every U is nonsingular,
         of an A applied dense (``system.a_op is system.a``); else None.
 
         Then each step is x + U^-1 r, and column j of P is the pass from
         x = 0 with b = e_j, taken as one block through the splittings' own
-        ``correct``: it forms no V and no factor of H.  One splitting's step
-        is already one multiply-add, a singular U steps by U#(U x + r), and
-        the dense P of an A applied as CSR would outweigh it (at order 400,
-        30 us a dense product against 7.8 us), so none has P.
-        Forming P costs k - 1 products of A with an n x n block, and one of
-        U^-1 for each dense U: fewer flops than n matrix-free passes.
+        ``correct``: it forms no V and no factor of H.  The first step is
+        U^-1 itself, so one splitting's P is U^-1: a dense U's ``u_sharp``,
+        or a diagonal U's reciprocals on a new diagonal, none of it kept on
+        the splitting.  A singular U steps by U#(U x + r), and the dense P
+        of an A applied as CSR would outweigh it (at order 400, 30 us a
+        dense product against 7.8 us), so neither has P.  Forming P costs
+        k - 1 products of A with an n x n block, and one of U^-1 for each
+        dense U after the first: fewer flops than n matrix-free passes.
+        ``schemes.run`` forms one product more from it, G = I - delta A P
+        or H_delta = I - delta P A, for its formed pass.
         """
         splits, system = self.splits, self.system
-        if (len(splits) == 1 or system.a_op is not system.a
-                or not all(s.u_nonsingular for s in splits)):
+        if system.a_op is not system.a or not all(s.u_nonsingular for s in splits):
             return None
-        a, eye = system.a, np.eye(system.n)
-        p = splits[0].correct(np.zeros_like(eye), eye)
+        a, first = system.a, splits[0]
+        # the first step from x = 0 is U^-1 itself; a diagonal U keeps no dense one
+        p = first.u_sharp if first._recip is None else np.diag(first._recip)
         for s in splits[1:]:
-            p = s.correct(p, eye - a.dot(p))
+            p = s.correct(p, np.eye(system.n) - a.dot(p))
         return _kept(p)
 
     @cached_property

@@ -117,8 +117,9 @@ class TestCriterion3LaplaceOrder1600:
         if not times["three"] < times["two"] < times["single"]:
             print(
                 "\nWARNING: wall-time ordering three < two < single does not "
-                f"hold at order 1600 (got {times}); the per-pass cost of the "
-                "dense sweeps grows with the number of splittings"
+                f"hold at order 1600 (got {times}); each pass applies A's CSR "
+                "operator once per splitting, so its cost grows with the number "
+                "of splittings"
             )
         its = {r.scheme: r.iterations for r in rows}
         report(

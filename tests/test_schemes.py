@@ -204,7 +204,7 @@ class TestRun:
         assert not report.converged and report.iterations == 5
         assert report.status == "max_iterations"
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_max_iterations_on_the_formed_pass(self, k):
         # passes past the order of A are formed
         problem = make_laplace(5)
@@ -216,30 +216,34 @@ class TestRun:
         assert report.status == "max_iterations" and report.iterations == passes
         assert not report.converged
 
-    def test_non_finite_metric_stops_the_run(self):
+    def test_non_finite_metric_stops_the_run(self, matrix_free):
         # alpha = 0.3 gives rho(H) = 5.03: the error norm overflows to inf
         # near pass 220, and the run must stop there, not run on NaN
-        self._overflows(1)
+        self._overflows(1, "error_vs_exact", formed=False)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_non_finite_metric_stops_the_formed_pass(self, k):
-        # rho(H) = 5.03^k: the run overflows sooner, past its matrix-free passes
-        self._overflows(k)
+    @pytest.mark.parametrize("rule", ["residual", "error_vs_exact"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_non_finite_metric_stops_the_formed_pass(self, k, rule):
+        # rho(H) = 5.03^k, past the matrix-free passes: the carried r under
+        # the residual rule, the carried x under the error rule, overflows
+        self._overflows(k, rule)
 
     @staticmethod
-    def _overflows(k):
+    def _overflows(k, rule, formed=True):
         problem = make_laplace(5)
         config = SchemeConfig(
             splittings=[diag_scaling_splitting(problem.A, 0.3)] * k,
-            stop_rule="error_vs_exact",
+            stop_rule=rule,
             max_iterations=10_000,
         )
-        assert (Alternation(config.splittings).pass_matrix is None) == (k == 1)
+        assert (Alternation(config.splittings).pass_matrix is not None) == formed
         with np.errstate(over="ignore", invalid="ignore"):
             report = run(config, problem.b, exact=problem.exact)
         assert report.status == "non_finite" and not report.converged
         assert problem.order < report.iterations < 300
-        assert not np.isfinite(report.final_error)
+        # the norm the rule read overflowed
+        final = report.final_residual if rule == "residual" else report.final_error
+        assert not np.isfinite(final)
 
     def test_converged_is_the_status(self):
         problem = make_laplace(5)
@@ -275,10 +279,13 @@ class TestRun:
 
     @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
     @pytest.mark.parametrize("record_history", [False, True])
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a_is_applied_once_per_formed_pass(self, rule, record_history, k):
-        # the first n passes apply A k times each; forming P reads A but is
-        # no product with a vector, and each later pass applies A once
+        # the first n passes apply A k times each; forming the pass reads A
+        # but is no product with a vector.  A later pass applies A once when
+        # the rule or the history reads r of the carried x, and not at all
+        # when it carries r or reads no r; a carried r costs one product at
+        # the true-residual check that ends the run
         self._count_products(rule, record_history, k, formed=True)
 
     @staticmethod
@@ -293,26 +300,52 @@ class TestRun:
                               record_history=record_history)
         report = run(config, problem.b, exact=problem.exact)
         assert report.converged and report.iterations > problem.order
-        free = problem.order if formed else report.iterations
-        assert counting.calls == 1 + k * free + (report.iterations - free)
+        n, m = problem.order, report.iterations
+        if not formed:
+            expected = 1 + k * m
+        elif record_history or rule == "residual":
+            expected = 1 + k * n + (1 if not record_history else m - n)
+        else:
+            expected = 1 + k * n
+        assert counting.calls == expected
         assert report.final_residual == np.linalg.norm(problem.b - problem.A @ report.final_x)
 
 
-def _run_passes(splits, rule, delta, record_history, passes):
-    config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-300,
+def _run_passes(splits, rule, delta, record_history, passes, tolerance=1e-300):
+    config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=tolerance,
                           max_iterations=passes, delta=delta, record_history=record_history)
     x0 = np.linspace(-1.0, 1.0, LAPLACE_4.order)
     return run(config, LAPLACE_4.b, x0=x0, exact=LAPLACE_4.exact)
 
 
-class TestPassForms:
-    """Runs past n passes, formed by x + P r, against the matrix-free list of steps."""
+FORMS = pytest.mark.parametrize("k, rule, delta, record_history, u_kind", [
+    (k, rule, delta, record_history, u_kind)
+    for k in (1, 2, 3)
+    for rule in ("residual", "error_vs_exact", "successive_diff")
+    for delta in (None, 0.5)
+    for record_history in (False, True)
+    for u_kind in PASS_SPLITS
+])
 
-    @pytest.mark.parametrize("u_kind", list(PASS_SPLITS))
-    @pytest.mark.parametrize("record_history", [False, True])
-    @pytest.mark.parametrize("delta", [None, 0.5])
-    @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
-    @pytest.mark.parametrize("k", [2, 3])
+
+def _assert_runs_agree(got, want):
+    assert (got.iterations, got.status) == (want.iterations, want.status)
+    np.testing.assert_allclose(got.final_x, want.final_x, rtol=0, atol=1e-12)
+    assert got.final_residual == pytest.approx(want.final_residual, rel=0, abs=1e-12)
+    assert got.final_error == pytest.approx(want.final_error, rel=0, abs=1e-12)
+    if want.history is None:
+        assert got.history is None
+    else:
+        np.testing.assert_allclose(np.array(got.history), np.array(want.history),
+                                   rtol=0, atol=1e-12)
+
+
+class TestPassForms:
+    """Runs past n passes, formed as one product a pass, against the
+    matrix-free list of steps.  The formed run carries r <- G r under the
+    residual rule without history, and x <- H_delta x + c otherwise."""
+
+    @FORMS
     def test_formed_and_matrix_free_runs_agree(self, k, rule, delta, record_history, u_kind,
                                                monkeypatch):
         splits = PASS_SPLITS[u_kind][:k]
@@ -322,19 +355,64 @@ class TestPassForms:
         monkeypatch.setattr(Alternation, "pass_matrix", None)
         for p, got in zip(passes, formed):
             want = _run_passes(splits, rule, delta, record_history, p)
-            assert (got.iterations, got.status) == (want.iterations, want.status) == (
-                p, "max_iterations")
-            np.testing.assert_allclose(got.final_x, want.final_x, rtol=0, atol=1e-12)
-            assert got.final_residual == pytest.approx(want.final_residual, rel=0, abs=1e-12)
-            assert got.final_error == pytest.approx(want.final_error, rel=0, abs=1e-12)
-            if record_history:
-                np.testing.assert_allclose(np.array(got.history), np.array(want.history),
-                                           rtol=0, atol=1e-12)
-            else:
-                assert got.history is want.history is None
+            assert (want.iterations, want.status) == (p, "max_iterations")
+            _assert_runs_agree(got, want)
+
+    @FORMS
+    def test_converged_formed_and_matrix_free_runs_agree(self, k, rule, delta, record_history,
+                                                         u_kind, monkeypatch):
+        # the stop rule is met past n passes: a carried r is checked there
+        # against b - A x, and the run stops at the matrix-free run's pass
+        splits = PASS_SPLITS[u_kind][:k]
+        got = _run_passes(splits, rule, delta, record_history, 10_000, tolerance=1e-10)
+        monkeypatch.setattr(Alternation, "pass_matrix", None)
+        want = _run_passes(splits, rule, delta, record_history, 10_000, tolerance=1e-10)
+        assert want.status == "converged" and want.iterations > LAPLACE_4.order
+        _assert_runs_agree(got, want)
+
+    @FORMS
+    @pytest.mark.parametrize("form", ["matrix_free", "formed"])
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-300])
+    def test_final_residual_is_that_of_final_x(self, k, rule, delta, record_history, u_kind,
+                                               form, tolerance, monkeypatch):
+        if form == "matrix_free":
+            monkeypatch.setattr(Alternation, "pass_matrix", None)
+        report = _run_passes(PASS_SPLITS[u_kind][:k], rule, delta, record_history,
+                             LAPLACE_4.order + 40, tolerance=tolerance)
+        assert report.iterations > LAPLACE_4.order
+        assert report.final_residual == np.linalg.norm(LAPLACE_4.b - LAPLACE_4.A @ report.final_x)
+
+    @pytest.mark.parametrize("spoil", ["zero", "half"])
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_carried_residual_that_lies_is_caught(self, k, delta, spoil, monkeypatch):
+        # a spoiled G makes the carried r fall below the tolerance while
+        # b - A x has not: the true-residual check carries on from b - A x,
+        # and the run still returns an x whose residual meets the tolerance
+        splits = PASS_SPLITS["diagonal"][:k]
+        config = SchemeConfig(splittings=splits, tolerance=1e-10, delta=delta)
+        honest = run(config, LAPLACE_4.b)
+        original = altsplit.schemes._formed_pass
+
+        def spoiled(*args):
+            formed = original(*args)
+            m = np.zeros_like(formed.m) if spoil == "zero" else 0.5 * formed.m
+            return formed._replace(m=m)
+
+        monkeypatch.setattr(altsplit.schemes, "_formed_pass", spoiled)
+        report = run(config, LAPLACE_4.b)
+        assert report.converged and report.iterations > LAPLACE_4.order
+        assert report.final_residual < config.tolerance
+        assert report.final_residual == np.linalg.norm(LAPLACE_4.b - LAPLACE_4.A @ report.final_x)
+        if spoil == "zero":
+            # each pass reads 0, so each is checked: the run is the honest one
+            assert report.iterations == honest.iterations
+            np.testing.assert_allclose(report.final_x, honest.final_x, rtol=0, atol=1e-12)
+        else:
+            assert report.iterations > honest.iterations
 
     @pytest.mark.parametrize("u_kind", list(PASS_SPLITS))
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_p_is_formed_only_after_n_passes(self, k, u_kind, monkeypatch):
         # a run too short to repay forming P never forms it
         formed = []
@@ -352,10 +430,14 @@ class TestPassForms:
         _run_passes(splits, "residual", None, False, LAPLACE_4.order + 1)
         assert formed
 
-    @pytest.mark.parametrize("k, form", [(1, "matrix_free"), (2, "matrix_free"),
-                                         (3, "matrix_free"), (2, "formed"), (3, "formed")])
-    def test_sweep_is_called_once_per_pass(self, k, form, monkeypatch):
-        # the benchmark counts passes as calls to schemes.sweep
+    @pytest.mark.parametrize("k, form, rule", [
+        (k, "matrix_free", "residual") for k in (1, 2, 3)
+    ] + [
+        (k, "formed", rule) for k in (1, 2, 3) for rule in ("residual", "successive_diff")
+    ])
+    def test_sweep_is_called_once_per_pass(self, k, form, rule, monkeypatch):
+        # the benchmark counts passes as calls to schemes.sweep; a formed
+        # pass carries r under the residual rule and x under the diff rule
         if form == "matrix_free":
             monkeypatch.setattr(Alternation, "pass_matrix", None)
         calls = []
@@ -367,16 +449,22 @@ class TestPassForms:
 
         monkeypatch.setattr(altsplit.schemes, "sweep", counting)
         splits = PASS_SPLITS["diagonal"][:k]
-        report = run(SchemeConfig(splittings=splits, tolerance=1e-8), LAPLACE_4.b)
+        report = run(SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-8),
+                     LAPLACE_4.b)
         assert report.converged and report.iterations > LAPLACE_4.order
         assert len(calls) == report.iterations
 
-    def test_formed_run_leaves_no_new_array_on_a_splitting(self):
-        # P comes from the splittings' own steps, so no V, U#V or other
-        # factor is kept on a splitting by the run
-        splits = [make_splitting(s.system, s.u) for s in PASS_SPLITS["dense"]]
+    @pytest.mark.parametrize("u_kind", list(PASS_SPLITS))
+    @pytest.mark.parametrize("rule", ["residual", "successive_diff"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_formed_run_leaves_no_new_array_on_a_splitting(self, k, rule, u_kind):
+        # P comes from the splittings' own steps, and G or H from P, so no
+        # V, U#V, dense U^-1 of a diagonal U or other factor is kept on a
+        # splitting by the run
+        splits = [make_splitting(s.system, s.u) for s in PASS_SPLITS[u_kind][:k]]
         before = [dict(vars(s)) for s in splits]
-        report = run(SchemeConfig(splittings=splits, tolerance=1e-8), LAPLACE_4.b)
+        report = run(SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-8),
+                     LAPLACE_4.b)
         assert report.converged and report.iterations > LAPLACE_4.order
         for s, held in zip(splits, before):
             assert vars(s).keys() == held.keys()

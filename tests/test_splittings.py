@@ -453,7 +453,7 @@ class TestAlternation:
         assert h.pairs["B13"].splits == (example_triple[0], example_triple[2])
         assert not Alternation(example_triple[:2]).pairs
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pass_matrix_gives_h(self, k):
         # one pass is x + P (b - A x), so H = I - P A, also for a singular A
         walk = make_random_walk(30)
@@ -475,7 +475,10 @@ class TestAlternation:
         walk = make_random_walk(10)
         splits = [diag_scaling_splitting(walk.A, a) for a in (2.0, 2.5, 3.0)]
         assert Alternation(splits[:2]).pass_matrix is not None
-        assert Alternation(splits[:1]).pass_matrix is None  # one step is one multiply-add
+        # one splitting's P is U^-1, kept dense on the alternation, not the splitting
+        np.testing.assert_array_equal(Alternation(splits[:1]).pass_matrix,
+                                      np.diag(1.0 / np.diag(splits[0].u)))
+        assert "u_sharp" not in vars(splits[0])
         assert not example_triple[0].u_nonsingular
         assert Alternation(example_triple).pass_matrix is None  # a singular U
         n = splittings.CSR_MIN_ORDER
@@ -639,6 +642,21 @@ class TestCachedFactors:
         assert not s.u_nonsingular and report.is_proper
         assert linalg_spy.count("svd", U_EXAMPLE) == 1
         np.testing.assert_allclose(s.u_sharp, group_inverse(U_EXAMPLE), atol=1e-14)
+
+    @pytest.mark.parametrize("u_diag, proper", [
+        ((3.0, 3.0, 0.0), True),     # range(U) = span(e1, e2) = range(A)
+        ((3.0, 3.0, 1.0), False),    # U nonsingular, A not
+        ((3.0, 0.0, 0.0), False),    # null(U) holds e2, null(A) does not
+    ])
+    def test_diagonal_u_is_proper_without_a_factorization(self, linalg_spy, u_diag, proper):
+        # a diagonal U's projectors come from its nonzero entries, and agree
+        # with the ones its factorization gives
+        a = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        u = np.diag(u_diag)
+        s = make_splitting(a, u)
+        assert classify(s).is_proper is proper
+        assert linalg_spy.count("svd", u) == 0 and "u_factored" not in vars(s)
+        assert s.system.shares_range_and_null(u) is proper
 
 
 class TestCompanionMatrix:
