@@ -10,8 +10,8 @@ Methods for Sparse Linear Systems*, 2003, sec. 4.1), the splitting's own
   owner's: CSR for large sparse A, dense otherwise) and one solve with U
   per splitting, k products with A; the residual a run forms for its stop
   rule is the next pass's first correction;
-* formed: v <- M v + c, one n x n product, for the vector v the run
-  carries.
+* formed: v <- M v + c for the vector v the run carries, computed s
+  passes at a time by a window (below).
 
 The first n passes of a run on an order-n A are matrix-free.  Then, when
 its alternation has a pass matrix P (A applied dense, every U
@@ -26,6 +26,21 @@ Vorst and Ye, *SIAM J. Sci. Comput.* 22 (2000) 835-852): the run stops
 if b - A x meets the tolerance too, and goes on from it if not.  Any
 other rule, or the history, reads x, so the run carries v = x, with
 M = H_delta = I - delta P A and c = delta P b.
+
+The window keeps the last s carried vectors as the rows of a block W and
+computes the next s in one product, W (M^s)^T + c_s, where c_s = 0 when
+the run carries r and c_2s = M^s c_s + c_s when it carries x: one BLAS-3
+product in place of s dependent matrix-vector products (the s-step idea of
+Chronopoulos and Gear, *J. Comput. Appl. Math.* 25 (1989) 153-168).  s
+starts at 1 and doubles once every n passes, W <- [W; next block] and
+M^s <- M^s M^s, so squaring never costs more flops than the passes already
+run.  s is at most 64, and no product of the window reaches the 524,288
+multiply-adds from which OpenBLAS threads a product (s is 32 at order 100;
+a squaring above that is done in row chunks).  ``sweep`` stays one call a
+pass and hands out the window's next row.  The run starts the window from
+the vector it carries, and after a failed true-residual check starts it
+again, at s = 1, from the true b - A x.  The sum of the carried r is kept
+once a block.
 
 A run of m passes thus applies A 1 + k*m times matrix-free.  When it forms
 the pass it applies A 1 + k*n times for its first n passes and the final
@@ -52,11 +67,10 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import as_vector
+from .core import _identity_minus, as_vector
 from .splittings import Alternation, Splitting, _check_shared_a, _system
 
 __all__ = [
@@ -118,20 +132,104 @@ class IterationReport:
     converged = property(lambda self: self.status == "converged")
 
 
-class _FormedPass(NamedTuple):
-    """A pass formed once per run: v <- M v + c, with c = None for c = 0."""
+# A window product has fewer multiply-adds than 2 * 4 * 65536, where OpenBLAS
+# gives a matrix product a second thread.  On a 2-vCPU host (OpenBLAS 0.3.31)
+# the (52 x 100)(100 x 100) product ran single-threaded and the 53-row one
+# threaded, at the same 0.69 us a row; a threaded product stalls whenever the
+# other core is busy (6 us a row seen at 64 rows).  So s is at most 32 at
+# order 100, 16 at 150 and 64 up to order 90.
+_WINDOW_CAP = 2 * 4 * 65536 - 1
+# Below order 91 the row limit sets s.  On the same host, against 32 and
+# 128 rows (the least per-pass time of 100 interleaved runs of each walk 10
+# and walk 30 row, residual rule), 32 rows took 0-5% longer a pass and 128
+# rows from 2% less to 0.5% more; 64 rows compute half as many rows past a
+# run's stop.
+_WINDOW_ROWS = 64
 
-    m: np.ndarray
-    c: np.ndarray | None
+
+class _Window:
+    """The formed pass v <- M v + c of one run (c None for c = 0), computed
+    s passes at a time: the block W of the last s carried vectors gives the
+    next s as W (M^s)^T + c_s, and ``step`` hands them out one a pass (see
+    the module docstring for the doubling rule and the cap).  The window
+    holds M, M^s and two s x n blocks; a vector it hands out is a row of a
+    block, valid for s passes.
+
+    ``restart`` starts it, and starts it again after a failed true-residual
+    check, from s = 1.  Carrying r, it keeps the sum of the vectors handed
+    to it since then, once a block.
+    """
+
+    def __init__(self, m, c):
+        n = len(m)
+        self.m, self.c = m, c
+        self._chunk = max(1, _WINDOW_CAP // (n * n))  # rows of one product
+        self._most = min(_WINDOW_ROWS, self._chunk)  # the largest s
+
+    def restart(self, v):
+        """Carry on from v, at s = 1."""
+        n = len(v)
+        self._ms, self._cs = self.m, self.c  # M^s and c_s
+        self._s, self._left = 1, n  # _left: passes until s doubles
+        self._block, self._spare = v[None, :].copy(), np.empty((1, n))
+        self._i = 0
+        self._sum = np.zeros(n) if self.c is None else None
+
+    def step(self):
+        """The carried vector one pass after the last one."""
+        block, i = self._block, self._i + 1
+        if i == self._s:
+            block, i = self._advance(block)
+        self._i = i
+        return block[i]
+
+    def consumed(self):
+        """The sum of the vectors handed to the window since it restarted,
+        when it carries r."""
+        return self._sum + self._block[:self._i].sum(axis=0)
+
+    def _advance(self, block):
+        """The block after the full ``block``, and the index of its first new row."""
+        s, ms, cs = self._s, self._ms, self._cs
+        if self._left <= 0 and 2 * s <= self._most:
+            grown = np.empty((2 * s, block.shape[1]))
+            grown[:s] = block
+            self._next(block, grown[s:])
+            if cs is not None:
+                self._cs = ms.dot(cs) + cs
+            self._ms = self._square(ms)
+            self._s, self._left = 2 * s, len(ms) - s
+            self._block, self._spare = grown, np.empty_like(grown)
+            return grown, s
+        self._left -= s
+        if self._sum is not None:
+            self._sum += block.sum(axis=0)
+        spare = self._spare
+        self._next(block, spare)
+        self._block, self._spare = spare, block
+        return spare, 0
+
+    def _next(self, block, out):
+        """out <- block (M^s)^T + c_s: the s vectors after ``block``'s rows."""
+        np.dot(block, self._ms.T, out=out)
+        if self._cs is not None:
+            out += self._cs
+
+    def _square(self, ms):
+        """M^s M^s, in row chunks of at most _WINDOW_CAP multiply-adds."""
+        squared, chunk = np.empty(ms.shape), self._chunk
+        for j in range(0, len(ms), chunk):
+            np.dot(ms[j:j + chunk], ms, out=squared[j:j + chunk])
+        return squared
 
 
-def _formed_pass(alternation, delta, b, carry_residual) -> _FormedPass | None:
-    """The formed pass of an alternation with a pass matrix P, else None.
+def _window(alternation, delta, b, carry_residual) -> _Window | None:
+    """The window of an alternation with a pass matrix P, else None.
 
-    Carrying r = b - A x it is r <- G r, G = I - delta A P; carrying x it is
-    x <- H_delta x + c, H_delta = I - delta P A and c = delta P b (delta = 1
-    unshifted).  Either costs one n x n matrix product more than P itself,
-    or only a scaling of A for one diagonal U.
+    Carrying r = b - A x its pass is r <- G r, G = I - delta A P; carrying x
+    it is x <- H_delta x + c, H_delta = I - delta P A and c = delta P b
+    (delta = 1 unshifted).  Either costs one n x n matrix product more than
+    P itself, or only a scaling of A for one diagonal U.
     """
     p = alternation.pass_matrix
     if p is None:
@@ -142,16 +240,9 @@ def _formed_pass(alternation, delta, b, carry_residual) -> _FormedPass | None:
     recip = alternation.splits[0]._recip if len(alternation.splits) == 1 else None
     if carry_residual:
         ap = a.dot(p) if recip is None else a * recip
-        return _FormedPass(_identity_minus(d, ap), None)
+        return _Window(_identity_minus(d, ap), None)
     pa = p.dot(a) if recip is None else recip[:, None] * a
-    return _FormedPass(_identity_minus(d, pa), d * p.dot(b))
-
-
-def _identity_minus(d, m):
-    """I - d m, formed in the new array m: bit for bit np.eye(n) - d * m."""
-    m *= -d
-    m.flat[::len(m) + 1] += 1.0
-    return m
+    return _Window(_identity_minus(d, pa), d * p.dot(b))
 
 
 def sweep(splits, x, b, r=None):
@@ -159,13 +250,15 @@ def sweep(splits, x, b, r=None):
 
     ``splits`` is a sequence of splittings or an alternation, whose pass is
     matrix-free, x <- U_i#(V_i x + b) for each splitting in order; ``r``, if
-    given, is b - A x for the ``x`` passed in.  Or it is the formed pass that
-    ``run`` builds, v <- M v + c, one product with M; it reads neither ``b``
-    nor ``r``, and its ``x`` is the vector the run carries, x or r.
+    given, is b - A x for the ``x`` passed in.  Or it is the window that
+    ``run`` builds for its formed pass v <- M v + c: it hands out the next
+    row of its block, and makes a block product once every s passes; it
+    reads neither ``b`` nor ``r``, and its ``x`` is the vector the run
+    carries, x or r, which is the window's last output or the vector it
+    restarted from.
     """
-    if type(splits) is _FormedPass:
-        m, c = splits
-        return m.dot(x) if c is None else m.dot(x) + c
+    if type(splits) is _Window:
+        return splits.step()
     if isinstance(splits, Alternation):
         splits = splits.splits
     matvec = splits[0].system.matvec
@@ -246,27 +339,27 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
                 return i, "non_finite", x, r
         return i, None, x, r
 
-    def carry_r(step, x, r, passes):
+    def carry_r(window, x, r, passes):
         """Formed passes that carry r <- G r; x = x + delta P (sum of the
         carried r) is formed when r meets the tolerance, and its true
         residual b - A x decides, or is carried on.  The r returned is b - A x
         for the x returned, or None."""
-        p, acc = alternation.pass_matrix, np.zeros(n)
+        p = alternation.pass_matrix
         d = 1.0 if config.delta is None else config.delta
         i = passes.start - 1
         for i in passes:
-            acc += r
-            r = sweep(step, r, b)
+            r = sweep(window, r, b)
             metric = math.sqrt(r.dot(r))
             if metric < tol:
-                x, acc = x + d * p.dot(acc), np.zeros(n)
+                x = x + d * p.dot(window.consumed())
                 r = b - matvec(x)
+                window.restart(r)
                 metric = math.sqrt(r.dot(r))
                 if metric < tol:
                     return i, "converged", x, r
             if not math.isfinite(metric):
-                return i, "non_finite", x + d * p.dot(acc), None
-        return i, None, x + d * p.dot(acc), None
+                return i, "non_finite", x + d * p.dot(window.consumed()), None
+        return i, None, x + d * p.dot(window.consumed()), None
 
     last = config.max_iterations
     start = time.perf_counter()
@@ -276,13 +369,16 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
                                        range(1, min(max(n, 1), last) + 1))
     if status is None and iterations < last:
         rest = range(iterations + 1, last + 1)
-        formed = _formed_pass(alternation, config.delta, b, carry_residual)
-        if formed is None:
+        window = _window(alternation, config.delta, b, carry_residual)
+        if window is None:
             iterations, status, x, r = carry_x(alternation.splits, config.delta, x, r, rest)
         elif carry_residual:
-            iterations, status, x, r = carry_r(formed, x, r, rest)
+            window.restart(r)
+            iterations, status, x, r = carry_r(window, x, r, rest)
         else:
-            iterations, status, x, r = carry_x(formed, None, x, r, rest)
+            window.restart(x)
+            iterations, status, x, r = carry_x(window, None, x, r, rest)
+            x = x.copy()  # a row of the window's block
     elapsed = time.perf_counter() - start
 
     if r is None:

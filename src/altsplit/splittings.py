@@ -44,6 +44,7 @@ from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
     _Factored,
+    _identity_minus,
     _kept,
     _spectrum,
     as_square,
@@ -537,8 +538,10 @@ class Alternation(_IterationFacts):
         a, first = system.a, splits[0]
         # the first step from x = 0 is U^-1 itself; a diagonal U keeps no dense one
         p = first.u_sharp if first._recip is None else np.diag(first._recip)
+        # each later step's residual block I - A P, formed in one reused buffer
+        r = np.empty((system.n, system.n))
         for s in splits[1:]:
-            p = s.correct(p, np.eye(system.n) - a.dot(p))
+            p = s.correct(p, _identity_minus(1.0, np.dot(a, p, out=r)))
         return _kept(p)
 
     @cached_property

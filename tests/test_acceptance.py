@@ -151,6 +151,28 @@ class TestCriterion4MarkovTable:
         )
 
 
+class TestPinnedIterationCounts:
+    """The three/two/single iteration counts of the benchmark tables,
+    exactly: how a pass is computed (matrix-free, or formed s passes at a
+    time) may move the iterates by rounding only, never the stopping pass."""
+
+    @pytest.mark.parametrize("bench, size, stop, its", [
+        (bench_markov, 10, "residual", (166, 228, 409)),
+        (bench_markov, 30, "residual", (1330, 1822, 3279)),
+        (bench_markov, 100, "residual", (10577, 14494, 26089)),
+        (bench_markov, 10, "diff", (170, 226, 387)),
+        (bench_markov, 30, "diff", (1360, 1803, 3044)),
+        (bench_laplace, 14, "error", (291, 390, 649)),
+        (bench_laplace, 15, "error", (336, 450, 749)),
+    ])
+    def test_rows(self, bench, size, stop, its):
+        rows = bench(size, stop=stop)
+        assert [r.scheme for r in rows] == ["three", "two", "single"]
+        assert tuple(r.iterations for r in rows) == its
+        assert all(r.converged for r in rows)
+        report(f"PASS pinned counts: {bench.__name__}({size}, stop={stop!r}) IT={its}")
+
+
 class TestCriterion5CompanionSuite:
     def test_hundred_triples(self):
         rng = np.random.default_rng(42)

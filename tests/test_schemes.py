@@ -336,14 +336,169 @@ def _assert_runs_agree(got, want):
     if want.history is None:
         assert got.history is None
     else:
-        np.testing.assert_allclose(np.array(got.history), np.array(want.history),
-                                   rtol=0, atol=1e-12)
+        # an error column of None (no exact solution) reads as NaN in both
+        np.testing.assert_allclose(np.array(got.history, dtype=float),
+                                   np.array(want.history, dtype=float), rtol=0, atol=1e-12)
+
+
+# Splittings whose runs stay above the rounding floor for 8n + 1 passes
+# (rho(H) >= 0.85), so that no run stops at an exactly zero metric.
+WALK_10 = make_random_walk(10)
+WINDOW_CASES = {
+    "laplace-diagonal": [diag_scaling_splitting(LAPLACE_4.A, a) for a in (5.0, 6.0, 7.0)],
+    "laplace-dense": [make_splitting(LAPLACE_4.A, u) for u in
+                      (8 * np.tril(LAPLACE_4.A), 8 * np.triu(LAPLACE_4.A),
+                       12 * np.tril(LAPLACE_4.A))],
+    "walk": [diag_scaling_splitting(WALK_10.A, a) for a in (2.0, 2.5, 3.0)],
+}
+
+
+def _step_formula_pass_matrix(splits):
+    """P as each step after the first forms it from the fresh block np.eye(n) - A P."""
+    first, a = splits[0], splits[0].a
+    p = first.u_sharp if first._recip is None else np.diag(first._recip)
+    for s in splits[1:]:
+        p = s.correct(p, np.eye(len(a)) - a.dot(p))
+    return p
+
+
+class _WindowSpy:
+    """Stands in for ``altsplit.schemes.np``: records the operand shapes of
+    every ``np.dot`` and, after each pass, what the run's window holds."""
+
+    def __init__(self):
+        self.products, self.held, self.rows = [], [], set()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, a, b, out=None):
+        self.products.append((a.shape, b.shape))
+        return np.dot(a, b, out=out)
+
+    def sweep(self, original):
+        def spying(window, v, *args):
+            out = original(window, v, *args)
+            if type(window) is altsplit.schemes._Window:
+                arrays = [x for x in vars(window).values() if isinstance(x, np.ndarray)]
+                self.held.append(sorted(x.shape for x in arrays if x.ndim == 2))
+                self.rows.add(window._block.shape[0])
+            return out
+        return spying
 
 
 class TestPassForms:
     """Runs past n passes, formed as one product a pass, against the
     matrix-free list of steps.  The formed run carries r <- G r under the
     residual rule without history, and x <- H_delta x + c otherwise."""
+
+    @pytest.mark.parametrize("case", list(WINDOW_CASES))
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("rule", ["residual", "successive_diff"])
+    @pytest.mark.parametrize("record_history", [False, True])
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    def test_windowed_and_matrix_free_runs_agree_at_every_stop(self, case, k, rule,
+                                                               record_history, delta,
+                                                               monkeypatch):
+        # s doubles from 1 to 16 (order 9) or 32 (order 10) between passes
+        # n + 1 and 8n + 1; a run stopped at any of them, in any block, is
+        # the matrix-free run
+        splits = WINDOW_CASES[case][:k]
+        assert Alternation(splits).pass_matrix is not None
+        if case == "walk":
+            n, b, x0, exact = 10, np.zeros(10), np.eye(1, 10)[0], None
+        else:
+            n, b, exact = LAPLACE_4.order, LAPLACE_4.b, LAPLACE_4.exact
+            x0 = np.linspace(-1.0, 1.0, n)
+
+        def runs():
+            reports = []
+            for passes in range(n + 1, 8 * n + 2):
+                config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-300,
+                                      max_iterations=passes, delta=delta,
+                                      record_history=record_history)
+                reports.append(run(config, b, x0=x0, exact=exact))
+            return reports
+
+        windowed = runs()
+        monkeypatch.setattr(Alternation, "pass_matrix", None)
+        for got, want in zip(windowed, runs()):
+            _assert_runs_agree(got, want)
+
+    @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_an_overflow_inside_a_block_stops_where_matrix_free_does(self, k, delta, rule,
+                                                                     monkeypatch):
+        # rho(H) = 5.03^k: the carried vector overflows once the window's
+        # blocks have 8 or more rows, at the matrix-free run's pass
+        problem = make_laplace(5)
+        config = SchemeConfig(splittings=[diag_scaling_splitting(problem.A, 0.3)] * k,
+                              stop_rule=rule, max_iterations=10_000, delta=delta)
+        spy = _WindowSpy()
+        monkeypatch.setattr(altsplit.schemes, "sweep", spy.sweep(altsplit.schemes.sweep))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = run(config, problem.b, exact=problem.exact)
+            assert max(spy.rows) >= 8
+            monkeypatch.setattr(Alternation, "pass_matrix", None)
+            want = run(config, problem.b, exact=problem.exact)
+        assert (got.status, got.iterations) == ("non_finite", want.iterations)
+        assert want.status == "non_finite"
+
+    @pytest.mark.parametrize("states, rows", [(100, 32), (150, 16), (30, 64)])
+    @pytest.mark.parametrize("rule", ["residual", "successive_diff"])
+    def test_window_products_stay_under_the_cap(self, states, rows, rule, monkeypatch):
+        # no product of the window reaches the multiply-adds from which
+        # OpenBLAS threads it, so squarings past the cap go in row chunks;
+        # the window holds M, M^s and two s x n blocks
+        problem = make_random_walk(states)
+        splits = [diag_scaling_splitting(problem.A, a) for a in (2.0, 2.5, 3.0)]
+        spy = _WindowSpy()
+        monkeypatch.setattr(altsplit.schemes, "np", spy)
+        monkeypatch.setattr(altsplit.schemes, "sweep", spy.sweep(altsplit.schemes.sweep))
+        report = run(SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-7),
+                     np.zeros(states), x0=np.eye(1, states)[0])
+        assert report.converged and report.iterations > 8 * states
+        assert max(spy.rows) == rows
+        # s reached `rows` by squarings of M, of states^3 multiply-adds each
+        cap = altsplit.schemes._WINDOW_CAP
+        assert cap < 2 * 4 * 65536
+        for a, b in spy.products:
+            assert np.prod(a) * (b[1] if len(b) == 2 else 1) <= cap
+        for held in spy.held:
+            assert held.count((states, states)) <= 2
+            blocks = [shape for shape in held if shape != (states, states)]
+            assert len(blocks) <= 2 and all(r <= 64 and c == states for r, c in blocks)
+
+    @pytest.mark.parametrize("carry", ["r", "x"])
+    def test_a_restarted_window_steps_from_its_new_vector(self, carry):
+        # restart starts again at s = 1 from any vector; every vector handed
+        # out after it, through six doublings, is M v + c of the one before
+        walk = make_random_walk(10)
+        m = np.eye(10) - 0.4 * walk.A
+        c = None if carry == "r" else np.linspace(0.0, 1.0, 10)
+        window = altsplit.schemes._Window(m, c)
+        for v in (np.eye(1, 10)[0], np.full(10, 0.1), np.linspace(-1.0, 1.0, 10)):
+            window.restart(v)
+            assert window._s == 1 and window._ms is m
+            want = v
+            for _ in range(17 * 10):
+                want = m.dot(want) + (0.0 if c is None else c)
+                np.testing.assert_allclose(window.step(), want, rtol=1e-12, atol=1e-14)
+            assert window._s == altsplit.schemes._WINDOW_ROWS == 64
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pass_matrix_is_bitwise_the_step_formula(self, k):
+        # I - A P is formed in one reused buffer, bit for bit the fresh
+        # np.eye(n) - A P of each step
+        walk = make_random_walk(100)
+        cases = [PASS_SPLITS["diagonal"], PASS_SPLITS["dense"],
+                 [diag_scaling_splitting(walk.A, a) for a in (2.0, 2.5, 3.0)],
+                 [make_splitting(walk.A, u) for u in
+                  (np.tril(walk.A), np.triu(walk.A), 1.5 * np.diag(np.diag(walk.A)))]]
+        for splits in cases:
+            got = Alternation(splits[:k]).pass_matrix
+            assert got.tobytes() == _step_formula_pass_matrix(splits[:k]).tobytes()
 
     @FORMS
     def test_formed_and_matrix_free_runs_agree(self, k, rule, delta, record_history, u_kind,
@@ -392,14 +547,14 @@ class TestPassForms:
         splits = PASS_SPLITS["diagonal"][:k]
         config = SchemeConfig(splittings=splits, tolerance=1e-10, delta=delta)
         honest = run(config, LAPLACE_4.b)
-        original = altsplit.schemes._formed_pass
+        original = altsplit.schemes._window
 
         def spoiled(*args):
-            formed = original(*args)
-            m = np.zeros_like(formed.m) if spoil == "zero" else 0.5 * formed.m
-            return formed._replace(m=m)
+            window = original(*args)
+            m = np.zeros_like(window.m) if spoil == "zero" else 0.5 * window.m
+            return altsplit.schemes._Window(m, window.c)
 
-        monkeypatch.setattr(altsplit.schemes, "_formed_pass", spoiled)
+        monkeypatch.setattr(altsplit.schemes, "_window", spoiled)
         report = run(config, LAPLACE_4.b)
         assert report.converged and report.iterations > LAPLACE_4.order
         assert report.final_residual < config.tolerance
