@@ -7,24 +7,28 @@ Methods for Sparse Linear Systems*, 2003, sec. 4.1), the splitting's own
 ``Splitting.correct``.  A pass takes one of two forms:
 
 * matrix-free: one matvec with A's sweep operator (``system.matvec``, its
-  owner's: CSR for large sparse A, dense otherwise) and one solve with U
-  per splitting, k products with A; the residual a run forms for its stop
-  rule is the next pass's first correction;
+  owner's: scipy's CSR kernel for large sparse A, ``ndarray.dot``
+  otherwise) and one solve with U per splitting, k products with A; the
+  residual a run forms for its stop rule is the next pass's first
+  correction;
 * formed: v <- M v + c for the vector v the run carries, computed s
   passes at a time by a window (below).
 
 The first n passes of a run on an order-n A are matrix-free.  Then, when
-its alternation has a pass matrix P (A applied dense, every U
-nonsingular; one splitting's P is U^-1), the run forms M and c once,
-inside its timed span, and its later passes are formed.  The pass is
-affine: x <- x + delta P r, and r <- G r with G = I - delta A P (delta = 1
+its alternation has a pass matrix P (every U nonsingular, and A applied
+dense, or applied as CSR with every U diagonal, when P is sorted CSR; one
+splitting's P is U^-1), the run forms M and c once, inside its timed
+span, and its later passes are formed.  The pass is affine:
+x <- x + delta P r, and r <- G r with G = I - delta A P (delta = 1
 unshifted).  The residual rule without history reads only r, so the run
 carries v = r, with M = G and c = 0, and sums the carried r: x is
 x_n + delta P (r_n + ... + r_(m-1)), formed only when the carried r meets
-the tolerance or the run ends.  That r is then checked against the true b - A x (van der
-Vorst and Ye, *SIAM J. Sci. Comput.* 22 (2000) 835-852): the run stops
-if b - A x meets the tolerance too, and goes on from it if not.  Any
-other rule, or the history, reads x, so the run carries v = x, with
+the tolerance or the run ends.  That r is then checked against the true
+b - A x (van der Vorst and Ye, *SIAM J. Sci. Comput.* 22 (2000) 835-852):
+the run stops if b - A x meets the tolerance too, and goes on from it if
+not.  The closing b - A x of a run that reaches max_iterations is such a
+check too, so its status agrees with its final residual.  Any other rule,
+or the history, reads x, so the run carries v = x, with
 M = H_delta = I - delta P A and c = delta P b.
 
 The window keeps the last s carried vectors as the rows of a block W and
@@ -36,7 +40,10 @@ starts at 1 and doubles once every n passes, W <- [W; next block] and
 M^s <- M^s M^s, so squaring never costs more flops than the passes already
 run.  s is at most 64, and no product of the window reaches the 524,288
 multiply-adds from which OpenBLAS threads a product (s is 32 at order 100;
-a squaring above that is done in row chunks).  ``sweep`` stays one call a
+a squaring above that is done in row chunks).  A CSR M keeps s at 1: its
+pass is one sparse product through the kernel of A's CSR sweep operator,
+which at the paper's orders costs less than the k sparse products and 3k
+vector operations of a matrix-free pass.  ``sweep`` stays one call a
 pass and hands out the window's next row.  The run starts the window from
 the vector it carries, and after a failed true-residual check starts it
 again, at s = 1, from the true b - A x.  The sum of the carried r is kept
@@ -46,13 +53,13 @@ A run of m passes thus applies A 1 + k*m times matrix-free.  When it forms
 the pass it applies A 1 + k*n times for its first n passes and the final
 residual, plus once a later pass when the rule or the history reads the
 residual of a carried x.  A carried r costs one more per true-residual
-check, and one for the final residual if the run does not end at a check.
-Forming P and M costs no more flops than the n passes before it (one
-diagonal U needs no n^3 product at all).  Measured at order 196, runs of at
-most n passes take the same time as runs that never form; 2- and 3-step
-runs have repaid the forming by pass n + 35, and 1-step runs, whose formed
-pass saves only per-pass overhead, pay up to 11% just past n and are even
-by pass 1.5 n.
+check, the closing one included.  Forming a dense P and M costs no more
+flops than the n passes before it (one diagonal U needs no n^3 product at
+all), and a CSR P and M cost k sparse products.  Measured at order 196,
+runs of at most n passes take the same time as runs that never form; 2-
+and 3-step runs have repaid the forming by pass n + 35, and 1-step runs,
+whose formed pass saves only per-pass overhead, pay up to 11% just past n
+and are even by pass 1.5 n.
 
 The iteration matrix itself is only assembled by the diagnostics in
 :mod:`altsplit.splittings` and :mod:`altsplit.analysis`.
@@ -71,7 +78,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _identity_minus, as_vector
-from .splittings import Alternation, Splitting, _check_shared_a, _system
+from .splittings import (
+    Alternation,
+    Splitting,
+    _check_shared_a,
+    _csr_product,
+    _sorted_csr,
+    _system,
+)
 
 __all__ = [
     "SchemeConfig",
@@ -153,7 +167,8 @@ class _Window:
     next s as W (M^s)^T + c_s, and ``step`` hands them out one a pass (see
     the module docstring for the doubling rule and the cap).  The window
     holds M, M^s and two s x n blocks; a vector it hands out is a row of a
-    block, valid for s passes.
+    block, valid for s passes.  A CSR M keeps s at 1: its pass is one
+    product through scipy's CSR kernel (``splittings._csr_product``).
 
     ``restart`` starts it, and starts it again after a failed true-residual
     check, from s = 1.  Carrying r, it keeps the sum of the vectors handed
@@ -161,10 +176,14 @@ class _Window:
     """
 
     def __init__(self, m, c):
-        n = len(m)
+        n = m.shape[0]
         self.m, self.c = m, c
-        self._chunk = max(1, _WINDOW_CAP // (n * n))  # rows of one product
-        self._most = min(_WINDOW_ROWS, self._chunk)  # the largest s
+        if type(m) is np.ndarray:
+            self._chunk = max(1, _WINDOW_CAP // (n * n))  # rows of one product
+            self._most = min(_WINDOW_ROWS, self._chunk)  # the largest s
+            self._product = None
+        else:
+            self._most, self._product = 1, _csr_product(m)
 
     def restart(self, v):
         """Carry on from v, at s = 1."""
@@ -203,7 +222,7 @@ class _Window:
             return grown, s
         self._left -= s
         if self._sum is not None:
-            self._sum += block.sum(axis=0)
+            self._sum += block[0] if s == 1 else block.sum(axis=0)
         spare = self._spare
         self._next(block, spare)
         self._block, self._spare = spare, block
@@ -211,6 +230,10 @@ class _Window:
 
     def _next(self, block, out):
         """out <- block (M^s)^T + c_s: the s vectors after ``block``'s rows."""
+        if self._product is not None:  # CSR M, s = 1: the kernel adds M w to c
+            out[0] = 0.0 if self._cs is None else self._cs
+            self._product(block[0], out[0])
+            return
         np.dot(block, self._ms.T, out=out)
         if self._cs is not None:
             out += self._cs
@@ -229,12 +252,21 @@ def _window(alternation, delta, b, carry_residual) -> _Window | None:
     Carrying r = b - A x its pass is r <- G r, G = I - delta A P; carrying x
     it is x <- H_delta x + c, H_delta = I - delta P A and c = delta P b
     (delta = 1 unshifted).  Either costs one n x n matrix product more than
-    P itself, or only a scaling of A for one diagonal U.
+    P itself, or only a scaling of A for one diagonal U; with a CSR P it is
+    one sparse product, and M is sorted CSR.
     """
     p = alternation.pass_matrix
     if p is None:
         return None
-    a, d = alternation.system.a, 1.0 if delta is None else delta
+    d = 1.0 if delta is None else delta
+    c = None if carry_residual else d * p.dot(b)
+    if type(p) is not np.ndarray:
+        from scipy.sparse import eye_array
+
+        a = alternation.system.a_op
+        m = eye_array(len(b), format="csr") - d * (a @ p if carry_residual else p @ a)
+        return _Window(_sorted_csr(m), c)
+    a = alternation.system.a
     # one diagonal U: P = U^-1 scales A's rows or columns, n^2 flops where
     # a product with P costs n^3
     recip = alternation.splits[0]._recip if len(alternation.splits) == 1 else None
@@ -242,7 +274,7 @@ def _window(alternation, delta, b, carry_residual) -> _Window | None:
         ap = a.dot(p) if recip is None else a * recip
         return _Window(_identity_minus(d, ap), None)
     pa = p.dot(a) if recip is None else recip[:, None] * a
-    return _Window(_identity_minus(d, pa), d * p.dot(b))
+    return _Window(_identity_minus(d, pa), c)
 
 
 def sweep(splits, x, b, r=None):
@@ -342,8 +374,9 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     def carry_r(window, x, r, passes):
         """Formed passes that carry r <- G r; x = x + delta P (sum of the
         carried r) is formed when r meets the tolerance, and its true
-        residual b - A x decides, or is carried on.  The r returned is b - A x
-        for the x returned, or None."""
+        residual b - A x decides, or is carried on.  The run's last pass
+        forms x and b - A x too, and that closing residual is one more
+        check.  The r returned is b - A x for the x returned, or None."""
         p = alternation.pass_matrix
         d = 1.0 if config.delta is None else config.delta
         i = passes.start - 1
@@ -359,7 +392,9 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
                     return i, "converged", x, r
             if not math.isfinite(metric):
                 return i, "non_finite", x + d * p.dot(window.consumed()), None
-        return i, None, x + d * p.dot(window.consumed()), None
+        x = x + d * p.dot(window.consumed())
+        r = b - matvec(x)
+        return i, "converged" if math.sqrt(r.dot(r)) < tol else None, x, r
 
     last = config.max_iterations
     start = time.perf_counter()

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property, reduce
-from types import MappingProxyType
+from types import MappingProxyType, MethodType
 
 import numpy as np
 
@@ -77,14 +77,47 @@ __all__ = [
 
 # Storage rule for A's sweep operator: CSR from order CSR_MIN_ORDER on, with
 # at most CSR_MAX_FILL of the entries nonzero.  Measured matvec times (2-vCPU
-# Xeon, numpy 2.4, scipy 1.17): dense 3.3 us vs CSR 6.2 us at order 100
-# (tridiagonal), 8.9 vs 6.9 us at order 200, 30 vs 7.8 us at order 400
-# (5-point stencil).  At order 400, CSR still wins at 40 nonzeros a row
-# (19.5 vs 23.6 us) and loses at 80 (33.5 vs 27.8 us).  Only an A applied
-# dense gives its alternations a pass matrix (``Alternation.pass_matrix``):
-# a dense P would undo the CSR saving, n^2 entries against A's nonzeros.
+# Xeon, numpy 2.4, scipy 1.17, least of 75 x 500 products), dense
+# ``ndarray.dot`` against CSR through scipy's kernel (``_csr_product``):
+# 1.9 vs 1.3 us at order 100 (tridiagonal), 6.5 vs 1.6 us at order 200,
+# 17-24 vs 2.5 us at order 400 (5-point stencil).  At order 400, CSR still
+# wins at 40 nonzeros a row (10.0 us) and loses at 80 (19.0 us).  CSR would
+# win at order 100 too, but the walk at order 100 stays dense: the walk
+# table's per-pass time rests on the block products of ``schemes._Window``,
+# which a dense pass matrix gives and a CSR one does not.
 CSR_MIN_ORDER = 200
 CSR_MAX_FILL = 0.1
+
+
+def _csr_product(m):
+    """x -> M x for a ``scipy.sparse.csr_array`` M, bound to M as a method is
+    (its ``__self__``).  It calls scipy's ``csr_matvec``, the kernel in which
+    ``M @ x`` ends, into a fresh zero vector: bit for bit ``M @ x`` without
+    its dispatch.  Given ``y``, a contiguous float vector, it adds M x into y
+    instead and returns y.  The kernel reads x without a bound, so any x but
+    a vector of M's column count is a ValueError (``@`` refuses a wrong
+    length too)."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    (rows, cols), indptr, indices, data = m.shape, m.indptr, m.indices, m.data
+    shape = (cols,)
+
+    def product(_, x, y=None):
+        if getattr(x, "shape", None) != shape and np.shape(x) != shape:
+            raise ValueError(f"expected a vector of length {cols}, got shape {np.shape(x)}")
+        if y is None:
+            y = np.zeros(rows)
+        csr_matvec(rows, cols, indptr, indices, data, x, y)
+        return y
+
+    return MethodType(product, m)
+
+
+def _sorted_csr(m):
+    """The CSR array ``m``, its column indices sorted in place (scipy's
+    sparse products leave them unsorted)."""
+    m.sort_indices()
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,15 +135,16 @@ class SystemMatrix:
 
     @cached_property
     def matvec(self):
-        """x -> A x with A's sweep operator: the ``@`` of a
-        ``scipy.sparse.csr_array`` if the rule above says so, else A's bound
-        ``ndarray.dot`` (bit for bit ``@`` without its ufunc dispatch)."""
+        """x -> A x with A's sweep operator: scipy's CSR kernel on a
+        ``scipy.sparse.csr_array`` copy of A if the rule above says so
+        (``_csr_product``), else A's bound ``ndarray.dot``; either is bit for
+        bit ``@`` without its dispatch."""
         n = self.n
         if n < CSR_MIN_ORDER or np.count_nonzero(self.a) > CSR_MAX_FILL * n * n:
             return self.a.dot
         from scipy.sparse import csr_array
 
-        return csr_array(self.a).__matmul__
+        return _csr_product(csr_array(self.a))
 
     # the sweep operator itself: A, or its CSR copy
     a_op = property(lambda self: self.matvec.__self__)
@@ -515,26 +549,43 @@ class Alternation(_IterationFacts):
         return _kept(_product([s.iteration_matrix for s in self.splits]))
 
     @cached_property
-    def pass_matrix(self) -> np.ndarray | None:
-        """P, read-only, for 1 to 3 splittings whose every U is nonsingular,
-        of an A applied dense (``system.a_op is system.a``); else None.
+    def pass_matrix(self):
+        """P, read-only, for 1 to 3 splittings whose every U is nonsingular:
+        dense when A is applied dense (``system.a_op is system.a``), sorted
+        CSR with read-only arrays when A is applied as CSR and every U is
+        diagonal; else None.
 
         Then each step is x + U^-1 r, and column j of P is the pass from
-        x = 0 with b = e_j, taken as one block through the splittings' own
-        ``correct``: it forms no V and no factor of H.  The first step is
-        U^-1 itself, so one splitting's P is U^-1: a dense U's ``u_sharp``,
-        or a diagonal U's reciprocals on a new diagonal, none of it kept on
-        the splitting.  A singular U steps by U#(U x + r), and the dense P
-        of an A applied as CSR would outweigh it (at order 400, 30 us a
-        dense product against 7.8 us), so neither has P.  Forming P costs
-        k - 1 products of A with an n x n block, and one of U^-1 for each
-        dense U after the first: fewer flops than n matrix-free passes.
-        ``schemes.run`` forms one product more from it, G = I - delta A P
-        or H_delta = I - delta P A, for its formed pass.
+        x = 0 with b = e_j.  Dense, it is taken as one block through the
+        splittings' own ``correct``: it forms no V and no factor of H.  The
+        first step is U^-1 itself, so one splitting's P is U^-1: a dense U's
+        ``u_sharp``, or a diagonal U's reciprocals on a new diagonal, none of
+        it kept on the splitting.  Forming a dense P costs k - 1 products of
+        A with an n x n block, and one of U^-1 for each dense U after the
+        first: fewer flops than n matrix-free passes.  With every U_i =
+        diag(d_i) and A CSR, P = diag(r_1), then P <- P + diag(r_i)(I - A P)
+        (r_i = 1/d_i), a sparse polynomial in A with the pattern of A^(k-1)
+        (Saad, 2003, sec. 4.1); a dense U would fill it in, and a singular U
+        steps by U#(U x + r), so neither has P.  ``schemes.run`` forms one
+        product more from it, G = I - delta A P or H_delta = I - delta P A,
+        for its formed pass.
         """
         splits, system = self.splits, self.system
-        if system.a_op is not system.a or not all(s.u_nonsingular for s in splits):
+        if not all(s.u_nonsingular for s in splits):
             return None
+        if system.a_op is not system.a:
+            if any(s._recip is None for s in splits):
+                return None
+            from scipy.sparse import diags_array, eye_array
+
+            a, eye = system.a_op, eye_array(system.n, format="csr")
+            p = diags_array(splits[0]._recip, format="csr")
+            for s in splits[1:]:
+                p = p + diags_array(s._recip) @ (eye - a @ p)
+            p = _sorted_csr(p)
+            for part in (p.data, p.indices, p.indptr):
+                _kept(part)
+            return p
         a, first = system.a, splits[0]
         # the first step from x = 0 is U^-1 itself; a diagonal U keeps no dense one
         p = first.u_sharp if first._recip is None else np.diag(first._recip)

@@ -117,9 +117,10 @@ class TestCriterion3LaplaceOrder1600:
         if not times["three"] < times["two"] < times["single"]:
             print(
                 "\nWARNING: wall-time ordering three < two < single does not "
-                f"hold at order 1600 (got {times}); each pass applies A's CSR "
-                "operator once per splitting, so its cost grows with the number "
-                "of splittings"
+                f"hold at order 1600 (got {times}); past its first 1600 passes "
+                "each pass is one product with a CSR pass matrix whose nonzeros "
+                "grow with the number of splittings (the pattern of A^k), so "
+                "fewer passes do not make a faster row"
             )
         its = {r.scheme: r.iterations for r in rows}
         report(

@@ -216,6 +216,34 @@ class TestRun:
         assert report.status == "max_iterations" and report.iterations == passes
         assert not report.converged
 
+    @pytest.mark.parametrize("passes", [57, 60])
+    def test_a_closing_residual_that_meets_the_tolerance_converges(self, passes):
+        # the carried r never reaches exactly 0, while b - A x does once the
+        # iterate is the exact solution: the run's closing b - A x is a
+        # true-residual check, so its status agrees with final_residual
+        splits = [make_splitting(LAPLACE_4.A, np.tril(LAPLACE_4.A))]
+        assert Alternation(splits).pass_matrix is not None
+        config = SchemeConfig(splittings=splits, tolerance=1e-300, max_iterations=passes)
+        report = run(config, LAPLACE_4.b, x0=np.linspace(-1.0, 1.0, LAPLACE_4.order))
+        assert (report.iterations, report.final_residual) == (passes, 0.0)
+        assert report.status == "converged"
+
+    def test_a_closing_residual_on_the_sparse_formed_pass(self):
+        # order 225, CSR: at pass 1443 the carried r is still above the
+        # tolerance and b - A x is below it; one pass later both are
+        problem = make_laplace(16)
+        splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)]
+        assert Alternation(splits).pass_matrix.format == "csr"
+        tol = 4.57e-14
+        reports = [run(SchemeConfig(splittings=splits, tolerance=tol, max_iterations=passes,
+                                    delta=0.5), problem.b) for passes in (1442, 1443, 10_000)]
+        assert [(r.iterations, r.status) for r in reports] == [
+            (1442, "max_iterations"), (1443, "converged"), (1444, "converged")]
+        a_op = splits[0].system.a_op  # at the rounding floor, the product A was applied by
+        for r in reports:
+            assert r.converged == (r.final_residual < tol)
+            assert r.final_residual == np.linalg.norm(problem.b - a_op @ r.final_x)
+
     def test_non_finite_metric_stops_the_run(self, matrix_free):
         # alpha = 0.3 gives rho(H) = 5.03: the error norm overflows to inf
         # near pass 220, and the run must stop there, not run on NaN
@@ -288,9 +316,17 @@ class TestRun:
         # the true-residual check that ends the run
         self._count_products(rule, record_history, k, formed=True)
 
+    @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
+    @pytest.mark.parametrize("record_history", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_is_applied_once_per_sparse_formed_pass(self, rule, record_history, k):
+        # order 225 is applied as CSR: its formed pass is a product with a
+        # CSR G or H_delta, which applies A no more than a dense one
+        self._count_products(rule, record_history, k, formed=True, grid=16)
+
     @staticmethod
-    def _count_products(rule, record_history, k, formed=False):
-        problem = make_laplace(6)
+    def _count_products(rule, record_history, k, formed=False, grid=6):
+        problem = make_laplace(grid)
         splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)][:k]
         assert (Alternation(splits).pass_matrix is not None) == formed
         system = splits[0].system
@@ -308,7 +344,9 @@ class TestRun:
         else:
             expected = 1 + k * n
         assert counting.calls == expected
-        assert report.final_residual == np.linalg.norm(problem.b - problem.A @ report.final_x)
+        final_x = report.final_x
+        assert report.final_residual == np.linalg.norm(problem.b - system.a_op @ final_x)
+        assert (type(system.a_op) is np.ndarray) == (grid < 15)
 
 
 def _run_passes(splits, rule, delta, record_history, passes, tolerance=1e-300):
@@ -351,6 +389,11 @@ WINDOW_CASES = {
                        12 * np.tril(LAPLACE_4.A))],
     "walk": [diag_scaling_splitting(WALK_10.A, a) for a in (2.0, 2.5, 3.0)],
 }
+
+
+# Order 225 is applied as CSR, and its diagonal-U alternations have a CSR P.
+LAPLACE_16 = make_laplace(16)
+CSR_SPLITS = [diag_scaling_splitting(LAPLACE_16.A, a) for a in (1.0, 1.5, 1.75)]
 
 
 def _step_formula_pass_matrix(splits):
@@ -424,6 +467,55 @@ class TestPassForms:
         monkeypatch.setattr(Alternation, "pass_matrix", None)
         for got, want in zip(windowed, runs()):
             _assert_runs_agree(got, want)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("rule", ["residual", "successive_diff"])
+    @pytest.mark.parametrize("record_history", [False, True])
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    def test_sparse_formed_and_matrix_free_runs_agree(self, k, rule, record_history, delta,
+                                                      monkeypatch):
+        # a CSR A with diagonal U: the formed pass is one product with a
+        # sorted CSR G (carried r) or H_delta (carried x), s stays 1, and a
+        # run stopped at any of passes n + 1 to n + 8 is the matrix-free run
+        splits = CSR_SPLITS[:k]
+        assert Alternation(splits).pass_matrix.format == "csr"
+        n, x0 = LAPLACE_16.order, np.linspace(-1.0, 1.0, LAPLACE_16.order)
+        spy = _WindowSpy()
+
+        def runs():
+            reports = []
+            for passes in range(n + 1, n + 9):
+                config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-300,
+                                      max_iterations=passes, delta=delta,
+                                      record_history=record_history)
+                reports.append(run(config, LAPLACE_16.b, x0=x0, exact=LAPLACE_16.exact))
+            return reports
+
+        with monkeypatch.context() as patched:
+            patched.setattr(altsplit.schemes, "sweep", spy.sweep(altsplit.schemes.sweep))
+            formed = runs()
+        assert spy.rows == {1} and all(held == [(1, n), (1, n)] for held in spy.held)
+        monkeypatch.setattr(Alternation, "pass_matrix", None)
+        for passes, got, want in zip(range(n + 1, n + 9), formed, runs()):
+            assert (want.iterations, want.status) == (passes, "max_iterations")
+            _assert_runs_agree(got, want)
+
+    @pytest.mark.parametrize("carry_residual", [True, False])
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_sparse_window_is_sorted_csr(self, k, delta, carry_residual):
+        # G = I - delta A P or H_delta = I - delta P A, formed by sparse
+        # products, sorted, and equal to the dense formula
+        alternation = Alternation(CSR_SPLITS[:k])
+        window = altsplit.schemes._window(alternation, delta, LAPLACE_16.b, carry_residual)
+        m, p, a, d = window.m, alternation.pass_matrix.toarray(), LAPLACE_16.A, delta or 1.0
+        assert m.format == "csr" and m.has_sorted_indices and window._most == 1
+        want = np.eye(len(a)) - d * (a @ p if carry_residual else p @ a)
+        np.testing.assert_allclose(m.toarray(), want, rtol=0, atol=1e-15)
+        if carry_residual:
+            assert window.c is None
+        else:
+            np.testing.assert_allclose(window.c, d * p @ LAPLACE_16.b, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
     @pytest.mark.parametrize("delta", [None, 0.5])

@@ -471,7 +471,7 @@ class TestAlternation:
         assert all(s._recip is None and s.u_nonsingular for s in h.splits)
         np.testing.assert_allclose(h.pass_matrix, h.induced.u_sharp, rtol=0, atol=1e-10)
 
-    def test_pass_matrix_only_for_dense_a_and_nonsingular_u(self, example_triple):
+    def test_pass_matrix_only_for_nonsingular_u_and_a_dense_or_diagonal_u(self, example_triple):
         walk = make_random_walk(10)
         splits = [diag_scaling_splitting(walk.A, a) for a in (2.0, 2.5, 3.0)]
         assert Alternation(splits[:2]).pass_matrix is not None
@@ -483,8 +483,19 @@ class TestAlternation:
         assert Alternation(example_triple).pass_matrix is None  # a singular U
         n = splittings.CSR_MIN_ORDER
         big = make_random_walk(n)  # applied as CSR
-        assert Alternation([diag_scaling_splitting(big.A, a) for a in (2.0, 2.5)]
-                           ).pass_matrix is None
+        # diagonal U: a sparse P, the dense step formula
+        for k in (1, 2, 3):
+            csr_splits = [diag_scaling_splitting(big.A, a) for a in (2.0, 2.5, 3.0)][:k]
+            sparse_p = Alternation(csr_splits).pass_matrix
+            assert sparse_p.format == "csr" and sparse_p.has_sorted_indices
+            assert not sparse_p.data.flags.writeable
+            want = np.diag(csr_splits[0]._recip)
+            for s in csr_splits[1:]:
+                want = want + s._recip[:, None] * (np.eye(n) - big.A @ want)
+            np.testing.assert_allclose(sparse_p.toarray(), want, rtol=0, atol=1e-15)
+        # a dense U would fill P in
+        assert Alternation([diag_scaling_splitting(big.A, 2.0),
+                            make_splitting(big.A, 2.0 * np.tril(big.A))]).pass_matrix is None
         full = np.random.default_rng(0).uniform(-1, 1, (n, n)) + n * np.eye(n)  # applied dense
         h = Alternation([diag_scaling_splitting(full, a) for a in (1.0, 1.5)])
         assert h.system.a_op is h.system.a

@@ -92,6 +92,94 @@ class TestStorageRule:
             np.linalg.norm(problem.b - problem.A @ x), rel=1e-9)
 
 
+class TestCsrKernel:
+    """The owner's CSR product calls scipy's ``csr_matvec`` kernel, in which
+    ``csr_array @ x`` ends, so it is bit for bit ``@``."""
+
+    @staticmethod
+    def random_csr_owner(n=250, seed=6):
+        # about 2% of the entries nonzero, and every fifth row empty
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((n, n)) < 0.02, rng.standard_normal((n, n)), 0.0)
+        a[::5] = 0.0
+        return altsplit.SystemMatrix(a)
+
+    def test_product_is_bitwise_csr_array_matmul(self):
+        from scipy.sparse import csr_array
+
+        system = self.random_csr_owner()
+        n, rng = system.n, np.random.default_rng(7)
+        assert isinstance(system.a_op, csr_array) and system.matvec.__self__ is system.a_op
+        block = rng.standard_normal((n, 4))
+        window_block = rng.standard_normal((3, n))
+        for x in (rng.standard_normal(n), block[:, 2], np.arange(n) - n // 2, window_block[1]):
+            got, want = system.matvec(x), csr_array(system.a) @ x
+            assert got.dtype == want.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == want.tobytes()
+        assert not np.any(system.matvec(rng.standard_normal(n))[::5])
+
+    def test_product_takes_only_a_vector_of_the_column_count(self):
+        # the kernel reads x without a bound: a short vector would read past
+        # it, so every shape but (n,) is refused, as csr_array's @ refuses a
+        # wrong length; a list is a vector
+        system = self.random_csr_owner()
+        n = system.n
+        for x in (np.ones(n - 1), np.ones(n + 1), np.ones(1), np.ones((n, 1)), np.ones((n, 2))):
+            with pytest.raises(ValueError, match=f"length {n}"):
+                system.matvec(x)
+        x = np.linspace(-1.0, 1.0, n)
+        assert system.matvec(list(x)).tobytes() == system.matvec(x).tobytes()
+
+    def test_product_adds_into_a_given_vector(self):
+        # the formed pass's form: out = c, then the kernel adds M w into it
+        from altsplit.splittings import _csr_product
+
+        system = self.random_csr_owner()
+        x, y = np.ones(system.n), np.linspace(0.0, 1.0, system.n)
+        out = y.copy()
+        assert _csr_product(system.a_op)(x, out) is out
+        np.testing.assert_allclose(out, y + system.a @ x, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
+    def test_rho_is_bitwise_that_of_csr_array_matmul(self, scheme):
+        # the ARPACK rho over the kernel, and over csr_array's own @
+        from scipy.sparse import csr_array
+        from scipy.sparse.linalg import LinearOperator
+
+        problem = make_laplace(21)
+        chosen = [diag_scaling_splitting(problem.A, a) for a in ALPHAS][:SCHEMES[scheme]]
+        m = csr_array(problem.A)
+
+        def matvec(x):
+            x = np.ravel(x)
+            for s in chosen:
+                x = s.correct(x, -(m @ x))
+            return x
+
+        n = problem.order
+        want = spectral_radius(LinearOperator((n, n), matvec=matvec, dtype=float))
+        assert altsplit.cli._rho(chosen) == want
+
+
+def test_laplace_400_table():
+    # iteration counts, final residuals and errors of the order-400 table,
+    # with every pass past the first 400 formed through a CSR P
+    rows = bench_laplace(21)
+    expected = {
+        "three": (672, 4.451113e-08, 9.962942e-07),
+        "two": (902, 4.452580e-08, 9.966226e-07),
+        "single": (1502, 4.462909e-08, 9.989339e-07),
+    }
+    assert [r.scheme for r in rows] == list(expected)
+    for row in rows:
+        iterations, residual, error = expected[row.scheme]
+        assert row.converged and row.iterations == iterations
+        assert row.residual == pytest.approx(residual, rel=1e-5)
+        assert row.error == pytest.approx(error, rel=1e-5)
+        k = SCHEMES[row.scheme]
+        assert row.rho_or_gamma == pytest.approx(closed_form_rho(21, ALPHAS[:k]), abs=1e-12)
+
+
 class TestArpackRho:
     @pytest.mark.parametrize("scheme", list(SCHEMES))
     def test_matches_closed_form(self, laplace_splits, scheme):
