@@ -68,7 +68,6 @@ from .splittings import (
     Alternation,
     SemiconvergenceCertificate,
     Splitting,
-    SystemMatrix,
     _Matrix,
     _alternation,
     classify,
@@ -80,7 +79,6 @@ __all__ = [
     "SEMICONVERGENCE_THEOREMS",
     "is_semiconvergent",
     "power_limit_oracle",
-    "is_m_matrix_with_property_c",
     "verify_convergence_theorem",
     "verify_semiconvergence_theorem",
     "induced_regular_splitting",
@@ -145,11 +143,6 @@ def power_limit_oracle(
         jump = p if 2 * m <= k_max else np.linalg.matrix_power(t, k_max - m)
         p, m = p @ jump, min(2 * m, k_max)
     return None
-
-
-def is_m_matrix_with_property_c(a, tol: ToleranceProfile = DEFAULT_TOL) -> bool:
-    """``SystemMatrix.is_m_matrix_with_property_c`` of a new owner of ``a``."""
-    return SystemMatrix(a, tol).is_m_matrix_with_property_c
 
 
 # ---------------------------------------------------------------------------

@@ -184,16 +184,6 @@ def _kept(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _identity_minus(d: float, m: np.ndarray) -> np.ndarray:
-    """I - d m, formed in m, which the caller gives up: bit for bit
-    np.eye(n) - d * m (0 - y, not -y, keeps the sign of each zero)."""
-    if d != 1.0:
-        m *= d
-    np.subtract(0.0, m, out=m)
-    m.flat[::len(m) + 1] += 1.0
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class _Factored:
     """The thin SVD M = U_r S_r V_r^T of a matrix its caller no longer

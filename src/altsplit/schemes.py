@@ -15,21 +15,24 @@ Methods for Sparse Linear Systems*, 2003, sec. 4.1), the splitting's own
   passes at a time by a window (below).
 
 The first n passes of a run on an order-n A are matrix-free.  Then, when
-its alternation has a pass matrix P (every U nonsingular, and A applied
-dense, or applied as CSR with every U diagonal, when P is sorted CSR; one
-splitting's P is U^-1), the run forms M and c once, inside its timed
-span, and its later passes are formed.  The pass is affine:
-x <- x + delta P r, and r <- G r with G = I - delta A P (delta = 1
-unshifted).  The residual rule without history reads only r, so the run
-carries v = r, with M = G and c = 0, and sums the carried r: x is
+every U is nonsingular and A is applied dense, or applied as CSR with every
+U diagonal, the run forms M and c once, inside its timed span, and its
+later passes are formed.  The pass is affine, x <- H x + P b, and leaves
+the residual r <- G r, G = I - A P; the shifted pass is delta times it
+plus (1 - delta) times the vector (delta = 1 unshifted).  So M is
+delta T + (1 - delta) I, for T the pass run on the columns of I in A's
+storage, dense or sorted CSR (``Alternation._identity_pass``).  P is never
+formed: P v is the matrix-free pass from x = 0 on b = v.  The residual
+rule without history reads only r, so the run carries v = r, with T = G
+and c = 0, and sums the carried r: x is
 x_n + delta P (r_n + ... + r_(m-1)), formed only when the carried r meets
 the tolerance or the run ends.  That r is then checked against the true
 b - A x (van der Vorst and Ye, *SIAM J. Sci. Comput.* 22 (2000) 835-852):
 the run stops if b - A x meets the tolerance too, and goes on from it if
 not.  The closing b - A x of a run that reaches max_iterations is such a
 check too, so its status agrees with its final residual.  Any other rule,
-or the history, reads x, so the run carries v = x, with
-M = H_delta = I - delta P A and c = delta P b.
+or the history, reads x, so the run carries v = x, with T = H and
+c = delta P b.
 
 The window keeps the last s carried vectors as the rows of a block W and
 computes the next s in one product, W (M^s)^T + c_s, where c_s = 0 when
@@ -51,18 +54,19 @@ once a block.
 
 A run of m passes thus applies A 1 + k*m times matrix-free.  When it forms
 the pass it applies A 1 + k*n times for its first n passes and the final
-residual, plus once a later pass when the rule or the history reads the
-residual of a carried x.  A carried r costs one more per true-residual
-check, the closing one included.  Forming a dense P and M costs no more
-flops than the n passes before it (one diagonal U needs no n^3 product at
-all), and a CSR P and M cost k sparse products.  Measured at order 196,
-runs of at most n passes take the same time as runs that never form; 2-
-and 3-step runs have repaid the forming by pass n + 35, and 1-step runs,
-whose formed pass saves only per-pass overhead, pay up to 11% just past n
-and are even by pass 1.5 n.
+residual.  A carried x adds k - 1 for c = delta P b, and one a later pass
+when the rule or the history reads its residual.  A carried r adds k a
+true-residual check, the closing one included: k - 1 for P and one for
+b - A x.  Forming M costs k - 1 products of A with an n x n block for a
+carried x (H's first step, correct(I, -A), needs none) and k for a carried
+r, dense or CSR: no more flops than the n passes before it.  Measured at
+order 196, runs of at most n passes take the same time as runs that never
+form; 2- and 3-step runs have repaid the forming by pass n + 35, and
+1-step runs, whose formed pass saves only per-pass overhead, pay up to 11%
+just past n and are even by pass 1.5 n.
 
-The iteration matrix itself is only assembled by the diagnostics in
-:mod:`altsplit.splittings` and :mod:`altsplit.analysis`.
+The diagnostics in :mod:`altsplit.splittings` and :mod:`altsplit.analysis`
+read H from the same routine, dense.
 
 A run stops at the first non-finite stop metric and reports it as not
 converged (status ``non_finite``), rather than iterating on overflowed or
@@ -77,13 +81,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _identity_minus, as_vector
+from .core import as_vector
 from .splittings import (
     Alternation,
     Splitting,
     _check_shared_a,
     _csr_product,
-    _sorted_csr,
     _system,
 )
 
@@ -247,34 +250,32 @@ class _Window:
 
 
 def _window(alternation, delta, b, carry_residual) -> _Window | None:
-    """The window of an alternation with a pass matrix P, else None.
+    """The window of the run's formed pass, or None when it has none.
 
-    Carrying r = b - A x its pass is r <- G r, G = I - delta A P; carrying x
-    it is x <- H_delta x + c, H_delta = I - delta P A and c = delta P b
-    (delta = 1 unshifted).  Either costs one n x n matrix product more than
-    P itself, or only a scaling of A for one diagonal U; with a CSR P it is
-    one sparse product, and M is sorted CSR.
+    A pass is formed when every U is nonsingular and A is applied dense, or
+    applied as CSR with every U diagonal.  Its M is the shifted pass on I in
+    A's storage (``Alternation._identity_pass``), delta T + (1 - delta) I
+    (delta = 1 unshifted): T = G = I - A P when the run carries r = b - A x,
+    with c = 0, and T = H when it carries x, with c = delta P b.
     """
-    p = alternation.pass_matrix
-    if p is None:
+    system, splits = alternation.system, alternation.splits
+    sparse = system.a_op is not system.a
+    if not all(s.u_nonsingular and (s._recip is not None or not sparse) for s in splits):
         return None
-    d = 1.0 if delta is None else delta
-    c = None if carry_residual else d * p.dot(b)
-    if type(p) is not np.ndarray:
-        from scipy.sparse import eye_array
+    m = alternation._identity_pass(carry_residual, sparse, delta)
+    c = None if carry_residual else (1.0 if delta is None else delta) * _from_zero(splits, b)
+    return _Window(m, c)
 
-        a = alternation.system.a_op
-        m = eye_array(len(b), format="csr") - d * (a @ p if carry_residual else p @ a)
-        return _Window(_sorted_csr(m), c)
-    a = alternation.system.a
-    # one diagonal U: P = U^-1 scales A's rows or columns, n^2 flops where
-    # a product with P costs n^3
-    recip = alternation.splits[0]._recip if len(alternation.splits) == 1 else None
-    if carry_residual:
-        ap = a.dot(p) if recip is None else a * recip
-        return _Window(_identity_minus(d, ap), None)
-    pa = p.dot(a) if recip is None else recip[:, None] * a
-    return _Window(_identity_minus(d, pa), c)
+
+def _from_zero(splits, v):
+    """P v: the matrix-free pass from x = 0 with b = v, whose first residual
+    is v itself, so it applies A k - 1 times.  It is not ``sweep``, which is
+    one call a pass."""
+    matvec = splits[0].system.matvec
+    x = splits[0].correct(0.0, v)
+    for s in splits[1:]:
+        x = s.correct(x, v - matvec(x))
+    return x
 
 
 def sweep(splits, x, b, r=None):
@@ -377,22 +378,25 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
         residual b - A x decides, or is carried on.  The run's last pass
         forms x and b - A x too, and that closing residual is one more
         check.  The r returned is b - A x for the x returned, or None."""
-        p = alternation.pass_matrix
         d = 1.0 if config.delta is None else config.delta
+
+        def moved(x):  # x + delta P (the sum of the carried r)
+            return x + d * _from_zero(alternation.splits, window.consumed())
+
         i = passes.start - 1
         for i in passes:
             r = sweep(window, r, b)
             metric = math.sqrt(r.dot(r))
             if metric < tol:
-                x = x + d * p.dot(window.consumed())
+                x = moved(x)
                 r = b - matvec(x)
                 window.restart(r)
                 metric = math.sqrt(r.dot(r))
                 if metric < tol:
                     return i, "converged", x, r
             if not math.isfinite(metric):
-                return i, "non_finite", x + d * p.dot(window.consumed()), None
-        x = x + d * p.dot(window.consumed())
+                return i, "non_finite", moved(x), None
+        x = moved(x)
         r = b - matvec(x)
         return i, "converged" if math.sqrt(r.dot(r)) < tol else None, x, r
 

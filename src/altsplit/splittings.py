@@ -44,7 +44,6 @@ from .core import (
     DEFAULT_TOL,
     ToleranceProfile,
     _Factored,
-    _identity_minus,
     _kept,
     _spectrum,
     as_square,
@@ -54,7 +53,6 @@ from .errors import (
     IndexGreaterThanOneError,
     MismatchedSplittingError,
     RangeNullConditionError,
-    SingularIminusHError,
     ZeroDiagonalError,
 )
 
@@ -69,7 +67,6 @@ __all__ = [
     "classify",
     "alternating_iteration_matrix",
     "companion_matrix",
-    "induced_splitting",
     "b_sharp_closed_form",
     "diag_scaling_splitting",
 ]
@@ -113,11 +110,13 @@ def _csr_product(m):
     return MethodType(product, m)
 
 
-def _sorted_csr(m):
-    """The CSR array ``m``, its column indices sorted in place (scipy's
-    sparse products leave them unsorted)."""
-    m.sort_indices()
-    return m
+def _scaled_rows(d, m):
+    """diag(d) m as a new block: dense, or CSR on m's index arrays, with new
+    data (scipy's ``d[:, None] * m`` would return COO)."""
+    if type(m) is np.ndarray:
+        return d[:, None] * m
+    return type(m)((np.repeat(d, np.diff(m.indptr)) * m.data, m.indices, m.indptr),
+                   shape=m.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,21 +311,20 @@ class Splitting(_IterationFacts):
             if self.u_nonsingular and rhs.ndim == 2:
                 return np.linalg.solve(self.u, rhs)
             return self.u_sharp @ rhs
-        if rhs.ndim == 1:
-            return self._recip * rhs
-        return self._recip[:, None] * rhs
+        return self._recip * rhs if rhs.ndim == 1 else _scaled_rows(self._recip, rhs)
 
     def correct(self, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         """x + U^-1 r, or U#(U x + r) when U is singular.
 
         With r = b - A x and A = U - V this is U#(V x + b) for every x,
         the splitting's step, formed without V.  ``x`` and ``r`` are vectors
-        or blocks of column vectors.
+        or blocks of column vectors; with a diagonal nonsingular U, blocks
+        may be CSR arrays.
         """
         if not self.u_nonsingular:
             return self.solve(self.u.dot(x) + r)
         if self._recip is not None:
-            return x + (self._recip * r if r.ndim == 1 else self._recip[:, None] * r)
+            return x + (self._recip * r if r.ndim == 1 else _scaled_rows(self._recip, r))
         return x + self.u_sharp.dot(r)
 
     def right_apply(self, b: np.ndarray) -> np.ndarray:
@@ -511,9 +509,13 @@ def _check_shared_a(splits):
     return system
 
 
-def _product(factors) -> np.ndarray:
-    """factors[-1] @ ... @ factors[0]: the first factor is applied first."""
-    return reduce(lambda h, t: t @ h, factors)
+def _x_steps(splits, x, product):
+    """U_k#V_k ... U_1#V_1 x, each factor the splitting's step from b = 0,
+    ``correct(x, -(A x))``, with A applied by ``product``: H x for a
+    vector or a block x, and no V formed."""
+    for s in splits:
+        x = s.correct(x, -product(x))
+    return x
 
 
 # The two-step sub-alternations of [K-L, U-V, X-Y], by the splittings they take.
@@ -525,12 +527,14 @@ class Alternation(_IterationFacts):
     """1 to 3 splittings of one A, first applied first, and the facts of
     their alternating iteration matrix H, each formed on first use, once.
 
-    One pass of the splittings' steps is x <- x + P (b - A x) for the pass
-    matrix P, with H = I - P A, and P = B^-1 = (I - H) A^-1 of the induced
-    splitting when A is nonsingular.  ``pass_matrix`` is P where a pass is
-    cheaper as one product; ``schemes.run`` forms it only after its first
-    n passes, and from it the matrix of its formed pass.  Construction runs the one shared-A check, which gives
-    the owner of A, ``system``.  Alternations compare and hash by identity.
+    One pass of the splittings' steps is affine, x <- H x + P b, and leaves
+    the residual r <- G r, G = I - A P, when every U is nonsingular; P =
+    B^-1 = (I - H) A^-1 of the induced splitting when A is nonsingular.
+    ``_identity_pass`` runs the steps on the columns of I, and gives H or
+    G: the diagnostics read H from it, and ``schemes.run`` its formed pass
+    M = delta T + (1 - delta) I, T = G or H.  Construction runs the one
+    shared-A check, which gives the owner of A, ``system``.  Alternations
+    compare and hash by identity.
     """
 
     splits: tuple[Splitting, ...]
@@ -543,57 +547,44 @@ class Alternation(_IterationFacts):
 
     @cached_property
     def iteration_matrix(self) -> np.ndarray:
-        """H = (X#Y)(U#V)(K#L) for [K-L, U-V, X-Y], read-only; ordinary
-        inverses replace group inverses wherever U is nonsingular.  One
-        splitting's H is its own U#V."""
-        return _kept(_product([s.iteration_matrix for s in self.splits]))
+        """H = (X#Y)(U#V)(K#L) for [K-L, U-V, X-Y], read-only and dense;
+        ordinary inverses replace group inverses wherever U is nonsingular."""
+        return _kept(self._identity_pass(residual=False))
 
-    @cached_property
-    def pass_matrix(self):
-        """P, read-only, for 1 to 3 splittings whose every U is nonsingular:
-        dense when A is applied dense (``system.a_op is system.a``), sorted
-        CSR with read-only arrays when A is applied as CSR and every U is
-        diagonal; else None.
+    def _identity_pass(self, residual: bool, sparse: bool = False, delta: float | None = None):
+        """The pass run on the columns of I, as a new array: H, or G = I - A P
+        when ``residual``, shifted to delta T + (1 - delta) I when ``delta``
+        is given.  Dense, or with ``sparse`` sorted CSR over A's CSR sweep
+        operator, which needs every U diagonal and nonsingular.
 
-        Then each step is x + U^-1 r, and column j of P is the pass from
-        x = 0 with b = e_j.  Dense, it is taken as one block through the
-        splittings' own ``correct``: it forms no V and no factor of H.  The
-        first step is U^-1 itself, so one splitting's P is U^-1: a dense U's
-        ``u_sharp``, or a diagonal U's reciprocals on a new diagonal, none of
-        it kept on the splitting.  Forming a dense P costs k - 1 products of
-        A with an n x n block, and one of U^-1 for each dense U after the
-        first: fewer flops than n matrix-free passes.  With every U_i =
-        diag(d_i) and A CSR, P = diag(r_1), then P <- P + diag(r_i)(I - A P)
-        (r_i = 1/d_i), a sparse polynomial in A with the pattern of A^(k-1)
-        (Saad, 2003, sec. 4.1); a dense U would fill it in, and a singular U
-        steps by U#(U x + r), so neither has P.  ``schemes.run`` forms one
-        product more from it, G = I - delta A P or H_delta = I - delta P A,
-        for its formed pass.
+        Every column is the splittings' own ``correct`` steps (Saad, 2003,
+        sec. 4.1), so no V and no factor of H is formed.  The x side,
+        X <- correct(X, -A X) from X = I (``_x_steps``), is the pass on
+        b = 0, H; its first step, correct(I, -A), needs no product, so it
+        costs k - 1 products of A with a block.  The r side,
+        R <- R - A correct(0, R) from R = I, is the residual a pass leaves
+        when every U is nonsingular, G, in k products.
         """
-        splits, system = self.splits, self.system
-        if not all(s.u_nonsingular for s in splits):
-            return None
-        if system.a_op is not system.a:
-            if any(s._recip is None for s in splits):
-                return None
-            from scipy.sparse import diags_array, eye_array
+        system = self.system
+        a = system.a_op if sparse else system.a
+        if sparse:
+            from scipy.sparse import eye_array
 
-            a, eye = system.a_op, eye_array(system.n, format="csr")
-            p = diags_array(splits[0]._recip, format="csr")
-            for s in splits[1:]:
-                p = p + diags_array(s._recip) @ (eye - a @ p)
-            p = _sorted_csr(p)
-            for part in (p.data, p.indices, p.indptr):
-                _kept(part)
-            return p
-        a, first = system.a, splits[0]
-        # the first step from x = 0 is U^-1 itself; a diagonal U keeps no dense one
-        p = first.u_sharp if first._recip is None else np.diag(first._recip)
-        # each later step's residual block I - A P, formed in one reused buffer
-        r = np.empty((system.n, system.n))
-        for s in splits[1:]:
-            p = s.correct(p, _identity_minus(1.0, np.dot(a, p, out=r)))
-        return _kept(p)
+            eye = eye_array(system.n, format="csr")
+        else:
+            eye = np.eye(system.n)
+        if residual:
+            t = eye
+            for s in self.splits:
+                t = t - a @ s.correct(0.0, t)
+        else:
+            first = self.splits[0]
+            t = _x_steps(self.splits[1:], first.correct(eye, -a), a.dot)
+        if delta is not None:
+            t = delta * t + (1.0 - delta) * eye
+        if sparse:
+            t.sort_indices()
+        return t
 
     @cached_property
     def middle(self) -> np.ndarray:
@@ -653,23 +644,17 @@ def alternating_iteration_matrix(splits) -> np.ndarray:
 def _iteration_operator(splits):
     """Matrix-free alternating iteration matrix x -> U_k#(V_k(...U_1#(V_1 x))).
 
-    A ``scipy.sparse.linalg.LinearOperator`` over A's sweep operator: each
-    factor is ``correct(x, -(A x))``, which is U#V x, so no V is formed.
-    It applies the factors itself rather than through ``schemes.sweep``,
-    so it adds no sweep passes.
+    A ``scipy.sparse.linalg.LinearOperator`` over A's sweep operator whose
+    matvec is ``_x_steps`` on a vector, the x side of
+    ``Alternation._identity_pass``, so no V is formed.  It applies the
+    factors itself rather than through ``schemes.sweep``, so it adds no
+    sweep passes.
     """
     from scipy.sparse.linalg import LinearOperator
 
-    apply_a = splits[0].system.matvec
-
-    def matvec(x):
-        x = np.ravel(x)
-        for s in splits:
-            x = s.correct(x, -apply_a(x))
-        return x
-
-    n = splits[0].n
-    return LinearOperator((n, n), matvec=matvec, dtype=float)
+    product, n = splits[0].system.matvec, splits[0].n
+    return LinearOperator((n, n), matvec=lambda x: _x_steps(splits, np.ravel(x), product),
+                          dtype=float)
 
 
 def companion_matrix(splits) -> np.ndarray:
@@ -678,27 +663,8 @@ def companion_matrix(splits) -> np.ndarray:
     Shares its spectral radius with the alternating iteration matrix and is
     the nonnegativity carrier in the type-II convergence arguments.
     """
-    return _product([s.reversed_iteration_matrix for s in _alternation(splits).splits])
-
-
-def induced_splitting(a, h) -> Splitting:
-    """The unique splitting A = B - C with B#C = H, where B = A (I - H)^-1,
-    of ``a`` (an array or its owner).
-
-    Raises
-    ------
-    SingularIminusHError
-        If I - H is singular at ``rank_tol``.
-    """
-    system = _system(a)
-    h = as_square(h)
-    if system.a.shape != h.shape:
-        raise DimensionMismatchError("A and H must have the same shape")
-    imh = np.eye(h.shape[0]) - h
-    if not _Factored(imh, system.tol.rank_tol).nonsingular:
-        raise SingularIminusHError("I - H is singular; no induced splitting")
-    b = np.linalg.solve(imh.T, system.a.T).T
-    return make_splitting(system, b)
+    factors = [s.reversed_iteration_matrix for s in _alternation(splits).splits]
+    return reduce(lambda h, t: t @ h, factors)
 
 
 def b_sharp_closed_form(splits) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Shared fixtures: the worked 3x3 singular example used across suites, and
-a spy on the LAPACK calls that decide the facts of a matrix.
+"""Shared fixtures: the worked 3x3 singular example used across suites, a
+spy on the LAPACK calls that decide the facts of a matrix, and two dense
+references: the induced splitting B = A (I - H)^-1 and the pass matrix P.
 
 A is a rank-2 index-1 matrix whose group inverse is known exactly, with
 three proper splittings whose alternating iteration matrix has spectral
@@ -9,7 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from altsplit import make_splitting
+from altsplit import (
+    DimensionMismatchError,
+    SingularIminusHError,
+    SystemMatrix,
+    make_splitting,
+    rank,
+)
+from altsplit.core import as_square
 
 # Property tests draw the same examples on every run and write no example
 # database into the checkout; no deadline, since the host may be shared.
@@ -91,3 +99,33 @@ class LinalgSpy:
 @pytest.fixture
 def linalg_spy(monkeypatch):
     return LinalgSpy(monkeypatch)
+
+
+def induced_splitting(a, h):
+    """The reference for ``Alternation.induced``: the unique splitting
+    A = B - C with B#C = H, B = A (I - H)^-1, of ``a`` (an array or its
+    owner).  The library forms B as U_first M# U_last instead, which exists
+    for singular A too.
+
+    Raises SingularIminusHError if I - H is singular at the owner's
+    ``rank_tol``, and DimensionMismatchError if H is not of A's shape.
+    """
+    system = a if isinstance(a, SystemMatrix) else SystemMatrix(a)
+    h = as_square(h)
+    if system.a.shape != h.shape:
+        raise DimensionMismatchError("A and H must have the same shape")
+    imh = np.eye(h.shape[0]) - h
+    if rank(imh, system.tol) < h.shape[0]:
+        raise SingularIminusHError("I - H is singular; no induced splitting")
+    return make_splitting(system, np.linalg.solve(imh.T, system.a.T).T)
+
+
+def pass_from_zero(splits):
+    """P, the pass from x = 0 on the columns of I (b = I): the first step is
+    U^-1 itself, and each later one corrects the block by its fresh residual
+    I - A P.  One pass is x + P (b - A x) when every U is nonsingular."""
+    first, a = splits[0], splits[0].a
+    p = first.u_sharp if first._recip is None else np.diag(first._recip)
+    for s in splits[1:]:
+        p = s.correct(p, np.eye(len(a)) - a.dot(p))
+    return p

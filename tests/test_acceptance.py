@@ -18,7 +18,6 @@ from altsplit import (
     companion_matrix,
     diag_scaling_splitting,
     group_inverse,
-    induced_splitting,
     is_semiconvergent,
     make_random_walk,
     make_splitting,
@@ -36,7 +35,14 @@ from altsplit.generators import (
     random_semiconvergence_case,
     random_singular_m_matrix_triple,
 )
-from conftest import A_EXAMPLE, A_SHARP_EXPECTED, K_EXAMPLE, U_EXAMPLE, X_EXAMPLE
+from conftest import (
+    A_EXAMPLE,
+    A_SHARP_EXPECTED,
+    K_EXAMPLE,
+    U_EXAMPLE,
+    X_EXAMPLE,
+    induced_splitting,
+)
 
 
 def report(line):

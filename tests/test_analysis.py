@@ -11,13 +11,13 @@ from altsplit import (
     ClassificationError,
     MissingDeltaError,
     NonsingularHypothesisError,
+    SystemMatrix,
     ToleranceProfile,
     UnknownTheoremError,
     alternating_iteration_matrix,
     classify,
     diag_scaling_splitting,
     induced_regular_splitting,
-    is_m_matrix_with_property_c,
     is_semiconvergent,
     make_random_walk,
     make_splitting,
@@ -187,21 +187,21 @@ class TestPowerLimitOracle:
 class TestPropertyC:
     def test_walk_matrix_has_property_c(self):
         walk = make_random_walk(10)
-        assert is_m_matrix_with_property_c(walk.A)
+        assert SystemMatrix(walk.A).is_m_matrix_with_property_c
 
     def test_positive_off_diagonal_rejected(self):
-        assert not is_m_matrix_with_property_c(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        assert not SystemMatrix(np.array([[1.0, 2.0], [0.0, 1.0]])).is_m_matrix_with_property_c
 
     def test_zero_matrix(self):
-        assert is_m_matrix_with_property_c(np.zeros((3, 3)))
+        assert SystemMatrix(np.zeros((3, 3))).is_m_matrix_with_property_c
 
     def test_index_two_m_matrix_lacks_property_c(self):
         # A = [[0, -1], [0, 0]] is a singular M-matrix with index 2
-        assert not is_m_matrix_with_property_c(np.array([[0.0, -1.0], [0.0, 0.0]]))
+        assert not SystemMatrix(np.array([[0.0, -1.0], [0.0, 0.0]])).is_m_matrix_with_property_c
 
     def test_nonsingular_m_matrix(self):
         a = 3.0 * np.eye(3) - RNG.uniform(0.0, 1.0, (3, 3))
-        assert is_m_matrix_with_property_c(a)
+        assert SystemMatrix(a).is_m_matrix_with_property_c
 
 
 class TestConvergenceVerifiers:

@@ -5,10 +5,10 @@ import pytest
 import altsplit.problems
 from altsplit import (
     MatrixMarketError,
+    SystemMatrix,
     UnsupportedFieldError,
     diag_scaling_splitting,
     exact_solution,
-    is_m_matrix_with_property_c,
     make_laplace,
     make_random_walk,
     read_matrix_market,
@@ -95,7 +95,7 @@ class TestRandomWalk:
         walk = make_random_walk(8)
         off = walk.A - np.diag(np.diag(walk.A))
         assert np.max(off) <= 0.0
-        assert is_m_matrix_with_property_c(walk.A)
+        assert SystemMatrix(walk.A).is_m_matrix_with_property_c
 
     def test_stationary_vector_direction(self):
         # null-space solve: stationary weights are (1/2, 1, ..., 1, 1/2)

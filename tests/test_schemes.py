@@ -16,7 +16,7 @@ from altsplit import (
     sweep,
 )
 from altsplit.generators import random_index_one, random_proper_triple
-from conftest import A_EXAMPLE, A_SHARP_EXPECTED
+from conftest import A_EXAMPLE, A_SHARP_EXPECTED, pass_from_zero
 
 RNG = np.random.default_rng(90125)
 PROPER_SEEDS = range(6)
@@ -62,10 +62,23 @@ class CountingProduct:
         return self.matvec(x)
 
 
+def no_window(*args):
+    """Stands in for ``altsplit.schemes._window``: no run forms its pass."""
+    return None
+
+
 @pytest.fixture
 def matrix_free(monkeypatch):
-    """Every alternation lacks a pass matrix, so each pass steps through its splittings."""
-    monkeypatch.setattr(Alternation, "pass_matrix", None)
+    """No run forms its pass, so each pass steps through its splittings."""
+    monkeypatch.setattr(altsplit.schemes, "_window", no_window)
+
+
+def formed_pass(splits, carry_residual=True):
+    """M of the formed pass that a run of ``splits`` carrying r (or x) uses
+    after its first n passes, or None when it forms none."""
+    window = altsplit.schemes._window(Alternation(splits), None, np.zeros(splits[0].n),
+                                      carry_residual)
+    return None if window is None else window.m
 
 
 LAPLACE_4 = make_laplace(4)
@@ -209,7 +222,7 @@ class TestRun:
         # passes past the order of A are formed
         problem = make_laplace(5)
         splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)][:k]
-        assert Alternation(splits).pass_matrix is not None
+        assert formed_pass(splits) is not None
         passes = problem.order + 5
         config = SchemeConfig(splittings=splits, tolerance=1e-16, max_iterations=passes)
         report = run(config, problem.b)
@@ -222,7 +235,7 @@ class TestRun:
         # iterate is the exact solution: the run's closing b - A x is a
         # true-residual check, so its status agrees with final_residual
         splits = [make_splitting(LAPLACE_4.A, np.tril(LAPLACE_4.A))]
-        assert Alternation(splits).pass_matrix is not None
+        assert formed_pass(splits) is not None
         config = SchemeConfig(splittings=splits, tolerance=1e-300, max_iterations=passes)
         report = run(config, LAPLACE_4.b, x0=np.linspace(-1.0, 1.0, LAPLACE_4.order))
         assert (report.iterations, report.final_residual) == (passes, 0.0)
@@ -230,11 +243,13 @@ class TestRun:
 
     def test_a_closing_residual_on_the_sparse_formed_pass(self):
         # order 225, CSR: at pass 1443 the carried r is still above the
-        # tolerance and b - A x is below it; one pass later both are
+        # tolerance and b - A x (4.576e-14) is below it; one pass later both
+        # are.  The tolerance sits between the closing residuals of passes
+        # 1443 and 1442 (4.699e-14)
         problem = make_laplace(16)
         splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)]
-        assert Alternation(splits).pass_matrix.format == "csr"
-        tol = 4.57e-14
+        assert formed_pass(splits).format == "csr"
+        tol = 4.58e-14
         reports = [run(SchemeConfig(splittings=splits, tolerance=tol, max_iterations=passes,
                                     delta=0.5), problem.b) for passes in (1442, 1443, 10_000)]
         assert [(r.iterations, r.status) for r in reports] == [
@@ -264,7 +279,7 @@ class TestRun:
             stop_rule=rule,
             max_iterations=10_000,
         )
-        assert (Alternation(config.splittings).pass_matrix is not None) == formed
+        assert (formed_pass(config.splittings) is not None) == formed
         with np.errstate(over="ignore", invalid="ignore"):
             report = run(config, problem.b, exact=problem.exact)
         assert report.status == "non_finite" and not report.converged
@@ -309,11 +324,12 @@ class TestRun:
     @pytest.mark.parametrize("record_history", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a_is_applied_once_per_formed_pass(self, rule, record_history, k):
-        # the first n passes apply A k times each; forming the pass reads A
-        # but is no product with a vector.  A later pass applies A once when
-        # the rule or the history reads r of the carried x, and not at all
-        # when it carries r or reads no r; a carried r costs one product at
-        # the true-residual check that ends the run
+        # the first n passes apply A k times each; forming M reads A but is
+        # no product with a vector, and P v is the pass from x = 0, k - 1
+        # products.  A carried x costs P b once, and a later pass applies A
+        # once when the rule or the history reads its r, and not at all
+        # when it reads no r; a carried r applies A at no pass, and k times
+        # (P and b - A x) at the true-residual check that ends the run
         self._count_products(rule, record_history, k, formed=True)
 
     @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
@@ -321,14 +337,14 @@ class TestRun:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a_is_applied_once_per_sparse_formed_pass(self, rule, record_history, k):
         # order 225 is applied as CSR: its formed pass is a product with a
-        # CSR G or H_delta, which applies A no more than a dense one
+        # CSR G or H, which applies A no more than a dense one
         self._count_products(rule, record_history, k, formed=True, grid=16)
 
     @staticmethod
     def _count_products(rule, record_history, k, formed=False, grid=6):
         problem = make_laplace(grid)
         splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)][:k]
-        assert (Alternation(splits).pass_matrix is not None) == formed
+        assert (formed_pass(splits) is not None) == formed
         system = splits[0].system
         counting = CountingProduct(system.matvec)
         vars(system)["matvec"] = counting
@@ -339,10 +355,12 @@ class TestRun:
         n, m = problem.order, report.iterations
         if not formed:
             expected = 1 + k * m
+        elif rule == "residual" and not record_history:  # carries r: one check
+            expected = 1 + k * n + k
         elif record_history or rule == "residual":
-            expected = 1 + k * n + (1 if not record_history else m - n)
+            expected = 1 + k * n + (k - 1) + (m - n)
         else:
-            expected = 1 + k * n
+            expected = 1 + k * n + (k - 1)
         assert counting.calls == expected
         final_x = report.final_x
         assert report.final_residual == np.linalg.norm(problem.b - system.a_op @ final_x)
@@ -396,15 +414,6 @@ LAPLACE_16 = make_laplace(16)
 CSR_SPLITS = [diag_scaling_splitting(LAPLACE_16.A, a) for a in (1.0, 1.5, 1.75)]
 
 
-def _step_formula_pass_matrix(splits):
-    """P as each step after the first forms it from the fresh block np.eye(n) - A P."""
-    first, a = splits[0], splits[0].a
-    p = first.u_sharp if first._recip is None else np.diag(first._recip)
-    for s in splits[1:]:
-        p = s.correct(p, np.eye(len(a)) - a.dot(p))
-    return p
-
-
 class _WindowSpy:
     """Stands in for ``altsplit.schemes.np``: records the operand shapes of
     every ``np.dot`` and, after each pass, what the run's window holds."""
@@ -447,7 +456,7 @@ class TestPassForms:
         # n + 1 and 8n + 1; a run stopped at any of them, in any block, is
         # the matrix-free run
         splits = WINDOW_CASES[case][:k]
-        assert Alternation(splits).pass_matrix is not None
+        assert formed_pass(splits) is not None
         if case == "walk":
             n, b, x0, exact = 10, np.zeros(10), np.eye(1, 10)[0], None
         else:
@@ -464,7 +473,7 @@ class TestPassForms:
             return reports
 
         windowed = runs()
-        monkeypatch.setattr(Alternation, "pass_matrix", None)
+        monkeypatch.setattr(altsplit.schemes, "_window", no_window)
         for got, want in zip(windowed, runs()):
             _assert_runs_agree(got, want)
 
@@ -478,7 +487,7 @@ class TestPassForms:
         # sorted CSR G (carried r) or H_delta (carried x), s stays 1, and a
         # run stopped at any of passes n + 1 to n + 8 is the matrix-free run
         splits = CSR_SPLITS[:k]
-        assert Alternation(splits).pass_matrix.format == "csr"
+        assert formed_pass(splits).format == "csr"
         n, x0 = LAPLACE_16.order, np.linspace(-1.0, 1.0, LAPLACE_16.order)
         spy = _WindowSpy()
 
@@ -495,7 +504,7 @@ class TestPassForms:
             patched.setattr(altsplit.schemes, "sweep", spy.sweep(altsplit.schemes.sweep))
             formed = runs()
         assert spy.rows == {1} and all(held == [(1, n), (1, n)] for held in spy.held)
-        monkeypatch.setattr(Alternation, "pass_matrix", None)
+        monkeypatch.setattr(altsplit.schemes, "_window", no_window)
         for passes, got, want in zip(range(n + 1, n + 9), formed, runs()):
             assert (want.iterations, want.status) == (passes, "max_iterations")
             _assert_runs_agree(got, want)
@@ -504,11 +513,11 @@ class TestPassForms:
     @pytest.mark.parametrize("delta", [None, 0.5])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_sparse_window_is_sorted_csr(self, k, delta, carry_residual):
-        # G = I - delta A P or H_delta = I - delta P A, formed by sparse
-        # products, sorted, and equal to the dense formula
+        # G_delta = I - delta A P or H_delta = I - delta P A, formed by
+        # sparse products, sorted, and equal to the dense formula
         alternation = Alternation(CSR_SPLITS[:k])
         window = altsplit.schemes._window(alternation, delta, LAPLACE_16.b, carry_residual)
-        m, p, a, d = window.m, alternation.pass_matrix.toarray(), LAPLACE_16.A, delta or 1.0
+        m, p, a, d = window.m, pass_from_zero(CSR_SPLITS[:k]), LAPLACE_16.A, delta or 1.0
         assert m.format == "csr" and m.has_sorted_indices and window._most == 1
         want = np.eye(len(a)) - d * (a @ p if carry_residual else p @ a)
         np.testing.assert_allclose(m.toarray(), want, rtol=0, atol=1e-15)
@@ -532,7 +541,7 @@ class TestPassForms:
         with np.errstate(over="ignore", invalid="ignore"):
             got = run(config, problem.b, exact=problem.exact)
             assert max(spy.rows) >= 8
-            monkeypatch.setattr(Alternation, "pass_matrix", None)
+            monkeypatch.setattr(altsplit.schemes, "_window", no_window)
             want = run(config, problem.b, exact=problem.exact)
         assert (got.status, got.iterations) == ("non_finite", want.iterations)
         assert want.status == "non_finite"
@@ -579,27 +588,40 @@ class TestPassForms:
                 np.testing.assert_allclose(window.step(), want, rtol=1e-12, atol=1e-14)
             assert window._s == altsplit.schemes._WINDOW_ROWS == 64
 
+    @pytest.mark.parametrize("delta", [None, 0.5])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_pass_matrix_is_bitwise_the_step_formula(self, k):
-        # I - A P is formed in one reused buffer, bit for bit the fresh
-        # np.eye(n) - A P of each step
+    def test_the_formed_pass_is_the_pass_on_each_column(self, k, delta):
+        # column j of M is the shifted pass of e_j on b = 0 (carried x) or
+        # the residual that the shifted pass from x = 0 on b = e_j leaves
+        # (carried r); c is delta times the pass from x = 0 on b
         walk = make_random_walk(100)
         cases = [PASS_SPLITS["diagonal"], PASS_SPLITS["dense"],
                  [diag_scaling_splitting(walk.A, a) for a in (2.0, 2.5, 3.0)],
                  [make_splitting(walk.A, u) for u in
                   (np.tril(walk.A), np.triu(walk.A), 1.5 * np.diag(np.diag(walk.A)))]]
+        d = 1.0 if delta is None else delta
         for splits in cases:
-            got = Alternation(splits[:k]).pass_matrix
-            assert got.tobytes() == _step_formula_pass_matrix(splits[:k]).tobytes()
+            splits = splits[:k]
+            a, n = splits[0].a, splits[0].n
+            b, zero = np.linspace(-1.0, 1.0, n), np.zeros(n)
+            h = altsplit.schemes._window(Alternation(splits), delta, b, False)
+            g = altsplit.schemes._window(Alternation(splits), delta, b, True)
+            assert type(h.m) is type(g.m) is np.ndarray and g.c is None
+            np.testing.assert_allclose(h.c, d * sweep(splits, zero, b), rtol=0, atol=1e-14)
+            for j, e in enumerate(np.eye(n)):
+                np.testing.assert_allclose(h.m[:, j], d * sweep(splits, e, zero) + (1 - d) * e,
+                                           rtol=0, atol=1e-14)
+                np.testing.assert_allclose(g.m[:, j], e - d * (a @ sweep(splits, zero, e)),
+                                           rtol=0, atol=1e-14)
 
     @FORMS
     def test_formed_and_matrix_free_runs_agree(self, k, rule, delta, record_history, u_kind,
                                                monkeypatch):
         splits = PASS_SPLITS[u_kind][:k]
-        assert Alternation(splits).pass_matrix is not None
+        assert formed_pass(splits) is not None
         passes = range(LAPLACE_4.order + 1, LAPLACE_4.order + 6)
         formed = [_run_passes(splits, rule, delta, record_history, p) for p in passes]
-        monkeypatch.setattr(Alternation, "pass_matrix", None)
+        monkeypatch.setattr(altsplit.schemes, "_window", no_window)
         for p, got in zip(passes, formed):
             want = _run_passes(splits, rule, delta, record_history, p)
             assert (want.iterations, want.status) == (p, "max_iterations")
@@ -612,7 +634,7 @@ class TestPassForms:
         # against b - A x, and the run stops at the matrix-free run's pass
         splits = PASS_SPLITS[u_kind][:k]
         got = _run_passes(splits, rule, delta, record_history, 10_000, tolerance=1e-10)
-        monkeypatch.setattr(Alternation, "pass_matrix", None)
+        monkeypatch.setattr(altsplit.schemes, "_window", no_window)
         want = _run_passes(splits, rule, delta, record_history, 10_000, tolerance=1e-10)
         assert want.status == "converged" and want.iterations > LAPLACE_4.order
         _assert_runs_agree(got, want)
@@ -623,7 +645,7 @@ class TestPassForms:
     def test_final_residual_is_that_of_final_x(self, k, rule, delta, record_history, u_kind,
                                                form, tolerance, monkeypatch):
         if form == "matrix_free":
-            monkeypatch.setattr(Alternation, "pass_matrix", None)
+            monkeypatch.setattr(altsplit.schemes, "_window", no_window)
         report = _run_passes(PASS_SPLITS[u_kind][:k], rule, delta, record_history,
                              LAPLACE_4.order + 40, tolerance=tolerance)
         assert report.iterations > LAPLACE_4.order
@@ -660,16 +682,16 @@ class TestPassForms:
 
     @pytest.mark.parametrize("u_kind", list(PASS_SPLITS))
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_p_is_formed_only_after_n_passes(self, k, u_kind, monkeypatch):
-        # a run too short to repay forming P never forms it
+    def test_the_pass_is_formed_only_after_n_passes(self, k, u_kind, monkeypatch):
+        # a run too short to repay forming M never forms it
         formed = []
-        original = Alternation.pass_matrix
+        original = Alternation._identity_pass
 
-        def spy(self):
+        def spy(self, *args):
             formed.append(None)
-            return original.func(self)
+            return original(self, *args)
 
-        monkeypatch.setattr(Alternation, "pass_matrix", property(spy))
+        monkeypatch.setattr(Alternation, "_identity_pass", spy)
         splits = PASS_SPLITS[u_kind][:k]
         assert _run_passes(splits, "residual", None, False, LAPLACE_4.order).iterations == (
             LAPLACE_4.order)
@@ -686,7 +708,7 @@ class TestPassForms:
         # the benchmark counts passes as calls to schemes.sweep; a formed
         # pass carries r under the residual rule and x under the diff rule
         if form == "matrix_free":
-            monkeypatch.setattr(Alternation, "pass_matrix", None)
+            monkeypatch.setattr(altsplit.schemes, "_window", no_window)
         calls = []
         original = altsplit.schemes.sweep
 
@@ -705,9 +727,9 @@ class TestPassForms:
     @pytest.mark.parametrize("rule", ["residual", "successive_diff"])
     @pytest.mark.parametrize("k", [1, 3])
     def test_formed_run_leaves_no_new_array_on_a_splitting(self, k, rule, u_kind):
-        # P comes from the splittings' own steps, and G or H from P, so no
-        # V, U#V, dense U^-1 of a diagonal U or other factor is kept on a
-        # splitting by the run
+        # G or H and P b come from the splittings' own steps, so no V, U#V,
+        # dense U^-1 of a diagonal U or other factor is kept on a splitting
+        # by the run
         splits = [make_splitting(s.system, s.u) for s in PASS_SPLITS[u_kind][:k]]
         before = [dict(vars(s)) for s in splits]
         report = run(SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-8),
@@ -716,7 +738,7 @@ class TestPassForms:
         for s, held in zip(splits, before):
             assert vars(s).keys() == held.keys()
             assert all(vars(s)[name] is value for name, value in held.items())
-        assert Alternation(splits).pass_matrix is not None
+        assert formed_pass(splits) is not None
 
 
 class TestShiftedScheme:

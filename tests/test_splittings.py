@@ -1,4 +1,6 @@
 """Splitting construction, classification and iteration-matrix algebra."""
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from altsplit import (
     diag_scaling_splitting,
     group_inverse,
     index_at_most_one,
-    induced_splitting,
     is_nonnegative,
     make_laplace,
     make_random_walk,
@@ -30,6 +31,7 @@ from altsplit import (
     verify_convergence_theorem,
     verify_semiconvergence_theorem,
 )
+import altsplit.schemes
 import altsplit.splittings as splittings
 from altsplit.analysis import CONVERGENCE_THEOREMS, SEMICONVERGENCE_THEOREMS
 from altsplit.generators import (
@@ -40,7 +42,15 @@ from altsplit.generators import (
     random_quasi_regular_triple,
     random_singular_m_matrix_triple,
 )
-from conftest import A_EXAMPLE, A_SHARP_EXPECTED, K_EXAMPLE, U_EXAMPLE, X_EXAMPLE
+from conftest import (
+    A_EXAMPLE,
+    A_SHARP_EXPECTED,
+    K_EXAMPLE,
+    U_EXAMPLE,
+    X_EXAMPLE,
+    induced_splitting,
+    pass_from_zero,
+)
 
 RNG = np.random.default_rng(811)
 
@@ -435,11 +445,9 @@ class TestAlternatingIterationMatrix:
         splits = [diag_scaling_splitting(a.copy(), alpha) for alpha in (1.0, 1.5, 2.0)]
         assert splits[0].a is not splits[1].a
         SchemeConfig(splittings=splits)
-        np.testing.assert_array_equal(
-            alternating_iteration_matrix(splits),
-            splits[2].iteration_matrix
-            @ (splits[1].iteration_matrix @ splits[0].iteration_matrix),
-        )
+        one_owner = [diag_scaling_splitting(splits[0].system, alpha) for alpha in (1.0, 1.5, 2.0)]
+        np.testing.assert_array_equal(alternating_iteration_matrix(splits),
+                                      alternating_iteration_matrix(one_owner))
 
 
 class TestAlternation:
@@ -454,53 +462,103 @@ class TestAlternation:
         assert not Alternation(example_triple[:2]).pairs
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_pass_matrix_gives_h(self, k):
+    def test_h_is_i_minus_p_a(self, k):
         # one pass is x + P (b - A x), so H = I - P A, also for a singular A
         walk = make_random_walk(30)
         h = Alternation([diag_scaling_splitting(walk.A, a) for a in (2.0, 2.5, 3.0)][:k])
-        assert not h.pass_matrix.flags.writeable
-        np.testing.assert_allclose(np.eye(30) - h.pass_matrix @ walk.A, h.iteration_matrix,
-                                   rtol=0, atol=1e-12)
+        assert not h.iteration_matrix.flags.writeable
+        np.testing.assert_allclose(np.eye(30) - pass_from_zero(h.splits) @ walk.A,
+                                   h.iteration_matrix, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("k", [2, 3])
-    def test_pass_matrix_is_the_induced_b_inverse(self, seed, k):
-        # P = (I - H) A^-1 = B^-1 for nonsingular A and dense nonsingular U
+    def test_the_pass_from_zero_is_the_induced_b_inverse(self, seed, k):
+        # the pass from 0 on the columns of I is P = (I - H) A^-1 = B^-1,
+        # for nonsingular A and dense nonsingular U
         _, splits = random_group_monotone_regular_triple(np.random.default_rng(seed), 6, 6)
         h = Alternation(splits[:k])
         assert all(s._recip is None and s.u_nonsingular for s in h.splits)
-        np.testing.assert_allclose(h.pass_matrix, h.induced.u_sharp, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(pass_from_zero(h.splits), h.induced.u_sharp, rtol=0,
+                                   atol=1e-10)
 
-    def test_pass_matrix_only_for_nonsingular_u_and_a_dense_or_diagonal_u(self, example_triple):
+    @pytest.mark.parametrize("make", [random_group_monotone_regular_triple, random_proper_triple,
+                                      random_singular_m_matrix_triple,
+                                      random_quasi_regular_triple])
+    def test_h_is_the_product_of_the_single_step_matrices(self, make):
+        # the oracle (X#Y)(U#V)(K#L), from each splitting's own U#V = solve(V),
+        # against the steps run on I; singular U included
+        singular = 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            _, splits = make(rng, int(rng.integers(3, 8)))
+            singular += not all(s.u_nonsingular for s in splits)
+            for chosen in (splits[:1], splits[:2], splits, splits[::-1]):
+                want = reduce(lambda h, t: t @ h, [s.iteration_matrix for s in chosen])
+                got = Alternation(chosen).iteration_matrix
+                assert float(np.max(np.abs(got - want))) <= 1e-14, seed
+        # the G families draw a singular A, and with it a singular U, in 33 of 50
+        proper = make in (random_group_monotone_regular_triple, random_proper_triple)
+        assert singular == (33 if proper else 0)
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_csr_and_dense_give_one_pass(self, k, delta, residual):
+        # the steps on I as CSR, over A's CSR sweep operator, and dense
+        walk = make_random_walk(splittings.CSR_MIN_ORDER)
+        h = Alternation([diag_scaling_splitting(walk.A, a) for a in (2.0, 2.5, 3.0)][:k])
+        assert type(h.system.a_op) is not np.ndarray
+        sparse = h._identity_pass(residual, sparse=True, delta=delta)
+        assert sparse.format == "csr" and sparse.has_sorted_indices
+        dense = h._identity_pass(residual, delta=delta)
+        assert type(dense) is np.ndarray
+        np.testing.assert_allclose(sparse.toarray(), dense, rtol=0, atol=1e-15)
+        if not residual and delta is None:
+            np.testing.assert_array_equal(dense, h.iteration_matrix)
+
+    def test_h_of_a_csr_a_with_a_singular_diagonal_u(self):
+        # H is dense whatever A's storage: a singular U steps by U#(U x + r)
+        n = splittings.CSR_MIN_ORDER
+        walk = make_random_walk(n)
+        u = np.diag(np.diag(walk.A) * np.r_[0.0, np.full(n - 1, 2.0)])
+        s = make_splitting(walk.A, u)
+        assert s._recip is not None and not s.u_nonsingular
+        h = Alternation([s, diag_scaling_splitting(s.system, 2.0)])
+        assert type(h.system.a_op) is not np.ndarray
+        want = h.splits[1].iteration_matrix @ s.iteration_matrix
+        np.testing.assert_allclose(h.iteration_matrix, want, rtol=0, atol=1e-14)
+        assert altsplit.schemes._window(h, None, np.zeros(n), False) is None
+
+    def test_a_run_forms_its_pass_only_for_nonsingular_u_and_a_dense_or_diagonal_u(
+            self, example_triple):
+        window = altsplit.schemes._window
         walk = make_random_walk(10)
         splits = [diag_scaling_splitting(walk.A, a) for a in (2.0, 2.5, 3.0)]
-        assert Alternation(splits[:2]).pass_matrix is not None
-        # one splitting's P is U^-1, kept dense on the alternation, not the splitting
-        np.testing.assert_array_equal(Alternation(splits[:1]).pass_matrix,
-                                      np.diag(1.0 / np.diag(splits[0].u)))
+        assert window(Alternation(splits[:2]), None, np.zeros(10), True) is not None
+        # one splitting's G is I - A U^-1, formed without a dense U^-1 on the splitting
+        np.testing.assert_array_equal(window(Alternation(splits[:1]), None, np.zeros(10), True).m,
+                                      np.eye(10) - walk.A * (1.0 / np.diag(splits[0].u)))
         assert "u_sharp" not in vars(splits[0])
         assert not example_triple[0].u_nonsingular
-        assert Alternation(example_triple).pass_matrix is None  # a singular U
+        assert window(Alternation(example_triple), None, np.zeros(3), True) is None  # a singular U
         n = splittings.CSR_MIN_ORDER
         big = make_random_walk(n)  # applied as CSR
-        # diagonal U: a sparse P, the dense step formula
+        # diagonal U: a sorted CSR G, I - A P for the dense step formula of P
         for k in (1, 2, 3):
             csr_splits = [diag_scaling_splitting(big.A, a) for a in (2.0, 2.5, 3.0)][:k]
-            sparse_p = Alternation(csr_splits).pass_matrix
-            assert sparse_p.format == "csr" and sparse_p.has_sorted_indices
-            assert not sparse_p.data.flags.writeable
-            want = np.diag(csr_splits[0]._recip)
-            for s in csr_splits[1:]:
-                want = want + s._recip[:, None] * (np.eye(n) - big.A @ want)
-            np.testing.assert_allclose(sparse_p.toarray(), want, rtol=0, atol=1e-15)
-        # a dense U would fill P in
-        assert Alternation([diag_scaling_splitting(big.A, 2.0),
-                            make_splitting(big.A, 2.0 * np.tril(big.A))]).pass_matrix is None
+            g = window(Alternation(csr_splits), None, np.zeros(n), True).m
+            assert g.format == "csr" and g.has_sorted_indices
+            np.testing.assert_allclose(g.toarray(), np.eye(n) - big.A @ pass_from_zero(csr_splits),
+                                       rtol=0, atol=1e-15)
+        # a dense U would fill the pass in
+        assert window(Alternation([diag_scaling_splitting(big.A, 2.0),
+                                   make_splitting(big.A, 2.0 * np.tril(big.A))]),
+                      None, np.zeros(n), False) is None
         full = np.random.default_rng(0).uniform(-1, 1, (n, n)) + n * np.eye(n)  # applied dense
         h = Alternation([diag_scaling_splitting(full, a) for a in (1.0, 1.5)])
         assert h.system.a_op is h.system.a
-        np.testing.assert_allclose(np.eye(n) - h.pass_matrix @ full, h.iteration_matrix,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.eye(n) - pass_from_zero(h.splits) @ full,
+                                   window(h, None, np.zeros(n), False).m, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("make", [random_group_monotone_regular_triple, random_proper_triple,
                                       random_singular_m_matrix_triple,
@@ -613,10 +671,13 @@ class TestCachedFactors:
                                       s.right_apply(k - a))
 
     def test_factors_are_read_only(self, example_triple):
+        # one splitting's H is its own U#V: a singular U's first step,
+        # U#(U I - A), is bit for bit U# V
         h = alternating_iteration_matrix(example_triple[:1])
-        assert h is example_triple[0].iteration_matrix
-        with pytest.raises(ValueError):
-            h[0, 0] = 1.0
+        np.testing.assert_array_equal(h, example_triple[0].iteration_matrix)
+        for m in (h, example_triple[0].iteration_matrix):
+            with pytest.raises(ValueError):
+                m[0, 0] = 1.0
 
     @pytest.mark.parametrize("make", [random_group_monotone_regular_triple,
                                       random_quasi_regular_triple])

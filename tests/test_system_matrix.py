@@ -13,7 +13,6 @@ from altsplit import (
     alternating_iteration_matrix,
     diag_scaling_splitting,
     exact_solution,
-    induced_splitting,
     make_random_walk,
     make_splitting,
     write_matrix_market,
@@ -26,7 +25,14 @@ from altsplit.generators import (
     random_quasi_regular_triple,
     random_singular_m_matrix_triple,
 )
-from conftest import A_EXAMPLE, A_SHARP_EXPECTED, K_EXAMPLE, U_EXAMPLE, X_EXAMPLE
+from conftest import (
+    A_EXAMPLE,
+    A_SHARP_EXPECTED,
+    K_EXAMPLE,
+    U_EXAMPLE,
+    X_EXAMPLE,
+    induced_splitting,
+)
 
 LOOSE = ToleranceProfile(rank_tol=1e-6)
 TRIPLES = [random_group_monotone_regular_triple, random_proper_triple,
