@@ -6,7 +6,6 @@ __all__ = [
     "DimensionMismatchError",
     "IndexGreaterThanOneError",
     "MismatchedSplittingError",
-    "SingularIminusHError",
     "RangeNullConditionError",
     "ZeroDiagonalError",
     "UnknownTheoremError",
@@ -36,10 +35,6 @@ class IndexGreaterThanOneError(AltSplitError):
 
 class MismatchedSplittingError(AltSplitError):
     """Splittings in a sweep do not share the same coefficient matrix."""
-
-
-class SingularIminusHError(AltSplitError):
-    """I - H is singular, so no splitting is induced by H."""
 
 
 class RangeNullConditionError(AltSplitError):

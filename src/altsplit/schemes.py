@@ -4,13 +4,15 @@ One iteration means one full multi-splitting pass.  Sweeps form neither the
 product iteration matrix nor any V: each step is the residual correction
 U x' = U x + r, r = b - A x, which equals U#(V x + b) (Saad, *Iterative
 Methods for Sparse Linear Systems*, 2003, sec. 4.1), the splitting's own
-``Splitting.correct``.  A pass takes one of two forms:
+``Splitting.correct``.  One routine runs the steps, ``splittings._pass``:
+the matrix-free pass, P v, ARPACK's H x and the formed H all call it.  A
+pass takes one of two forms:
 
-* matrix-free: one matvec with A's sweep operator (``system.matvec``, its
+* matrix-free: ``_pass`` with A's sweep operator (``system.matvec``, its
   owner's: scipy's CSR kernel for large sparse A, ``ndarray.dot``
-  otherwise) and one solve with U per splitting, k products with A; the
-  residual a run forms for its stop rule is the next pass's first
-  correction;
+  otherwise), one matvec and one solve with U per splitting, k products
+  with A; the residual a run forms for its stop rule is the next pass's
+  first correction;
 * formed: v <- M v + c for the vector v the run carries, computed s
   passes at a time by a window (below).
 
@@ -22,7 +24,8 @@ the residual r <- G r, G = I - A P; the shifted pass is delta times it
 plus (1 - delta) times the vector (delta = 1 unshifted).  So M is
 delta T + (1 - delta) I, for T the pass run on the columns of I in A's
 storage, dense or sorted CSR (``Alternation._identity_pass``).  P is never
-formed: P v is the matrix-free pass from x = 0 on b = v.  The residual
+formed: P v is ``_pass`` from x = 0 on b = v, whose first residual is v
+itself, and not ``sweep``, which is one call a pass.  The residual
 rule without history reads only r, so the run carries v = r, with T = G
 and c = 0, and sums the carried r: x is
 x_n + delta P (r_n + ... + r_(m-1)), formed only when the carried r meets
@@ -66,7 +69,8 @@ form; 2- and 3-step runs have repaid the forming by pass n + 35, and
 just past n and are even by pass 1.5 n.
 
 The diagnostics in :mod:`altsplit.splittings` and :mod:`altsplit.analysis`
-read H from the same routine, dense.
+read H from the x side of ``_identity_pass``, dense, and the bench's rho
+from ARPACK on H x, ``_pass`` on b = 0.
 
 A run stops at the first non-finite stop metric and reports it as not
 converged (status ``non_finite``), rather than iterating on overflowed or
@@ -87,6 +91,7 @@ from .splittings import (
     Splitting,
     _check_shared_a,
     _csr_product,
+    _pass,
     _system,
 )
 
@@ -263,19 +268,9 @@ def _window(alternation, delta, b, carry_residual) -> _Window | None:
     if not all(s.u_nonsingular and (s._recip is not None or not sparse) for s in splits):
         return None
     m = alternation._identity_pass(carry_residual, sparse, delta)
-    c = None if carry_residual else (1.0 if delta is None else delta) * _from_zero(splits, b)
+    d = 1.0 if delta is None else delta
+    c = None if carry_residual else d * _pass(splits, 0.0, b, b, system.matvec)
     return _Window(m, c)
-
-
-def _from_zero(splits, v):
-    """P v: the matrix-free pass from x = 0 with b = v, whose first residual
-    is v itself, so it applies A k - 1 times.  It is not ``sweep``, which is
-    one call a pass."""
-    matvec = splits[0].system.matvec
-    x = splits[0].correct(0.0, v)
-    for s in splits[1:]:
-        x = s.correct(x, v - matvec(x))
-    return x
 
 
 def sweep(splits, x, b, r=None):
@@ -294,11 +289,7 @@ def sweep(splits, x, b, r=None):
         return splits.step()
     if isinstance(splits, Alternation):
         splits = splits.splits
-    matvec = splits[0].system.matvec
-    for s in splits:
-        x = s.correct(x, b - matvec(x) if r is None else r)
-        r = None
-    return x
+    return _pass(splits, x, b, r, splits[0].system.matvec)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -381,7 +372,8 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
         d = 1.0 if config.delta is None else config.delta
 
         def moved(x):  # x + delta P (the sum of the carried r)
-            return x + d * _from_zero(alternation.splits, window.consumed())
+            v = window.consumed()
+            return x + d * _pass(alternation.splits, 0.0, v, v, matvec)
 
         i = passes.start - 1
         for i in passes:

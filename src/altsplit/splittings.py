@@ -509,12 +509,15 @@ def _check_shared_a(splits):
     return system
 
 
-def _x_steps(splits, x, product):
-    """U_k#V_k ... U_1#V_1 x, each factor the splitting's step from b = 0,
-    ``correct(x, -(A x))``, with A applied by ``product``: H x for a
-    vector or a block x, and no V formed."""
+def _pass(splits, x, b, r, product):
+    """One pass of the splittings' steps, x <- correct(x, b - A x) for each
+    in order, with A applied by ``product``; ``r``, if not None, stands in
+    for the first step's b - A x.  ``x`` and ``b`` are vectors or blocks,
+    dense or CSR.  It gives the matrix-free pass of ``schemes.sweep``, P v
+    (x = 0, b = r = v), H x (b = 0) and H itself (x = I, r = -A)."""
     for s in splits:
-        x = s.correct(x, -product(x))
+        x = s.correct(x, b - product(x) if r is None else r)
+        r = None
     return x
 
 
@@ -530,8 +533,9 @@ class Alternation(_IterationFacts):
     One pass of the splittings' steps is affine, x <- H x + P b, and leaves
     the residual r <- G r, G = I - A P, when every U is nonsingular; P =
     B^-1 = (I - H) A^-1 of the induced splitting when A is nonsingular.
-    ``_identity_pass`` runs the steps on the columns of I, and gives H or
-    G: the diagnostics read H from it, and ``schemes.run`` its formed pass
+    ``_pass`` runs the steps, for the run and the diagnostics alike.
+    ``_identity_pass`` runs them on the columns of I, and gives H or G:
+    the diagnostics read H from it, and ``schemes.run`` its formed pass
     M = delta T + (1 - delta) I, T = G or H.  Construction runs the one
     shared-A check, which gives the owner of A, ``system``.  Alternations
     compare and hash by identity.
@@ -558,12 +562,13 @@ class Alternation(_IterationFacts):
         operator, which needs every U diagonal and nonsingular.
 
         Every column is the splittings' own ``correct`` steps (Saad, 2003,
-        sec. 4.1), so no V and no factor of H is formed.  The x side,
-        X <- correct(X, -A X) from X = I (``_x_steps``), is the pass on
-        b = 0, H; its first step, correct(I, -A), needs no product, so it
-        costs k - 1 products of A with a block.  The r side,
+        sec. 4.1), so no V and no factor of H is formed.  The x side is
+        ``_pass`` on X = I and b = 0, X <- correct(X, -A X), which is H;
+        its first step is given r = -A, correct(I, -A), and needs no
+        product, so it costs k - 1 products of A with a block.  The r side,
         R <- R - A correct(0, R) from R = I, is the residual a pass leaves
-        when every U is nonsingular, G, in k products.
+        when every U is nonsingular, G, in k products; it is not a pass of
+        the steps, and keeps its own loop.
         """
         system = self.system
         a = system.a_op if sparse else system.a
@@ -578,8 +583,7 @@ class Alternation(_IterationFacts):
             for s in self.splits:
                 t = t - a @ s.correct(0.0, t)
         else:
-            first = self.splits[0]
-            t = _x_steps(self.splits[1:], first.correct(eye, -a), a.dot)
+            t = _pass(self.splits, eye, 0.0, -a, a.dot)
         if delta is not None:
             t = delta * t + (1.0 - delta) * eye
         if sparse:
@@ -645,15 +649,14 @@ def _iteration_operator(splits):
     """Matrix-free alternating iteration matrix x -> U_k#(V_k(...U_1#(V_1 x))).
 
     A ``scipy.sparse.linalg.LinearOperator`` over A's sweep operator whose
-    matvec is ``_x_steps`` on a vector, the x side of
-    ``Alternation._identity_pass``, so no V is formed.  It applies the
-    factors itself rather than through ``schemes.sweep``, so it adds no
-    sweep passes.
+    matvec is ``_pass`` on a vector and b = 0, as the x side of
+    ``Alternation._identity_pass`` is on I, so no V is formed.  It calls
+    ``_pass``, not ``schemes.sweep``, so it adds no sweep passes.
     """
     from scipy.sparse.linalg import LinearOperator
 
     product, n = splits[0].system.matvec, splits[0].n
-    return LinearOperator((n, n), matvec=lambda x: _x_steps(splits, np.ravel(x), product),
+    return LinearOperator((n, n), matvec=lambda x: _pass(splits, np.ravel(x), 0.0, None, product),
                           dtype=float)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the worked 3x3 singular example used across suites, a
 spy on the LAPACK calls that decide the facts of a matrix, and two dense
-references: the induced splitting B = A (I - H)^-1 and the pass matrix P.
+references: the induced splitting B = A (I - H)^-1, with the error it
+raises when I - H is singular, and the pass matrix P.
 
 A is a rank-2 index-1 matrix whose group inverse is known exactly, with
 three proper splittings whose alternating iteration matrix has spectral
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import settings
 
 from altsplit import (
+    AltSplitError,
     DimensionMismatchError,
-    SingularIminusHError,
     SystemMatrix,
     make_splitting,
     rank,
@@ -99,6 +100,10 @@ class LinalgSpy:
 @pytest.fixture
 def linalg_spy(monkeypatch):
     return LinalgSpy(monkeypatch)
+
+
+class SingularIminusHError(AltSplitError):
+    """I - H is singular, so no splitting is induced by H."""
 
 
 def induced_splitting(a, h):

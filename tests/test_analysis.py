@@ -27,6 +27,7 @@ from altsplit import (
 )
 from altsplit.generators import (
     random_group_monotone_regular_triple,
+    random_inverse_positive,
     random_proper_triple,
     random_quasi_regular_triple,
     random_semiconvergence_case,
@@ -41,6 +42,25 @@ ORACLE_TOL = ToleranceProfile(eq_tol=1e-11)
 def walk_triple(n=10, alphas=(2.0, 2.5, 3.0)):
     walk = make_random_walk(n)
     return walk, [diag_scaling_splitting(walk.A, a) for a in alphas]
+
+
+def type_ii_only_triple(rng, n, draws=1000):
+    """Three G-II splittings of A = sI - N (N >= 0), none of type I, or None
+    when ``draws`` draws do not give three.  U^-1 = t (I + eps E) >= 0 with
+    E >= 0 about half zeros, t in (0.3, 1) / max diag(A) and eps in
+    (0.05, 0.5); a draw is kept when V U^-1 = I - A U^-1 >= 0 (type II) and
+    U^-1 V = I - U^-1 A has a negative entry (not type I)."""
+    a = random_inverse_positive(rng, n)
+    system, eye, us = SystemMatrix(a), np.eye(n), []
+    for _ in range(draws):
+        e = rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+        t = rng.uniform(0.3, 1.0) / np.max(np.diag(a))
+        u_inv = t * (eye + rng.uniform(0.05, 0.5) * e)
+        if np.min(eye - a @ u_inv) >= 0 and np.min(eye - u_inv @ a) < -1e-8:
+            us.append(np.linalg.inv(u_inv))
+            if len(us) == 3:
+                return [make_splitting(system, u) for u in us]
+    return None
 
 
 def counting_forms(monkeypatch, name):
@@ -226,6 +246,31 @@ class TestConvergenceVerifiers:
                 assert verdict.conclusion_holds
                 assert verdict.measured_quantities["rho_H"] < 1.0
         assert held >= 15
+
+    def test_type_two_only_corpus(self):
+        # the paper's type-II theorems on splittings the type-I theory does
+        # not cover: every hypothesis that holds carries its conclusion
+        triples, held = 0, dict.fromkeys(("typeII-convergence", "single-vs-three",
+                                          "two-vs-three"), 0)
+        for seed in range(60):
+            splits = type_ii_only_triple(np.random.default_rng(seed), 3 + seed % 4)
+            if splits is None:
+                continue
+            triples += 1
+            for s in splits:
+                report = classify(s)
+                assert report.is_g_weak_regular_type2, seed
+                assert not (report.is_g_weak_regular_type1 or report.is_weak_regular_type1), seed
+            h = Alternation(splits)
+            for theorem_id in held:
+                verdict = verify_convergence_theorem(theorem_id, h)
+                if verdict.hypotheses_hold:
+                    held[theorem_id] += 1
+                    assert verdict.conclusion_holds, (seed, theorem_id)
+            assert h.spectrum[0] < 0.8, seed  # rho(H) <= 0.75 over seeds 0-299
+        assert triples >= 55
+        assert held["typeII-convergence"] == triples
+        assert held["single-vs-three"] >= 10 and held["two-vs-three"] >= 15
 
     def test_both_types_comparison_corpus(self):
         held = 0

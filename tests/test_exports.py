@@ -1,7 +1,7 @@
 """Public-name bookkeeping: each public name is declared once, in its
 module's ``__all__``; the package exports exactly the six library modules'
-lists; every exported name resolves where it is declared; and every
-imported name is used.
+lists; every exported name resolves where it is declared; every imported
+name is used; and every error class is raised somewhere.
 
 Tools that wrap the public functions walk each module's ``__all__``, so a
 stale entry would otherwise go unnoticed; no linter runs on the package, so
@@ -45,6 +45,22 @@ def test_every_error_class_is_exported():
     defined = [name for name, obj in vars(errors).items()
                if inspect.isclass(obj) and issubclass(obj, altsplit.AltSplitError)]
     assert sorted(defined) == sorted(errors.__all__)
+
+
+def test_every_leaf_error_class_is_raised():
+    # a class no other class subclasses is caught only as itself, so the
+    # package must raise it: a ``raise`` of its name in some module
+    classes = [obj for obj in vars(errors).values()
+               if inspect.isclass(obj) and issubclass(obj, altsplit.AltSplitError)]
+    leaves = {c.__name__ for c in classes
+              if not any(o is not c and issubclass(o, c) for o in classes)}
+    raised = set()
+    for path in Path(altsplit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).rsplit(".", 1)[-1])  # errors.X or X
+    assert not leaves - raised, f"never raised: {sorted(leaves - raised)}"
 
 
 def test_every_declared_name_resolves():

@@ -11,7 +11,6 @@ from altsplit import (
     MismatchedSplittingError,
     RangeNullConditionError,
     SchemeConfig,
-    SingularIminusHError,
     Splitting,
     SystemMatrix,
     Witness,
@@ -48,6 +47,7 @@ from conftest import (
     K_EXAMPLE,
     U_EXAMPLE,
     X_EXAMPLE,
+    SingularIminusHError,
     induced_splitting,
     pass_from_zero,
 )
