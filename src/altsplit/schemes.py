@@ -55,6 +55,16 @@ the vector it carries, and after a failed true-residual check starts it
 again, at s = 1, from the true b - A x.  The sum of the carried r is kept
 once a block.
 
+The run reads its stop metric once a block too, when it keeps no history:
+for each new block of at least 8 rows one reduction gives every row's
+squared metric (the carried r, exact - x, or x minus the row before), and
+the leading rows whose value lies strictly inside ((tol (1 + 1e-10))^2,
+1e300) are not tested one by one, since their 2-norm can be neither below
+tol nor non-finite.  The first row not cleared and every row after it in
+the block take the scalar test, so iterations, status, which carried r
+is checked against b - A x, and final_x are bit for bit those of a test
+a pass.  ``sweep`` is still one call a pass.
+
 A run of m passes thus applies A 1 + k*m times matrix-free.  When it forms
 the pass it applies A 1 + k*n times for its first n passes and the final
 residual.  A carried x adds k - 1 for c = delta P b, and one a later pass
@@ -167,6 +177,13 @@ _WINDOW_CAP = 2 * 4 * 65536 - 1
 # rows from 2% less to 0.5% more; 64 rows compute half as many rows past a
 # run's stop.
 _WINDOW_ROWS = 64
+# A screen of a block (``_Window.screen``) took 4-6 us carrying r and 5-9 us
+# under the error and diff rules, at 2 to 64 rows of order 10 to 196, on
+# the same host; the scalar test it spares a row took 0.6 us and 1.1 us.
+# So blocks of fewer than 8 rows go unscreened: screening the 2- and 4-row
+# blocks too made the walk 10, 30 and 100 rows 2-12% slower (least of 32
+# runs a row, in 4 interleaved rounds).
+_SCREEN_ROWS = 8
 
 
 class _Window:
@@ -180,7 +197,10 @@ class _Window:
 
     ``restart`` starts it, and starts it again after a failed true-residual
     check, from s = 1.  Carrying r, it keeps the sum of the vectors handed
-    to it since then, once a block.
+    to it since then, once a block.  After ``screen`` it reads the run's
+    stop metric once a block, and ``screened`` says whether the row
+    ``step`` handed out last needs no test; ``sweep`` is still one call a
+    pass.
     """
 
     def __init__(self, m, c):
@@ -192,6 +212,22 @@ class _Window:
             self._product = None
         else:
             self._most, self._product = 1, _csr_product(m)
+        self._lo = None  # no screen
+
+    def screen(self, rule, tol, exact=None):
+        """Read ``rule``'s stop metric once a block: the row itself (a
+        carried r), exact - row (error rule) or the row minus the one before
+        it (diff rule), whose squares one reduction sums for every new
+        block of at least _SCREEN_ROWS rows.  A row is screened, and
+        ``step`` sets ``screened`` as it hands it out, when it and every row
+        before it in its block have a squared metric strictly inside
+        (lo, 1e300), lo = (tol (1 + 1e-10))^2 but at least 1e-280.  Its
+        2-norm as the run computes it, the root of a sum of the same
+        nonnegative squares within n u of the screen's, is then finite and
+        not below tol, so the run's scalar test could not stop there; it
+        tests every other row itself.  NaN is never screened."""
+        self._lo = max(tol * (1 + 1e-10), 1e-140) ** 2
+        self._rule, self._exact = rule, exact
 
     def restart(self, v):
         """Carry on from v, at s = 1."""
@@ -199,8 +235,9 @@ class _Window:
         self._ms, self._cs = self.m, self.c  # M^s and c_s
         self._s, self._left = 1, n  # _left: passes until s doubles
         self._block, self._spare = v[None, :].copy(), np.empty((1, n))
-        self._i = 0
+        self._i = self._clear = 0  # _clear: the end of the screened rows
         self._sum = np.zeros(n) if self.c is None else None
+        self.screened = False
 
     def step(self):
         """The carried vector one pass after the last one."""
@@ -208,6 +245,7 @@ class _Window:
         if i == self._s:
             block, i = self._advance(block)
         self._i = i
+        self.screened = i < self._clear
         return block[i]
 
     def consumed(self):
@@ -227,6 +265,7 @@ class _Window:
             self._ms = self._square(ms)
             self._s, self._left = 2 * s, len(ms) - s
             self._block, self._spare = grown, np.empty_like(grown)
+            self._clear = s + self._screen(block[-1], grown[s:])
             return grown, s
         self._left -= s
         if self._sum is not None:
@@ -234,7 +273,25 @@ class _Window:
         spare = self._spare
         self._next(block, spare)
         self._block, self._spare = spare, block
+        self._clear = self._screen(block[-1], spare)
         return spare, 0
+
+    def _screen(self, last, rows):
+        """The number of leading ``rows``, the new rows after the row
+        ``last``, that the screen clears; 0 for a short block or no screen."""
+        if self._lo is None or len(rows) < _SCREEN_ROWS:
+            return 0
+        if self._rule == "error_vs_exact":
+            rows = rows - self._exact
+        elif self._rule == "successive_diff":
+            diff = np.empty_like(rows)
+            np.subtract(rows[0], last, out=diff[0])
+            np.subtract(rows[1:], rows[:-1], out=diff[1:])
+            rows = diff
+        sq = np.einsum("ij,ij->i", rows, rows)
+        if self._lo < sq.min() and sq.max() < 1e300:  # NaN fails both
+            return len(sq)
+        return int(np.argmin((self._lo < sq) & (sq < 1e300)))  # the first row not cleared
 
     def _next(self, block, out):
         """out <- block (M^s)^T + c_s: the s vectors after ``block``'s rows."""
@@ -338,9 +395,13 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     def carry_x(step, delta, x, r, passes):
         """Passes that carry x: through the splittings, shifted by delta, or
         formed.  Returns (last pass, status or None, x, r)."""
+        window = step if type(step) is _Window else None
         i = passes.start - 1
         for i in passes:
             y = sweep(step, x, b, r)
+            if window is not None and window.screened:
+                x = y
+                continue
             x_new = delta * y + (1.0 - delta) * x if delta is not None else y
             if keep_residual:
                 r = b - matvec(x_new)
@@ -378,6 +439,8 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
         i = passes.start - 1
         for i in passes:
             r = sweep(window, r, b)
+            if window.screened:
+                continue
             metric = math.sqrt(r.dot(r))
             if metric < tol:
                 x = moved(x)
@@ -401,6 +464,8 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
     if status is None and iterations < last:
         rest = range(iterations + 1, last + 1)
         window = _window(alternation, config.delta, b, carry_residual)
+        if window is not None and history is None:  # a history reads every pass
+            window.screen(rule, tol, exact)
         if window is None:
             iterations, status, x, r = carry_x(alternation.splits, config.delta, x, r, rest)
         elif carry_residual:

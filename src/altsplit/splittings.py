@@ -568,7 +568,9 @@ class Alternation(_IterationFacts):
         product, so it costs k - 1 products of A with a block.  The r side,
         R <- R - A correct(0, R) from R = I, is the residual a pass leaves
         when every U is nonsingular, G, in k products; it is not a pass of
-        the steps, and keeps its own loop.
+        the steps, and keeps its own loop.  Dense, a diagonal first U makes
+        its first product A U^-1, A's columns scaled: bit for bit the
+        product after I -, which cancels the sign of each zero.
         """
         system = self.system
         a = system.a_op if sparse else system.a
@@ -579,8 +581,10 @@ class Alternation(_IterationFacts):
         else:
             eye = np.eye(system.n)
         if residual:
-            t = eye
-            for s in self.splits:
+            splits, t = self.splits, eye
+            if not sparse and splits[0]._recip is not None:
+                splits, t = splits[1:], eye - a * splits[0]._recip
+            for s in splits:
                 t = t - a @ s.correct(0.0, t)
         else:
             t = _pass(self.splits, eye, 0.0, -a, a.dot)

@@ -741,6 +741,200 @@ class TestPassForms:
         assert formed_pass(splits) is not None
 
 
+# The block screen's cases: a carried r (walk 30, residual rule), the error
+# rule (Laplace order 49, dense) and the diff rule (walk 30).  Each run forms
+# its pass after n passes and hands out blocks of 16 and 32 rows by pass 300.
+WALK_30, LAPLACE_8 = make_random_walk(30), make_laplace(8)
+SCREEN_CASES = {
+    "residual": (WALK_30, np.zeros(30), {"x0": np.eye(1, 30)[0]}),
+    "error_vs_exact": (LAPLACE_8, LAPLACE_8.b, {"exact": LAPLACE_8.exact}),
+    "successive_diff": (WALK_30, np.zeros(30), {"x0": np.eye(1, 30)[0]}),
+}
+SCREEN_PASSES = 600
+
+
+def _screen_run(rule, k, tolerance, record_history=False, passes=SCREEN_PASSES):
+    problem, b, kwargs = SCREEN_CASES[rule]
+    splits = [diag_scaling_splitting(problem.A, a) for a in (2.0, 2.5, 3.0)][:k]
+    config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=tolerance,
+                          max_iterations=passes, record_history=record_history)
+    return run(config, b, **kwargs)
+
+
+class _RowSpy:
+    """Wraps ``altsplit.schemes.sweep``: keeps a copy of each vector a pass
+    hands out, and for a window its position (row, s) and ``screened``."""
+
+    def __init__(self, original):
+        self.original, self.rows, self.where, self.screened = original, [], [], []
+
+    def __call__(self, step, v, *args):
+        out = self.original(step, v, *args)
+        window = type(step) is altsplit.schemes._Window
+        self.rows.append(out.copy())
+        self.where.append((step._i, step._s) if window else None)
+        self.screened.append(window and step.screened)
+        return out
+
+    def metric(self, rule, p):
+        """The stop metric of pass p as the run computes it: a carried r,
+        b - A x of a carried x (residual rule), exact - x or the diff."""
+        problem, b, kwargs = SCREEN_CASES[rule]
+        v = self.rows[p - 1]
+        if rule == "residual":  # A is dense, applied by ndarray.dot
+            m = v if self.where[p - 1] else b - problem.A.dot(v)
+        elif rule == "error_vs_exact":
+            m = kwargs["exact"] - v
+        else:
+            m = v - self.rows[p - 2]
+        return float(np.sqrt(m.dot(m)))
+
+
+class _ScreenSpy:
+    """Stands in for ``altsplit.schemes.np``: records the row count of every
+    block the screen reduces (its only ``np.einsum``)."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, spec, *operands):
+        self.blocks.append(operands[0].shape[0])
+        return np.einsum(spec, *operands)
+
+
+def _spied_run(rule, k, tolerance, monkeypatch, form="windowed"):
+    """A run of ``_screen_run`` with a ``_RowSpy``: windowed, with the
+    screen patched out, or matrix-free."""
+    with monkeypatch.context() as patched:
+        spy = _RowSpy(altsplit.schemes.sweep)
+        patched.setattr(altsplit.schemes, "sweep", spy)
+        if form == "unscreened":
+            patched.setattr(altsplit.schemes._Window, "screen", lambda self, *args: None)
+        elif form == "matrix_free":
+            patched.setattr(altsplit.schemes, "_window", no_window)
+        return _screen_run(rule, k, tolerance), spy
+
+
+class TestBlockScreen:
+    """A formed run reads its stop metric once a block: rows that the
+    screen clears are not tested one by one, and no decision moves."""
+
+    @pytest.mark.parametrize("rule", list(SCREEN_CASES))
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("row", ["first", "sixth"])
+    def test_a_tolerance_at_a_formed_rows_metric(self, rule, k, row, monkeypatch):
+        # the tolerance equal to the metric of the first or sixth row of a
+        # 16-row block, and one ulp above it: the windowed run stops where
+        # the run with the screen patched out does, bit for bit, having
+        # screened the rows before it.  The matrix-free rows differ from the
+        # formed ones in their last bits, and so does the b - A x that a
+        # carried r below the tolerance is checked against; so against the
+        # matrix-free run the tolerance equals the smaller of the two rows'
+        # metrics, and lies one ulp above the largest of them and that b - A x
+        _, formed = _spied_run(rule, k, 1e-300, monkeypatch)
+        _, free = _spied_run(rule, k, 1e-300, monkeypatch, "matrix_free")
+        firsts = [p for p, at in enumerate(formed.where, 1) if at == (0, 16)]
+        p = firsts[1] + (0 if row == "first" else 5)
+        at, mf = formed.metric(rule, p), free.metric(rule, p)
+        # the closing b - A x of a run of p passes is its true-residual check at pass p
+        checked = _screen_run(rule, k, 1e-300, passes=p).final_residual
+        for tol in (at, np.nextafter(at, np.inf)):
+            got, spy = _spied_run(rule, k, tol, monkeypatch)
+            want, _ = _spied_run(rule, k, tol, monkeypatch, "unscreened")
+            assert (got.iterations, got.status) == (want.iterations, want.status)
+            assert got.status == "converged" and got.iterations >= p
+            assert got.final_x.tobytes() == want.final_x.tobytes()
+            assert got.final_residual == want.final_residual
+            assert all(spy.screened[p - 9:p - 1]) and not spy.screened[p - 1]
+            if rule != "residual":  # a carried r goes on when b - A x has not met tol
+                assert got.iterations == (p if tol > at else p + 1)
+        top = max(at, mf, checked if rule == "residual" else 0.0)
+        for tol in (min(at, mf), np.nextafter(top, np.inf)):
+            got, _ = _spied_run(rule, k, tol, monkeypatch)
+            want, _ = _spied_run(rule, k, tol, monkeypatch, "matrix_free")
+            _assert_runs_agree(got, want)
+            assert got.status == "converged"
+            assert got.iterations == (p if tol > top else p + 1)
+
+    @pytest.mark.parametrize("rule", list(SCREEN_CASES))
+    def test_a_nan_in_the_formed_pass_stops_the_run_at_once(self, rule, monkeypatch):
+        # a NaN in one row of a spoiled M reaches the carried vector on the
+        # first formed pass, a one-row block
+        original = altsplit.schemes._window
+
+        def spoiled(*args):
+            window = original(*args)
+            m = window.m.copy()
+            m[3] = np.nan
+            return altsplit.schemes._Window(m, window.c)
+
+        monkeypatch.setattr(altsplit.schemes, "_window", spoiled)
+        n = len(SCREEN_CASES[rule][1])
+        report = _screen_run(rule, 3, 1e-300)
+        assert (report.status, report.iterations) == ("non_finite", n + 1)
+
+    @pytest.mark.parametrize("rule", list(SCREEN_CASES))
+    @pytest.mark.parametrize("row", [0, 5, 31])
+    def test_a_nan_row_inside_a_screened_block_stops_the_run_there(self, rule, row,
+                                                                  monkeypatch):
+        # a NaN in one entry of the first, sixth or last row of the first
+        # block of 32 new rows: the screen clears the rows before it and
+        # hands that row to the scalar test, which stops the run there
+        _, clean = _spied_run(rule, 3, 1e-300, monkeypatch)
+        target = clean.where.index((0, 32)) + 1 + row
+        n = len(SCREEN_CASES[rule][1])
+        original, made = altsplit.schemes._Window._next, [n]
+
+        def spoiled(window, block, out):
+            original(window, block, out)
+            first = made[0] + 1  # the pass of out's first row
+            made[0] += len(out)
+            if first <= target < first + len(out):
+                out[target - first, 0] = np.nan
+
+        monkeypatch.setattr(altsplit.schemes._Window, "_next", spoiled)
+        report, spy = _spied_run(rule, 3, 1e-300, monkeypatch)
+        assert (report.status, report.iterations) == ("non_finite", target)
+        assert spy.where[target - 1] == (row, 32)
+        assert spy.screened[target - 2] and not spy.screened[target - 1]
+        assert np.isnan(spy.rows[target - 1][0])
+
+    @pytest.mark.parametrize("rule", list(SCREEN_CASES))
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_the_screen_reads_only_blocks_of_several_rows(self, rule, k, monkeypatch):
+        # the screen reduces the new rows of each block of 8 or more, and
+        # clears every row of this run above its tolerance of 1e-300
+        spy = _ScreenSpy()
+        monkeypatch.setattr(altsplit.schemes, "np", spy)
+        report, rows = _spied_run(rule, k, 1e-300, monkeypatch)
+        assert report.iterations == SCREEN_PASSES
+        assert spy.blocks and min(spy.blocks) >= altsplit.schemes._SCREEN_ROWS == 8
+        i, s = rows.where[-1]  # the last block's rows from i + 1 on were never handed out
+        assert sum(rows.screened) == sum(spy.blocks) - (s - 1 - i)
+        assert all(s >= 8 for (_, s), screened in zip(filter(None, rows.where),
+                                                      rows.screened) if screened)
+
+    @pytest.mark.parametrize("rule", list(SCREEN_CASES))
+    def test_no_screen_with_a_history_on_a_csr_window_or_matrix_free(self, rule,
+                                                                     monkeypatch):
+        # a run with record_history reads every pass's residual; a CSR
+        # window hands out one-row blocks; a matrix-free run has no window
+        spy = _ScreenSpy()
+        monkeypatch.setattr(altsplit.schemes, "np", spy)
+        assert _screen_run(rule, 3, 1e-300, record_history=True).iterations == SCREEN_PASSES
+        config = SchemeConfig(splittings=CSR_SPLITS, stop_rule=rule, tolerance=1e-300,
+                              max_iterations=LAPLACE_16.order + 40)
+        assert formed_pass(CSR_SPLITS).format == "csr"
+        run(config, LAPLACE_16.b, x0=np.linspace(-1.0, 1.0, LAPLACE_16.order),
+            exact=LAPLACE_16.exact)
+        monkeypatch.setattr(altsplit.schemes, "_window", no_window)
+        assert _screen_run(rule, 3, 1e-300).iterations == SCREEN_PASSES
+        assert spy.blocks == []
+
+
 class TestShiftedScheme:
     def test_shifted_spectrum_is_affine_image(self):
         # sigma(H_delta) = delta sigma(H) + (1 - delta), by dense eigensolve

@@ -516,6 +516,27 @@ class TestAlternation:
         if not residual and delta is None:
             np.testing.assert_array_equal(dense, h.iteration_matrix)
 
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_g_of_a_diagonal_first_u_is_bitwise_the_product_form(self, k, delta):
+        # with a diagonal first U the dense r side scales A's columns for its
+        # first product A correct(0, I); I - cancels the sign of each zero,
+        # so G is bit for bit the steps' own product form
+        for a in (make_random_walk(10).A, make_random_walk(100).A, make_laplace(4).A):
+            n = len(a)
+            for splits in ([diag_scaling_splitting(a, alpha) for alpha in (2.0, 2.5, 3.0)],
+                           [diag_scaling_splitting(a, 2.0), make_splitting(a, 2.0 * np.tril(a)),
+                            make_splitting(a, 2.0 * np.triu(a))]):
+                h = Alternation(splits[:k])
+                assert h.system.a_op is h.system.a and h.splits[0]._recip is not None
+                want = np.eye(n)
+                for s in h.splits:
+                    want = want - h.system.a @ s.correct(0.0, want)
+                if delta is not None:
+                    want = delta * want + (1.0 - delta) * np.eye(n)
+                got = h._identity_pass(True, delta=delta)
+                assert got.tobytes() == want.tobytes()
+
     def test_h_of_a_csr_a_with_a_singular_diagonal_u(self):
         # H is dense whatever A's storage: a singular U steps by U#(U x + r)
         n = splittings.CSR_MIN_ORDER
