@@ -16,10 +16,13 @@ pass takes one of two forms:
 * formed: v <- M v + c for the vector v the run carries, computed s
   passes at a time by a window (below).
 
-The first n passes of a run on an order-n A are matrix-free.  Then, when
-every U is nonsingular and A is applied dense, or applied as CSR with every
-U diagonal, the run forms M and c once, inside its timed span, and its
-later passes are formed.  The pass is affine, x <- H x + P b, and leaves
+A pass is formed dense when every U is nonsingular and A is applied
+dense, and CSR when A is applied as CSR and every U is diagonal and
+nonsingular.  The run forms M and c once, inside its timed span, and its
+later passes are formed: a dense pass after n matrix-free passes on an
+order-n A, since forming it costs O(n^3), and a CSR pass after one, whose
+forming costs about 30-90 matrix-free passes at order 400 and whose
+residual the run carries on.  The pass is affine, x <- H x + P b, and leaves
 the residual r <- G r, G = I - A P; the shifted pass is delta times it
 plus (1 - delta) times the vector (delta = 1 unshifted).  So M is
 delta T + (1 - delta) I, for T the pass run on the columns of I in A's
@@ -27,8 +30,8 @@ storage, dense or sorted CSR (``Alternation._identity_pass``).  P is never
 formed: P v is ``_pass`` from x = 0 on b = v, whose first residual is v
 itself, and not ``sweep``, which is one call a pass.  The residual
 rule without history reads only r, so the run carries v = r, with T = G
-and c = 0, and sums the carried r: x is
-x_n + delta P (r_n + ... + r_(m-1)), formed only when the carried r meets
+and c = 0, and sums the carried r: after f matrix-free passes x is
+x_f + delta P (r_f + ... + r_(m-1)), formed only when the carried r meets
 the tolerance or the run ends.  That r is then checked against the true
 b - A x (van der Vorst and Ye, *SIAM J. Sci. Comput.* 22 (2000) 835-852):
 the run stops if b - A x meets the tolerance too, and goes on from it if
@@ -46,12 +49,14 @@ starts at 1 and doubles once every n passes, W <- [W; next block] and
 M^s <- M^s M^s, so squaring never costs more flops than the passes already
 run.  s is at most 64, and no product of the window reaches the 524,288
 multiply-adds from which OpenBLAS threads a product (s is 32 at order 100;
-a squaring above that is done in row chunks).  A CSR M keeps s at 1: its
-pass is one sparse product through the kernel of A's CSR sweep operator,
-which at the paper's orders costs less than the k sparse products and 3k
-vector operations of a matrix-free pass.  ``sweep`` stays one call a
-pass and hands out the window's next row.  The run starts the window from
-the vector it carries, and after a failed true-residual check starts it
+a squaring above that is done in row chunks).  A CSR M forms no M^s: each
+row of its block is c (or 0) plus M times the row before, one sparse
+product through the kernel of A's CSR sweep operator, bit for bit the pass
+one row at a time.  So s doubles every block, up to 32.  At the paper's
+orders that product costs less than the k sparse products and 3k vector
+operations of a matrix-free pass.  ``sweep`` stays one call a pass and
+hands out the window's next row.  The run starts the window from the
+vector it carries, and after a failed true-residual check starts it
 again, at s = 1, from the true b - A x.  The sum of the carried r is kept
 once a block.
 
@@ -66,17 +71,18 @@ is checked against b - A x, and final_x are bit for bit those of a test
 a pass.  ``sweep`` is still one call a pass.
 
 A run of m passes thus applies A 1 + k*m times matrix-free.  When it forms
-the pass it applies A 1 + k*n times for its first n passes and the final
-residual.  A carried x adds k - 1 for c = delta P b, and one a later pass
-when the rule or the history reads its residual.  A carried r adds k a
-true-residual check, the closing one included: k - 1 for P and one for
-b - A x.  Forming M costs k - 1 products of A with an n x n block for a
-carried x (H's first step, correct(I, -A), needs none) and k for a carried
-r, dense or CSR: no more flops than the n passes before it.  Measured at
-order 196, runs of at most n passes take the same time as runs that never
-form; 2- and 3-step runs have repaid the forming by pass n + 35, and
-1-step runs, whose formed pass saves only per-pass overhead, pay up to 11%
-just past n and are even by pass 1.5 n.
+the pass it applies A 1 + k*f times for its first f passes and the final
+residual, f = n for a dense pass and 1 for a CSR one.  A carried x adds
+k - 1 for c = delta P b, and one a later pass when the rule or the history
+reads its residual.  A carried r adds k a true-residual check, the
+closing one included: k - 1 for P and one for b - A x.  Forming M costs
+k - 1 products of A with an n x n block for a carried x (H's first step,
+correct(I, -A), needs none) and k for a carried r.  Dense, that is no more
+flops than the n passes before it; measured at order 196, runs of at most
+n passes take the same time as runs that never form, 2- and 3-step runs
+have repaid the forming by pass n + 35, and 1-step runs, whose formed
+pass saves only per-pass overhead, pay up to 11% just past n and are even
+by pass 1.5 n.
 
 The diagnostics in :mod:`altsplit.splittings` and :mod:`altsplit.analysis`
 read H from the x side of ``_identity_pass``, dense, and the bench's rho
@@ -92,6 +98,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -100,7 +107,6 @@ from .splittings import (
     Alternation,
     Splitting,
     _check_shared_a,
-    _csr_product,
     _pass,
     _system,
 )
@@ -184,6 +190,13 @@ _WINDOW_ROWS = 64
 # blocks too made the walk 10, 30 and 100 rows 2-12% slower (least of 32
 # runs a row, in 4 interleaved rounds).
 _SCREEN_ROWS = 8
+# A CSR window makes its rows one at a time, so it squares nothing and s
+# doubles every block, up to _CSR_ROWS rows.  On the same host, against 16
+# and 64 rows (the least per-pass time of 15 interleaved runs of each
+# `bench laplace --grid 21` row and 6 of each grid 41 row, error and
+# residual rules), 16 rows took 0-9% longer a pass and 64 rows from 4% less
+# to 8% more; the two 32-row blocks hold 0.8 MB at order 1,600.
+_CSR_ROWS = 32
 
 
 class _Window:
@@ -192,8 +205,10 @@ class _Window:
     next s as W (M^s)^T + c_s, and ``step`` hands them out one a pass (see
     the module docstring for the doubling rule and the cap).  The window
     holds M, M^s and two s x n blocks; a vector it hands out is a row of a
-    block, valid for s passes.  A CSR M keeps s at 1: its pass is one
-    product through scipy's CSR kernel (``splittings._csr_product``).
+    block, valid for s passes.  A CSR M holds no M^s: it makes the s rows
+    one at a time, each c (or 0) plus M times the row before through
+    scipy's CSR kernel (``splittings._csr_product``), and s doubles every
+    block, up to _CSR_ROWS.
 
     ``restart`` starts it, and starts it again after a failed true-residual
     check, from s = 1.  Carrying r, it keeps the sum of the vectors handed
@@ -209,9 +224,12 @@ class _Window:
         if type(m) is np.ndarray:
             self._chunk = max(1, _WINDOW_CAP // (n * n))  # rows of one product
             self._most = min(_WINDOW_ROWS, self._chunk)  # the largest s
-            self._product = None
-        else:
-            self._most, self._product = 1, _csr_product(m)
+            self._product, self._wait = None, n  # _wait: passes between doublings
+        else:  # y += M x, scipy's kernel on M's arrays (``splittings._csr_product``)
+            from scipy.sparse._sparsetools import csr_matvec
+
+            self._most, self._wait = _CSR_ROWS, 0
+            self._product = partial(csr_matvec, n, n, m.indptr, m.indices, m.data)
         self._lo = None  # no screen
 
     def screen(self, rule, tol, exact=None):
@@ -233,7 +251,7 @@ class _Window:
         """Carry on from v, at s = 1."""
         n = len(v)
         self._ms, self._cs = self.m, self.c  # M^s and c_s
-        self._s, self._left = 1, n  # _left: passes until s doubles
+        self._s, self._left = 1, self._wait  # _left: passes until s doubles
         self._block, self._spare = v[None, :].copy(), np.empty((1, n))
         self._i = self._clear = 0  # _clear: the end of the screened rows
         self._sum = np.zeros(n) if self.c is None else None
@@ -260,10 +278,11 @@ class _Window:
             grown = np.empty((2 * s, block.shape[1]))
             grown[:s] = block
             self._next(block, grown[s:])
-            if cs is not None:
-                self._cs = ms.dot(cs) + cs
-            self._ms = self._square(ms)
-            self._s, self._left = 2 * s, len(ms) - s
+            if self._product is None:  # a CSR row needs only M and c
+                if cs is not None:
+                    self._cs = ms.dot(cs) + cs
+                self._ms = self._square(ms)
+            self._s, self._left = 2 * s, self._wait - s
             self._block, self._spare = grown, np.empty_like(grown)
             self._clear = s + self._screen(block[-1], grown[s:])
             return grown, s
@@ -294,10 +313,15 @@ class _Window:
         return int(np.argmin((self._lo < sq) & (sq < 1e300)))  # the first row not cleared
 
     def _next(self, block, out):
-        """out <- block (M^s)^T + c_s: the s vectors after ``block``'s rows."""
-        if self._product is not None:  # CSR M, s = 1: the kernel adds M w to c
-            out[0] = 0.0 if self._cs is None else self._cs
-            self._product(block[0], out[0])
+        """out <- block (M^s)^T + c_s: the s vectors after ``block``'s rows.
+        A CSR M makes them one at a time, each c (or 0) plus M times the
+        row before it, as the kernel adds M v into a row."""
+        if self._product is not None:
+            out[...] = 0.0 if self._cs is None else self._cs
+            last = block[-1]
+            for row in out:
+                self._product(last, row)
+                last = row
             return
         np.dot(block, self._ms.T, out=out)
         if self._cs is not None:
@@ -311,20 +335,31 @@ class _Window:
         return squared
 
 
+def _pass_storage(alternation) -> str | None:
+    """The storage of the run's formed pass: "dense" when every U is
+    nonsingular and A is applied dense, "csr" when A is applied as CSR and
+    every U is diagonal and nonsingular, and None when no pass is formed."""
+    system = alternation.system
+    sparse = system.a_op is not system.a
+    if all(s.u_nonsingular and (s._recip is not None or not sparse)
+           for s in alternation.splits):
+        return "csr" if sparse else "dense"
+    return None
+
+
 def _window(alternation, delta, b, carry_residual) -> _Window | None:
     """The window of the run's formed pass, or None when it has none.
 
-    A pass is formed when every U is nonsingular and A is applied dense, or
-    applied as CSR with every U diagonal.  Its M is the shifted pass on I in
-    A's storage (``Alternation._identity_pass``), delta T + (1 - delta) I
-    (delta = 1 unshifted): T = G = I - A P when the run carries r = b - A x,
-    with c = 0, and T = H when it carries x, with c = delta P b.
+    Its M is the shifted pass on I in the pass's storage
+    (``Alternation._identity_pass``), delta T + (1 - delta) I (delta = 1
+    unshifted): T = G = I - A P when the run carries r = b - A x, with
+    c = 0, and T = H when it carries x, with c = delta P b.
     """
-    system, splits = alternation.system, alternation.splits
-    sparse = system.a_op is not system.a
-    if not all(s.u_nonsingular and (s._recip is not None or not sparse) for s in splits):
+    storage = _pass_storage(alternation)
+    if storage is None:
         return None
-    m = alternation._identity_pass(carry_residual, sparse, delta)
+    system, splits = alternation.system, alternation.splits
+    m = alternation._identity_pass(carry_residual, storage == "csr", delta)
     d = 1.0 if delta is None else delta
     c = None if carry_residual else d * _pass(splits, 0.0, b, b, system.matvec)
     return _Window(m, c)
@@ -457,10 +492,12 @@ def run(config: SchemeConfig, b, x0=None, exact=None) -> IterationReport:
 
     last = config.max_iterations
     start = time.perf_counter()
-    # matrix-free for n passes (at least one, so that a carried r exists),
-    # which cost no fewer flops than forming the pass
+    # matrix-free for one pass, so that a carried r exists, before a CSR
+    # pass, whose forming costs 30-90 passes at order 400; and for n passes
+    # before a dense one, which cost no fewer flops than forming it
+    free = 1 if _pass_storage(alternation) == "csr" else max(n, 1)
     iterations, status, x, r = carry_x(alternation.splits, config.delta, x, None,
-                                       range(1, min(max(n, 1), last) + 1))
+                                       range(1, min(free, last) + 1))
     if status is None and iterations < last:
         rest = range(iterations + 1, last + 1)
         window = _window(alternation, config.delta, b, carry_residual)

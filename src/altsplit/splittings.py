@@ -80,8 +80,9 @@ __all__ = [
 # 17-24 vs 2.5 us at order 400 (5-point stencil).  At order 400, CSR still
 # wins at 40 nonzeros a row (10.0 us) and loses at 80 (19.0 us).  CSR would
 # win at order 100 too, but the walk at order 100 stays dense: the walk
-# table's per-pass time rests on the block products of ``schemes._Window``,
-# which a dense pass matrix gives and a CSR one does not.
+# table's per-pass time rests on the BLAS-3 block products of
+# ``schemes._Window``, which a dense pass matrix gives and a CSR one, whose
+# rows are made one at a time, does not.
 CSR_MIN_ORDER = 200
 CSR_MAX_FILL = 0.1
 

@@ -16,6 +16,7 @@ from altsplit import (
     sweep,
 )
 from altsplit.generators import random_index_one, random_proper_triple
+from altsplit.splittings import _csr_product
 from conftest import A_EXAMPLE, A_SHARP_EXPECTED, pass_from_zero
 
 RNG = np.random.default_rng(90125)
@@ -242,18 +243,18 @@ class TestRun:
         assert report.status == "converged"
 
     def test_a_closing_residual_on_the_sparse_formed_pass(self):
-        # order 225, CSR: at pass 1443 the carried r is still above the
-        # tolerance and b - A x (4.576e-14) is below it; one pass later both
-        # are.  The tolerance sits between the closing residuals of passes
-        # 1443 and 1442 (4.699e-14)
+        # order 225, CSR: at pass 1393 the carried r (1.33822e-13) is still
+        # above the tolerance and b - A x (1.33722e-13) is below it; one pass
+        # later both are.  The tolerance sits between the closing residuals
+        # of passes 1393 and 1392 (1.3705e-13)
         problem = make_laplace(16)
         splits = [diag_scaling_splitting(problem.A, a) for a in (1.0, 1.5, 1.75)]
         assert formed_pass(splits).format == "csr"
-        tol = 4.58e-14
+        tol = 1.3378e-13
         reports = [run(SchemeConfig(splittings=splits, tolerance=tol, max_iterations=passes,
-                                    delta=0.5), problem.b) for passes in (1442, 1443, 10_000)]
+                                    delta=0.5), problem.b) for passes in (1392, 1393, 10_000)]
         assert [(r.iterations, r.status) for r in reports] == [
-            (1442, "max_iterations"), (1443, "converged"), (1444, "converged")]
+            (1392, "max_iterations"), (1393, "converged"), (1394, "converged")]
         a_op = splits[0].system.a_op  # at the rounding floor, the product A was applied by
         for r in reports:
             assert r.converged == (r.final_residual < tol)
@@ -337,7 +338,8 @@ class TestRun:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_a_is_applied_once_per_sparse_formed_pass(self, rule, record_history, k):
         # order 225 is applied as CSR: its formed pass is a product with a
-        # CSR G or H, which applies A no more than a dense one
+        # CSR G or H, formed after one matrix-free pass, which applies A no
+        # more than a dense one
         self._count_products(rule, record_history, k, formed=True, grid=16)
 
     @staticmethod
@@ -352,15 +354,17 @@ class TestRun:
                               record_history=record_history)
         report = run(config, problem.b, exact=problem.exact)
         assert report.converged and report.iterations > problem.order
-        n, m = problem.order, report.iterations
+        m = report.iterations
+        # the matrix-free passes before a formed one: n before a dense pass, 1 before CSR
+        free = problem.order if type(system.a_op) is np.ndarray else 1
         if not formed:
             expected = 1 + k * m
         elif rule == "residual" and not record_history:  # carries r: one check
-            expected = 1 + k * n + k
+            expected = 1 + k * free + k
         elif record_history or rule == "residual":
-            expected = 1 + k * n + (k - 1) + (m - n)
+            expected = 1 + k * free + (k - 1) + (m - free)
         else:
-            expected = 1 + k * n + (k - 1)
+            expected = 1 + k * free + (k - 1)
         assert counting.calls == expected
         final_x = report.final_x
         assert report.final_residual == np.linalg.norm(problem.b - system.a_op @ final_x)
@@ -483,17 +487,21 @@ class TestPassForms:
     @pytest.mark.parametrize("delta", [None, 0.5])
     def test_sparse_formed_and_matrix_free_runs_agree(self, k, rule, record_history, delta,
                                                       monkeypatch):
-        # a CSR A with diagonal U: the formed pass is one product with a
-        # sorted CSR G (carried r) or H_delta (carried x), s stays 1, and a
-        # run stopped at any of passes n + 1 to n + 8 is the matrix-free run
+        # a CSR A with diagonal U: the formed pass is a product with a
+        # sorted CSR G (carried r) or H_delta (carried x) from pass 2 on, in
+        # blocks of 1, 2, 4, 8 and 16 new rows and then of 32.  A run
+        # stopped at any of passes 2 to 9, or at the first, a middle or the
+        # last row of the first full block, is the matrix-free run
         splits = CSR_SPLITS[:k]
         assert formed_pass(splits).format == "csr"
         n, x0 = LAPLACE_16.order, np.linspace(-1.0, 1.0, LAPLACE_16.order)
+        full = altsplit.schemes._CSR_ROWS
+        stops = [*range(2, 10), full + 1, full + full // 2, 2 * full]
         spy = _WindowSpy()
 
         def runs():
             reports = []
-            for passes in range(n + 1, n + 9):
+            for passes in stops:
                 config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-300,
                                       max_iterations=passes, delta=delta,
                                       record_history=record_history)
@@ -503,9 +511,11 @@ class TestPassForms:
         with monkeypatch.context() as patched:
             patched.setattr(altsplit.schemes, "sweep", spy.sweep(altsplit.schemes.sweep))
             formed = runs()
-        assert spy.rows == {1} and all(held == [(1, n), (1, n)] for held in spy.held)
+        # the window holds two blocks of s rows, and no dense M or M^s
+        assert spy.rows == {2, 4, 8, 16, 32}
+        assert all(held in ([(s, n), (s, n)] for s in spy.rows) for held in spy.held)
         monkeypatch.setattr(altsplit.schemes, "_window", no_window)
-        for passes, got, want in zip(range(n + 1, n + 9), formed, runs()):
+        for passes, got, want in zip(stops, formed, runs()):
             assert (want.iterations, want.status) == (passes, "max_iterations")
             _assert_runs_agree(got, want)
 
@@ -518,13 +528,83 @@ class TestPassForms:
         alternation = Alternation(CSR_SPLITS[:k])
         window = altsplit.schemes._window(alternation, delta, LAPLACE_16.b, carry_residual)
         m, p, a, d = window.m, pass_from_zero(CSR_SPLITS[:k]), LAPLACE_16.A, delta or 1.0
-        assert m.format == "csr" and m.has_sorted_indices and window._most == 1
+        assert m.format == "csr" and m.has_sorted_indices
+        assert window._most == altsplit.schemes._CSR_ROWS == 32
         want = np.eye(len(a)) - d * (a @ p if carry_residual else p @ a)
         np.testing.assert_allclose(m.toarray(), want, rtol=0, atol=1e-15)
         if carry_residual:
             assert window.c is None
         else:
             np.testing.assert_allclose(window.c, d * p @ LAPLACE_16.b, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("carry_residual", [True, False])
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_row_of_a_csr_block_is_the_one_row_step(self, k, delta, carry_residual):
+        # every row handed out, through blocks of 1 to 32 new rows, is c
+        # (or 0) plus M times the row before, added by scipy's kernel, bit
+        # for bit: no M^s is formed or squared
+        window = altsplit.schemes._window(Alternation(CSR_SPLITS[:k]), delta, LAPLACE_16.b,
+                                          carry_residual)
+        product, n = _csr_product(window.m), LAPLACE_16.order
+        want = np.linspace(-1.0, 1.0, n)
+        window.restart(want)
+        for _ in range(4 * altsplit.schemes._CSR_ROWS):
+            want = product(want, np.zeros(n) if window.c is None else window.c.copy())
+            assert window.step().tobytes() == want.tobytes()
+        assert window._s == 32 and window._ms is window.m and window._cs is window.c
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_csr_pass_is_formed_after_one_pass(self, k, monkeypatch):
+        # the one matrix-free pass gives the carried r; a run of one pass
+        # forms nothing
+        formed = []
+        original = Alternation._identity_pass
+
+        def spy(self, *args):
+            formed.append(None)
+            return original(self, *args)
+
+        monkeypatch.setattr(Alternation, "_identity_pass", spy)
+        for passes in (1, 2):
+            config = SchemeConfig(splittings=CSR_SPLITS[:k], tolerance=1e-300,
+                                  max_iterations=passes)
+            assert run(config, LAPLACE_16.b).iterations == passes
+            assert len(formed) == passes - 1
+
+    @pytest.mark.parametrize("delta", [None, 0.5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_failed_check_restarts_a_csr_block_from_the_true_residual(self, k, delta,
+                                                                         monkeypatch):
+        # a CSR G spoiled to zero makes every carried r read 0, so every
+        # formed pass is checked against b - A x and fails until b - A x
+        # meets the tolerance: each check restarts the window, at s = 1,
+        # from that b - A x, and the run is the matrix-free run
+        config = SchemeConfig(splittings=CSR_SPLITS[:k], tolerance=1e-8, delta=delta)
+        window, restart = altsplit.schemes._window, altsplit.schemes._Window.restart
+        starts = []
+
+        def spoiled(*args):
+            honest = window(*args)
+            return altsplit.schemes._Window(0.0 * honest.m, honest.c)
+
+        def restarting(self, v):
+            starts.append(v.copy())
+            restart(self, v)
+            assert self._s == 1
+
+        with monkeypatch.context() as patched:
+            patched.setattr(altsplit.schemes, "_window", spoiled)
+            patched.setattr(altsplit.schemes._Window, "restart", restarting)
+            got = run(config, LAPLACE_16.b)
+        monkeypatch.setattr(altsplit.schemes, "_window", no_window)
+        want = run(config, LAPLACE_16.b)
+        assert want.status == "converged" and want.iterations > 2 * altsplit.schemes._CSR_ROWS
+        _assert_runs_agree(got, want)
+        # one start after the matrix-free pass, and one a check
+        assert len(starts) == got.iterations
+        a_op = CSR_SPLITS[0].system.a_op
+        assert starts[-1].tobytes() == (LAPLACE_16.b - a_op @ got.final_x).tobytes()
 
     @pytest.mark.parametrize("rule", ["residual", "error_vs_exact", "successive_diff"])
     @pytest.mark.parametrize("delta", [None, 0.5])
@@ -702,11 +782,13 @@ class TestPassForms:
     @pytest.mark.parametrize("k, form, rule", [
         (k, "matrix_free", "residual") for k in (1, 2, 3)
     ] + [
-        (k, "formed", rule) for k in (1, 2, 3) for rule in ("residual", "successive_diff")
+        (k, form, rule) for form in ("formed", "csr") for k in (1, 2, 3)
+        for rule in ("residual", "successive_diff")
     ])
     def test_sweep_is_called_once_per_pass(self, k, form, rule, monkeypatch):
         # the benchmark counts passes as calls to schemes.sweep; a formed
-        # pass carries r under the residual rule and x under the diff rule
+        # pass carries r under the residual rule and x under the diff rule,
+        # and a CSR one makes blocks of up to 32 rows
         if form == "matrix_free":
             monkeypatch.setattr(altsplit.schemes, "_window", no_window)
         calls = []
@@ -717,10 +799,11 @@ class TestPassForms:
             return original(*args)
 
         monkeypatch.setattr(altsplit.schemes, "sweep", counting)
-        splits = PASS_SPLITS["diagonal"][:k]
-        report = run(SchemeConfig(splittings=splits, stop_rule=rule, tolerance=1e-8),
-                     LAPLACE_4.b)
-        assert report.converged and report.iterations > LAPLACE_4.order
+        problem, splits = (LAPLACE_16, CSR_SPLITS) if form == "csr" else (
+            LAPLACE_4, PASS_SPLITS["diagonal"])
+        report = run(SchemeConfig(splittings=splits[:k], stop_rule=rule, tolerance=1e-8),
+                     problem.b)
+        assert report.converged and report.iterations > problem.order
         assert len(calls) == report.iterations
 
     @pytest.mark.parametrize("u_kind", list(PASS_SPLITS))
@@ -751,10 +834,14 @@ SCREEN_CASES = {
     "successive_diff": (WALK_30, np.zeros(30), {"x0": np.eye(1, 30)[0]}),
 }
 SCREEN_PASSES = 600
+# The CSR case of every rule: order 225, whose window forms its pass after
+# one pass and hands out blocks of 8, 16 and then 32 new rows.
+CSR_SCREEN_CASE = (LAPLACE_16, LAPLACE_16.b, {"x0": np.linspace(-1.0, 1.0, LAPLACE_16.order),
+                                              "exact": LAPLACE_16.exact})
 
 
-def _screen_run(rule, k, tolerance, record_history=False, passes=SCREEN_PASSES):
-    problem, b, kwargs = SCREEN_CASES[rule]
+def _screen_run(rule, k, tolerance, record_history=False, passes=SCREEN_PASSES, csr=False):
+    problem, b, kwargs = CSR_SCREEN_CASE if csr else SCREEN_CASES[rule]
     splits = [diag_scaling_splitting(problem.A, a) for a in (2.0, 2.5, 3.0)][:k]
     config = SchemeConfig(splittings=splits, stop_rule=rule, tolerance=tolerance,
                           max_iterations=passes, record_history=record_history)
@@ -765,8 +852,9 @@ class _RowSpy:
     """Wraps ``altsplit.schemes.sweep``: keeps a copy of each vector a pass
     hands out, and for a window its position (row, s) and ``screened``."""
 
-    def __init__(self, original):
-        self.original, self.rows, self.where, self.screened = original, [], [], []
+    def __init__(self, original, case):
+        self.original, self.case, self.rows, self.where, self.screened = (
+            original, case, [], [], [])
 
     def __call__(self, step, v, *args):
         out = self.original(step, v, *args)
@@ -779,9 +867,9 @@ class _RowSpy:
     def metric(self, rule, p):
         """The stop metric of pass p as the run computes it: a carried r,
         b - A x of a carried x (residual rule), exact - x or the diff."""
-        problem, b, kwargs = SCREEN_CASES[rule]
+        problem, b, kwargs = self.case
         v = self.rows[p - 1]
-        if rule == "residual":  # A is dense, applied by ndarray.dot
+        if rule == "residual":  # a carried x: A is dense, applied by ndarray.dot
             m = v if self.where[p - 1] else b - problem.A.dot(v)
         elif rule == "error_vs_exact":
             m = kwargs["exact"] - v
@@ -805,17 +893,56 @@ class _ScreenSpy:
         return np.einsum(spec, *operands)
 
 
-def _spied_run(rule, k, tolerance, monkeypatch, form="windowed"):
+def _spied_run(rule, k, tolerance, monkeypatch, form="windowed", csr=False):
     """A run of ``_screen_run`` with a ``_RowSpy``: windowed, with the
     screen patched out, or matrix-free."""
     with monkeypatch.context() as patched:
-        spy = _RowSpy(altsplit.schemes.sweep)
+        spy = _RowSpy(altsplit.schemes.sweep, CSR_SCREEN_CASE if csr else SCREEN_CASES[rule])
         patched.setattr(altsplit.schemes, "sweep", spy)
         if form == "unscreened":
             patched.setattr(altsplit.schemes._Window, "screen", lambda self, *args: None)
         elif form == "matrix_free":
             patched.setattr(altsplit.schemes, "_window", no_window)
-        return _screen_run(rule, k, tolerance), spy
+        return _screen_run(rule, k, tolerance, csr=csr), spy
+
+
+def _assert_the_screen_keeps_the_stop(rule, k, p, at, monkeypatch, csr=False):
+    """At the tolerance ``at``, the metric of pass p, and one ulp above it,
+    the windowed run stops where the run with the screen patched out does,
+    bit for bit, having screened the 8 rows before pass p."""
+    for tol in (at, np.nextafter(at, np.inf)):
+        got, spy = _spied_run(rule, k, tol, monkeypatch, csr=csr)
+        want, _ = _spied_run(rule, k, tol, monkeypatch, "unscreened", csr=csr)
+        assert (got.iterations, got.status) == (want.iterations, want.status)
+        assert got.status == "converged" and got.iterations >= p
+        assert got.final_x.tobytes() == want.final_x.tobytes()
+        assert got.final_residual == want.final_residual
+        assert all(spy.screened[p - 9:p - 1]) and not spy.screened[p - 1]
+        if rule != "residual":  # a carried r goes on when b - A x has not met tol
+            assert got.iterations == (p if tol > at else p + 1)
+
+
+def _nan_row_stops_the_run(rule, row, monkeypatch, csr=False):
+    """A NaN in one entry of row ``row`` of the first block of 32 new rows
+    stops the run at that row's pass, the rows before it screened."""
+    _, clean = _spied_run(rule, 3, 1e-300, monkeypatch, csr=csr)
+    target = clean.where.index((0, 32)) + 1 + row
+    n = 1 if csr else len(SCREEN_CASES[rule][1])  # the matrix-free passes
+    original, made = altsplit.schemes._Window._next, [n]
+
+    def spoiled(window, block, out):
+        original(window, block, out)
+        first = made[0] + 1  # the pass of out's first row
+        made[0] += len(out)
+        if first <= target < first + len(out):
+            out[target - first, 0] = np.nan
+
+    monkeypatch.setattr(altsplit.schemes._Window, "_next", spoiled)
+    report, spy = _spied_run(rule, 3, 1e-300, monkeypatch, csr=csr)
+    assert (report.status, report.iterations) == ("non_finite", target)
+    assert spy.where[target - 1] == (row, 32)
+    assert spy.screened[target - 2] and not spy.screened[target - 1]
+    assert np.isnan(spy.rows[target - 1][0])
 
 
 class TestBlockScreen:
@@ -841,16 +968,7 @@ class TestBlockScreen:
         at, mf = formed.metric(rule, p), free.metric(rule, p)
         # the closing b - A x of a run of p passes is its true-residual check at pass p
         checked = _screen_run(rule, k, 1e-300, passes=p).final_residual
-        for tol in (at, np.nextafter(at, np.inf)):
-            got, spy = _spied_run(rule, k, tol, monkeypatch)
-            want, _ = _spied_run(rule, k, tol, monkeypatch, "unscreened")
-            assert (got.iterations, got.status) == (want.iterations, want.status)
-            assert got.status == "converged" and got.iterations >= p
-            assert got.final_x.tobytes() == want.final_x.tobytes()
-            assert got.final_residual == want.final_residual
-            assert all(spy.screened[p - 9:p - 1]) and not spy.screened[p - 1]
-            if rule != "residual":  # a carried r goes on when b - A x has not met tol
-                assert got.iterations == (p if tol > at else p + 1)
+        _assert_the_screen_keeps_the_stop(rule, k, p, at, monkeypatch)
         top = max(at, mf, checked if rule == "residual" else 0.0)
         for tol in (min(at, mf), np.nextafter(top, np.inf)):
             got, _ = _spied_run(rule, k, tol, monkeypatch)
@@ -877,30 +995,33 @@ class TestBlockScreen:
         assert (report.status, report.iterations) == ("non_finite", n + 1)
 
     @pytest.mark.parametrize("rule", list(SCREEN_CASES))
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("row", ["first", "sixth"])
+    def test_a_tolerance_at_a_csr_rows_metric(self, rule, k, row, monkeypatch):
+        # the same on a CSR window, at the first or sixth row of its second
+        # full block of 32 rows: its rows are made one at a time, bit for
+        # bit the rows of a window that makes one a block
+        _, formed = _spied_run(rule, k, 1e-300, monkeypatch, csr=True)
+        firsts = [p for p, at in enumerate(formed.where, 1) if at == (0, 32)]
+        p = firsts[1] + (0 if row == "first" else 5)
+        _assert_the_screen_keeps_the_stop(rule, k, p, formed.metric(rule, p), monkeypatch,
+                                          csr=True)
+
+    @pytest.mark.parametrize("rule", list(SCREEN_CASES))
     @pytest.mark.parametrize("row", [0, 5, 31])
     def test_a_nan_row_inside_a_screened_block_stops_the_run_there(self, rule, row,
                                                                   monkeypatch):
         # a NaN in one entry of the first, sixth or last row of the first
         # block of 32 new rows: the screen clears the rows before it and
         # hands that row to the scalar test, which stops the run there
-        _, clean = _spied_run(rule, 3, 1e-300, monkeypatch)
-        target = clean.where.index((0, 32)) + 1 + row
-        n = len(SCREEN_CASES[rule][1])
-        original, made = altsplit.schemes._Window._next, [n]
+        _nan_row_stops_the_run(rule, row, monkeypatch)
 
-        def spoiled(window, block, out):
-            original(window, block, out)
-            first = made[0] + 1  # the pass of out's first row
-            made[0] += len(out)
-            if first <= target < first + len(out):
-                out[target - first, 0] = np.nan
-
-        monkeypatch.setattr(altsplit.schemes._Window, "_next", spoiled)
-        report, spy = _spied_run(rule, 3, 1e-300, monkeypatch)
-        assert (report.status, report.iterations) == ("non_finite", target)
-        assert spy.where[target - 1] == (row, 32)
-        assert spy.screened[target - 2] and not spy.screened[target - 1]
-        assert np.isnan(spy.rows[target - 1][0])
+    @pytest.mark.parametrize("rule", list(SCREEN_CASES))
+    @pytest.mark.parametrize("row", [0, 15, 31])
+    def test_a_nan_row_inside_a_csr_block_stops_the_run_there(self, rule, row, monkeypatch):
+        # the same in the first, a middle or the last row of a CSR window's
+        # first full block
+        _nan_row_stops_the_run(rule, row, monkeypatch, csr=True)
 
     @pytest.mark.parametrize("rule", list(SCREEN_CASES))
     @pytest.mark.parametrize("k", [1, 3])
@@ -918,21 +1039,28 @@ class TestBlockScreen:
                                                       rows.screened) if screened)
 
     @pytest.mark.parametrize("rule", list(SCREEN_CASES))
-    def test_no_screen_with_a_history_on_a_csr_window_or_matrix_free(self, rule,
-                                                                     monkeypatch):
-        # a run with record_history reads every pass's residual; a CSR
-        # window hands out one-row blocks; a matrix-free run has no window
+    def test_no_screen_with_a_history_or_matrix_free(self, rule, monkeypatch):
+        # a run with record_history reads every pass's residual, through a
+        # dense or a CSR window; a matrix-free run has no window.  Without a
+        # history, a CSR window screens its blocks of 8, 16 and 32 new rows
         spy = _ScreenSpy()
         monkeypatch.setattr(altsplit.schemes, "np", spy)
         assert _screen_run(rule, 3, 1e-300, record_history=True).iterations == SCREEN_PASSES
-        config = SchemeConfig(splittings=CSR_SPLITS, stop_rule=rule, tolerance=1e-300,
-                              max_iterations=LAPLACE_16.order + 40)
         assert formed_pass(CSR_SPLITS).format == "csr"
-        run(config, LAPLACE_16.b, x0=np.linspace(-1.0, 1.0, LAPLACE_16.order),
-            exact=LAPLACE_16.exact)
-        monkeypatch.setattr(altsplit.schemes, "_window", no_window)
-        assert _screen_run(rule, 3, 1e-300).iterations == SCREEN_PASSES
+
+        def csr_run(record_history):
+            config = SchemeConfig(splittings=CSR_SPLITS, stop_rule=rule, tolerance=1e-300,
+                                  max_iterations=128, record_history=record_history)
+            return run(config, LAPLACE_16.b, x0=np.linspace(-1.0, 1.0, LAPLACE_16.order),
+                       exact=LAPLACE_16.exact)
+
+        assert csr_run(True).iterations == 128
+        with monkeypatch.context() as patched:
+            patched.setattr(altsplit.schemes, "_window", no_window)
+            assert _screen_run(rule, 3, 1e-300).iterations == SCREEN_PASSES
         assert spy.blocks == []
+        assert csr_run(False).iterations == 128  # new rows: 1, 2, 4, 8, 16, then 32s
+        assert spy.blocks == [8, 16, 32, 32, 32]
 
 
 class TestShiftedScheme:
